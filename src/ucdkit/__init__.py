@@ -48,7 +48,6 @@ from .hybrid import (
     parse_schedule,
     run_schedule,
     schedule_text,
-    total_cost,
     trajectory_csv,
     write_trajectory_csv,
 )
@@ -110,7 +109,7 @@ __all__ = [
     "mode_dynamics", "mode_candidates", "feasible_modes", "KKT_TOL", "FEAS_TOL",
     # hybrid
     "Schedule", "PeriodRecord", "Trajectory", "mode_to_int", "int_to_mode",
-    "schedule_text", "parse_schedule", "run_schedule", "total_cost",
+    "schedule_text", "parse_schedule", "run_schedule",
     "trajectory_csv", "write_trajectory_csv",
     # oracle
     "OracleResult", "enumerate_optimal", "enumerate_tail",

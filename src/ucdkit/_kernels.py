@@ -1,34 +1,26 @@
-"""Dense active-set QP kernel, compiled two ways.
+"""Dense dual active-set QP kernel (Goldfarb & Idnani, Math. Prog. 27, 1983).
 
 The dispatch subproblem is a strictly convex QP with a diagonal Hessian,
 one balance equality and a handful of inequality rows (boxes, reserves,
-ramp windows, penetration). This module holds the numeric core: a dual
-active-set method that starts from the unconstrained minimizer, pulls in
-the most violated row one at a time, and takes primal/dual steps until
-every row is satisfied with nonnegative multipliers. Infeasibility falls
-out as a violated row whose normal is spanned by the working set with a
-nonnegative dual ray (no step can help), so no phase-one subproblem is
-needed.
-
-The same source function is used as the pure-numpy fallback and, when
-numba imports and UCDKIT_NUMBA is not "0", as an @njit-compiled kernel.
-Both paths run the identical statement order (plain loops, no BLAS), so
-their results agree bit for bit; the environment flag selects speed, not
-answers.
+ramp windows, penetration). The kernel starts from the unconstrained
+minimizer, pulls in the most violated row one at a time, and takes
+primal/dual steps until every row is satisfied with nonnegative
+multipliers. Infeasibility falls out as a violated row whose normal is
+spanned by the working set with a nonnegative dual ray (no step can
+help), so no phase-one subproblem is needed. A final KKT solve on the
+active set strips the drift of the incremental steps.
 
 Kernel convention: rows are C[i] . x >= b[i]; the first meq rows are
-equalities (internally sign-flipped as needed, never dropped, multiplier
-free). Returned multipliers w satisfy H x + g - C^T w = 0 with w >= 0 on
+equalities (sign-flipped as needed, never dropped, multiplier free).
+Returned multipliers w satisfy H x + g - C^T w = 0 with w >= 0 on
 inequality rows.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["qp_core", "qp_core_numpy", "qp_core_numba", "BACKEND", "HAS_NUMBA"]
+__all__ = ["qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL"]
 
 # status codes returned by the kernel
 OPTIMAL = 0
@@ -36,314 +28,122 @@ INFEASIBLE = 1
 NUMERIC_FAIL = 2
 
 
-def _qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
+def solve_pivoted(A, rhs, tol_piv):
+    """Solve A y = rhs by Gaussian elimination with partial pivoting.
+
+    Returns None when a pivot is at or below tol_piv * max(1, max|A|),
+    so a near-singular system is reported rather than solved.
+    """
+    k = len(rhs)
+    M = np.empty((k, k + 1))          # augmented [A | rhs], eliminated in place
+    M[:, :k] = A
+    M[:, k] = rhs
+    tol = tol_piv * max(1.0, float(abs(M[:, :k]).max(initial=0.0)))
+    for c in range(k):
+        piv = c + int(abs(M[c:, c]).argmax())   # first largest wins
+        if abs(M[piv, c]) <= tol:
+            return None
+        if piv != c:
+            M[[c, piv]] = M[[piv, c]]
+        M[c + 1:, c:] -= M[c + 1:, c, None] / M[c, c] * M[c, c:]
+    y = M[:, k]
+    for c in range(k - 1, -1, -1):
+        y[c] = (y[c] - M[c, c + 1:k] @ y[c + 1:]) / M[c, c]
+    return y
+
+
+def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
     """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec (meq leading equalities).
 
     Returns (status, x, w, iterations, bad_row). w are row multipliers in
     the >= convention described in the module docstring; bad_row is the
     row certifying infeasibility (-1 otherwise).
     """
-    n = hdiag.shape[0]
-    m = C.shape[0]
-    kmax = n + 1
-
-    hinv = np.empty(n)
-    x = np.empty(n)
-    for i in range(n):
-        hinv[i] = 1.0 / hdiag[i]
-        x[i] = -glin[i] * hinv[i]
-
-    W = np.full(kmax, -1, dtype=np.int64)     # active row indices
-    sig = np.ones(kmax)                       # sign applied to each active normal
-    uact = np.zeros(kmax)                     # multipliers of active rows (>= form)
-    in_w = np.zeros(m, dtype=np.bool_)
-    k = 0
-
+    n, m = hdiag.shape[0], C.shape[0]
+    hinv = 1.0 / hdiag
+    x = -glin * hinv
+    W, sig, u = [], [], []      # active rows, signs on their normals, multipliers
     w_out = np.zeros(m)
-    npvec = np.empty(n)
-    z = np.empty(n)
-    r = np.zeros(kmax)
     iters = 0
 
     while True:
-        # pick the next constraint to enforce: equalities first, then the
-        # most violated inequality (ties go to the lowest row index)
-        p = -1
-        worst = -tol_feas
-        for i in range(meq):
-            if not in_w[i]:
-                p = i
-                break
-        if p == -1:
-            for i in range(meq, m):
-                if not in_w[i]:
-                    s_i = -bvec[i]
-                    for j in range(n):
-                        s_i += C[i, j] * x[j]
-                    if s_i < worst:
-                        worst = s_i
-                        p = i
-        if p == -1:
-            break  # all rows satisfied, multipliers nonnegative: done
+        # next row to enforce: equalities first, then the most violated
+        # inequality (ties go to the lowest row index)
+        if len(W) < meq:
+            p = next(i for i in range(meq) if i not in W)
+        else:
+            slack = C @ x - bvec
+            slack[W] = np.inf      # every equality is in W by now
+            p = int(np.argmin(slack))
+            if slack[p] >= -tol_feas:
+                break  # all rows satisfied, multipliers nonnegative: done
 
-        sp = 1.0
-        if p < meq:
-            s_p = -bvec[p]
-            for j in range(n):
-                s_p += C[p, j] * x[j]
-            if s_p > 0.0:
-                sp = -1.0
-        for j in range(n):
-            npvec[j] = sp * C[p, j]
-        bp = sp * bvec[p]
-        up = 0.0
+        sp = -1.0 if p < meq and C[p] @ x - bvec[p] > 0.0 else 1.0
+        npvec, bp, up = sp * C[p], sp * bvec[p], 0.0
 
         while True:
             iters += 1
             if iters > max_iter:
                 return NUMERIC_FAIL, x, w_out, iters, p
 
-            # step directions: z in primal space, r in the duals of W
+            # step directions: r in the duals of W, z in primal space;
             # r solves (N' Hinv N) r = N' Hinv npvec, z = Hinv(npvec - N r)
-            singular = False
-            if k > 0:
-                B = np.empty((k, k))
-                rhs = np.empty(k)
-                for a_ in range(k):
-                    ra = W[a_]
-                    acc = 0.0
-                    for j in range(n):
-                        acc += sig[a_] * C[ra, j] * hinv[j] * npvec[j]
-                    rhs[a_] = acc
-                    for b_ in range(k):
-                        rb = W[b_]
-                        acc2 = 0.0
-                        for j in range(n):
-                            acc2 += sig[a_] * C[ra, j] * hinv[j] * sig[b_] * C[rb, j]
-                        B[a_, b_] = acc2
-                # gaussian elimination with partial pivoting (k <= n+1, tiny)
-                bmax = 0.0
-                for a_ in range(k):
-                    for b_ in range(k):
-                        ab = abs(B[a_, b_])
-                        if ab > bmax:
-                            bmax = ab
-                piv_tol = tol_piv * (1.0 if bmax < 1.0 else bmax)
-                for col in range(k):
-                    piv = col
-                    pv = abs(B[col, col])
-                    for row in range(col + 1, k):
-                        av = abs(B[row, col])
-                        if av > pv:
-                            pv = av
-                            piv = row
-                    if pv <= piv_tol:
-                        singular = True
-                        break
-                    if piv != col:
-                        for cc in range(k):
-                            tmp = B[col, cc]
-                            B[col, cc] = B[piv, cc]
-                            B[piv, cc] = tmp
-                        tmp = rhs[col]
-                        rhs[col] = rhs[piv]
-                        rhs[piv] = tmp
-                    for row in range(col + 1, k):
-                        f = B[row, col] / B[col, col]
-                        if f != 0.0:
-                            for cc in range(col, k):
-                                B[row, cc] -= f * B[col, cc]
-                            rhs[row] -= f * rhs[col]
-                if not singular:
-                    for col in range(k - 1, -1, -1):
-                        acc = rhs[col]
-                        for cc in range(col + 1, k):
-                            acc -= B[col, cc] * r[cc]
-                        r[col] = acc / B[col, col]
-            if singular:
-                return NUMERIC_FAIL, x, w_out, iters, p
-
-            for j in range(n):
-                acc = npvec[j]
-                for a_ in range(k):
-                    acc -= sig[a_] * C[W[a_], j] * r[a_]
-                z[j] = hinv[j] * acc
-            znorm = 0.0
-            for j in range(n):
-                az = abs(z[j])
-                if az > znorm:
-                    znorm = az
+            r, z = (), hinv * npvec
+            if W:
+                N = np.array(sig)[:, None] * C[W]
+                NH = N * hinv
+                r = solve_pivoted(NH @ N.T, NH @ npvec, tol_piv)
+                if r is None:
+                    return NUMERIC_FAIL, x, w_out, iters, p
+                z = hinv * (npvec - r @ N)
 
             # dual step bound: first active inequality whose multiplier hits 0
-            t1 = np.inf
-            l1 = -1
-            for a_ in range(k):
-                if W[a_] >= meq and r[a_] > tol_piv:
-                    ratio = uact[a_] / r[a_]
-                    if ratio < t1:
-                        t1 = ratio
-                        l1 = a_
+            t1, l1 = min(((u[a] / r[a], a) for a in range(len(W))
+                          if W[a] >= meq and r[a] > tol_piv), default=(np.inf, -1))
 
             # primal step to reach the new row
-            s_p = -bp
-            for j in range(n):
-                s_p += npvec[j] * x[j]
             t2 = np.inf
-            if znorm > tol_piv:
-                zn = 0.0
-                for j in range(n):
-                    zn += npvec[j] * z[j]
-                if zn > tol_piv:
-                    t2 = -s_p / zn
-                    if t2 < 0.0:
-                        t2 = 0.0
+            zn = npvec @ z
+            if np.abs(z).max() > tol_piv and zn > tol_piv:
+                t2 = max(0.0, -(npvec @ x - bp) / zn)
 
             if t1 == np.inf and t2 == np.inf:
                 # the row's normal lies in span(W) with a nonnegative dual
                 # ray: Farkas certificate, the constraint set is empty
                 return INFEASIBLE, x, w_out, iters, p
 
-            if t2 == np.inf:
-                # dual-only step: relax the blocking row and try again
-                for a_ in range(k):
-                    uact[a_] -= t1 * r[a_]
-                up += t1
-                dropped = W[l1]
-                in_w[dropped] = False
-                for a_ in range(l1, k - 1):
-                    W[a_] = W[a_ + 1]
-                    sig[a_] = sig[a_ + 1]
-                    uact[a_] = uact[a_ + 1]
-                k -= 1
-                continue
-
-            t = t1 if t1 < t2 else t2
-            for j in range(n):
-                x[j] += t * z[j]
-            for a_ in range(k):
-                uact[a_] -= t * r[a_]
+            # a full primal step adds row p; otherwise relax the blocking
+            # row (without moving x when no primal step exists) and retry
+            t = min(t1, t2)
+            if t2 < np.inf:
+                x = x + t * z
+            u = [ua - t * ra for ua, ra in zip(u, r)]
             up += t
-
             if t2 <= t1:
-                if k >= kmax:
+                if len(W) > n:
                     return NUMERIC_FAIL, x, w_out, iters, p
-                W[k] = p
-                sig[k] = sp
-                uact[k] = up
-                in_w[p] = True
-                k += 1
+                W.append(p)
+                sig.append(sp)
+                u.append(up)
                 break
-            else:
-                dropped = W[l1]
-                in_w[dropped] = False
-                for a_ in range(l1, k - 1):
-                    W[a_] = W[a_ + 1]
-                    sig[a_] = sig[a_ + 1]
-                    uact[a_] = uact[a_ + 1]
-                k -= 1
-                # keep working on the same row p
+            del W[l1], sig[l1], u[l1]
 
-    # polish: re-solve the KKT system of the final active set in one shot
-    # to strip the drift accumulated by incremental steps
-    if k > 0:
-        dim = n + k
-        K = np.zeros((dim, dim))
-        rhs2 = np.empty(dim)
-        for j in range(n):
-            K[j, j] = hdiag[j]
-            rhs2[j] = -glin[j]
-        # top-right block carries -N so the recovered u keeps the main
-        # loop's convention H x + g - N u = 0
-        for a_ in range(k):
-            ra = W[a_]
-            for j in range(n):
-                K[j, n + a_] = -sig[a_] * C[ra, j]
-                K[n + a_, j] = sig[a_] * C[ra, j]
-            rhs2[n + a_] = sig[a_] * bvec[ra]
-        # same elimination, on the indefinite KKT matrix
-        kmaxv = 0.0
-        for a_ in range(dim):
-            for b_ in range(dim):
-                av = abs(K[a_, b_])
-                if av > kmaxv:
-                    kmaxv = av
-        piv_tol = tol_piv * (1.0 if kmaxv < 1.0 else kmaxv)
-        ok = True
-        for col in range(dim):
-            piv = col
-            pv = abs(K[col, col])
-            for row in range(col + 1, dim):
-                av = abs(K[row, col])
-                if av > pv:
-                    pv = av
-                    piv = row
-            if pv <= piv_tol:
-                ok = False
-                break
-            if piv != col:
-                for cc in range(dim):
-                    tmp = K[col, cc]
-                    K[col, cc] = K[piv, cc]
-                    K[piv, cc] = tmp
-                tmp = rhs2[col]
-                rhs2[col] = rhs2[piv]
-                rhs2[piv] = tmp
-            for row in range(col + 1, dim):
-                f = K[row, col] / K[col, col]
-                if f != 0.0:
-                    for cc in range(col, dim):
-                        K[row, cc] -= f * K[col, cc]
-                    rhs2[row] -= f * rhs2[col]
-        if ok:
-            sol = np.empty(dim)
-            for col in range(dim - 1, -1, -1):
-                acc = rhs2[col]
-                for cc in range(col + 1, dim):
-                    acc -= K[col, cc] * sol[cc]
-                sol[col] = acc / K[col, col]
-            # accept the polished point only if it kept the inactive rows
-            # feasible and the active multipliers nonnegative
-            good = True
-            for a_ in range(k):
-                if W[a_] >= meq and sol[n + a_] < -tol_feas:
-                    good = False
-                    break
-            if good:
-                for i in range(m):
-                    if not in_w[i]:
-                        s_i = -bvec[i]
-                        for j in range(n):
-                            s_i += C[i, j] * sol[j]
-                        if s_i < -tol_feas:
-                            good = False
-                            break
-            if good:
-                for j in range(n):
-                    x[j] = sol[j]
-                for a_ in range(k):
-                    uact[a_] = sol[n + a_]
-
-    for a_ in range(k):
-        w_out[W[a_]] = sig[a_] * uact[a_]
+    # polish: re-solve the KKT system of the final active set in one shot;
+    # the top-right block carries -N so u keeps the convention H x + g - N u = 0
+    k = len(W)
+    N = np.array(sig)[:, None] * C[W]
+    K = np.zeros((n + k, n + k))
+    K[:n, :n] = np.diag(hdiag)
+    K[:n, n:] = -N.T
+    K[n:, :n] = N
+    sol = solve_pivoted(K, np.concatenate([-glin, np.array(sig) * bvec[W]]), tol_piv)
+    # accept the polished point only if it kept the active multipliers
+    # nonnegative and the inactive rows feasible
+    if sol is not None:
+        slack = C @ sol[:n] - bvec
+        slack[W] = 0.0
+        if (all(sol[n + a] >= -tol_feas for a in range(k) if W[a] >= meq)
+                and slack.min() >= -tol_feas):
+            x, u = sol[:n], list(sol[n:])
+    w_out[W] = np.multiply(sig, u)
     return OPTIMAL, x, w_out, iters, -1
-
-
-qp_core_numpy = _qp_core
-
-HAS_NUMBA = False
-qp_core_numba = None
-_want_numba = os.environ.get("UCDKIT_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-try:
-    import numba
-
-    qp_core_numba = numba.njit(cache=True)(_qp_core)
-    HAS_NUMBA = True
-except ImportError:
-    pass
-
-if HAS_NUMBA and _want_numba:
-    qp_core = qp_core_numba
-    BACKEND = "numba"
-else:
-    qp_core = qp_core_numpy
-    BACKEND = "numpy"

@@ -25,6 +25,7 @@ import numpy as np
 from .costs import running_cost, switching_cost
 from .errors import InfeasibleModeError, ModelMismatchError, UcdError
 from .hybrid import int_to_mode, mode_to_int
+from .oracle import tie_tol
 from .qp import mode_candidates
 from .scenario import Scenario, scenario_fingerprint
 
@@ -45,7 +46,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
-TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
         v = (q + switching_cost(s, ip_bits, mode)
              + _tail_value(model.basis, model.weights, model.horizon,
                            t + 1, mode, dispatch))
-        if chosen is None or v < best - TIE_RTOL * max(1.0, abs(best)):
+        if chosen is None or v < best - tie_tol(best):
             best = v
             chosen = (mode, dispatch)
         # candidates arrive in ascending binary order, so on a tie the

@@ -29,7 +29,6 @@ __all__ = [
     "schedule_text",
     "parse_schedule",
     "run_schedule",
-    "total_cost",
     "trajectory_csv",
     "write_trajectory_csv",
 ]
@@ -196,11 +195,6 @@ def run_schedule(s: Scenario, schedule: Schedule | str) -> Trajectory:
         net_emission_cost=float(priced),
         total_cost=run_sum + sw_sum - rebate,
     )
-
-
-def total_cost(traj: Trajectory) -> float:
-    """Horizon objective: running plus switching minus the quota rebate."""
-    return traj.running_total + traj.switching_total - traj.quota_rebate
 
 
 def trajectory_csv(traj: Trajectory) -> str:

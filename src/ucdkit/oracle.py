@@ -33,11 +33,13 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 # two costs within this relative band count as tied and fall through to
-# the lexicographic rule, keeping both oracles' argmins aligned
+# the lexicographic rule, keeping the oracles, the closed loop and the
+# compare table on the same argmin
 TIE_RTOL = 1e-9
 
 
-def _tie_tol(value: float) -> float:
+def tie_tol(value: float) -> float:
+    """Absolute tie band around a cost: TIE_RTOL relative, floor 1."""
     return TIE_RTOL * max(1.0, abs(value))
 
 
@@ -90,8 +92,8 @@ def _best_tail(s, t, i_prev, p_prev, budget, cache):
             continue
         tot = step + sub
         cand = (mode_to_int(mode),) + seq
-        if best_seq is None or tot < best - _tie_tol(best) or (
-            abs(tot - best) <= _tie_tol(best) and cand < best_seq
+        if best_seq is None or tot < best - tie_tol(best) or (
+            abs(tot - best) <= tie_tol(best) and cand < best_seq
         ):
             best = tot
             best_seq = cand
@@ -198,7 +200,7 @@ def graph_dp_optimal(s: Scenario) -> OracleResult:
         chosen = None
         for mi, mode, q in layers[t - 1]:  # ascending mode int: lex tie-break
             v = switching_cost(s, prev_bits, mode) + q + value[t + 1, mi]
-            if abs(v - target) <= _tie_tol(target):
+            if abs(v - target) <= tie_tol(target):
                 chosen = mode
                 break
         if chosen is None:

@@ -20,7 +20,7 @@ from .clho import ValueModel, schedule_step
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
 from .hybrid import Schedule, schedule_text
-from .oracle import DEFAULT_BUDGET, enumerate_schedule_costs, enumerate_tail
+from .oracle import DEFAULT_BUDGET, enumerate_schedule_costs, enumerate_tail, tie_tol
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -252,7 +252,7 @@ def compare_with_oracle(s: Scenario, model: ValueModel,
             oracle_schedule=None, oracle_cost=None, matches=None,
         )
     best_cost = min(c for _, c in table)
-    tol = 1e-9 * max(1.0, abs(best_cost))
+    tol = tie_tol(best_cost)
     best_text = next(txt for txt, c in table if c <= best_cost + tol)
     rows = [
         {"schedule": txt, "total_cost": cost,

@@ -15,7 +15,6 @@ from ucdkit import (
     parse_schedule,
     run_schedule,
     schedule_text,
-    total_cost,
     trajectory_csv,
 )
 
@@ -78,10 +77,9 @@ def test_schedule_shape_mismatch(e1c1):
 
 def test_total_cost_identity(e1c4):
     traj = run_schedule(e1c4, "133333")
-    assert total_cost(traj) == pytest.approx(
+    assert traj.total_cost == pytest.approx(
         traj.running_total + traj.switching_total - traj.quota_rebate
     )
-    assert traj.total_cost == pytest.approx(total_cost(traj))
 
 
 def test_trajectory_determinism(e1c4):

@@ -1,17 +1,23 @@
-"""Dispatch QP: assembly, solutions, certificates, backend equivalence."""
+"""Dispatch QP: assembly, solutions, certificates, the kernel's pivoting path."""
+
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ucdkit import (
     InfeasibleModeError,
+    QpNumericalError,
     assemble,
     feasible_modes,
+    int_to_mode,
     kkt_residual,
+    load_bundled_scenario,
     mode_dynamics,
     solve,
 )
-from ucdkit import KKT_TOL, FEAS_TOL
+from ucdkit import KKT_TOL
 from ucdkit.qp import PIVOT_TOL
 from ucdkit import _kernels
 
@@ -169,30 +175,63 @@ def test_dispatch_stable_under_demand_nudge(e2c1):
         assert drift <= 10.0 * delta + 1e-12
 
 
-def test_backends_bit_identical(e2c1):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    for t in (1, 9, 12, 20):
-        for v in range(32):
-            bits = tuple((v >> (4 - i)) & 1 for i in range(5))
-            q = assemble(e2c1, t, bits)
-            if q.n_free == 0:
-                continue
-            m = len(q.h)
-            C = np.empty((m + 1, q.n_free))
-            b = np.empty(m + 1)
-            C[0, :] = 1.0
-            b[0] = q.beq
-            C[1:, :] = -q.G
-            b[1:] = -q.h
-            args = (
-                np.ascontiguousarray(q.hdiag), np.ascontiguousarray(q.glin),
-                np.ascontiguousarray(C), np.ascontiguousarray(b),
-                1, FEAS_TOL, PIVOT_TOL, 100 + 50 * (m + 1),
-            )
-            res_nb = _kernels.qp_core_numba(*args)
-            res_np = _kernels.qp_core_numpy(*args)
-            assert res_nb[0] == res_np[0]
-            assert np.array_equal(res_nb[1], res_np[1])  # bitwise, not approx
-            assert np.array_equal(res_nb[2], res_np[2])
-            assert res_nb[3] == res_np[3]
+# Ramp-relaxed grid of every bundled fleet, as solved by the dual
+# active-set kernel: optimal count, summed kernel iterations and the
+# certificate-row histogram pin the kernel's pivoting path, not just its
+# answers.
+KERNEL_PATH = {
+    "example1_case1": (11, 28, {"balance": 6, "cap_hi": 3, "cap_lo": 1, "reserve_hi": 3}),
+    "example1_case4": (11, 28, {"balance": 6, "cap_hi": 3, "cap_lo": 1, "reserve_hi": 3}),
+    "example2_case1": (169, 2919, {"dr_hi": 83, "reserve_hi": 516}),
+    "example2_case2": (169, 2977, {"dr_hi": 24, "reserve_hi": 575}),
+    "example2_case3": (169, 2919, {"dr_hi": 83, "reserve_hi": 516}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PATH))
+def test_kernel_path_pinned_on_bundled_grids(name):
+    s = load_bundled_scenario(name)
+    n = s.n_units
+    optimal = iterations = 0
+    rows = Counter()
+    for t in range(1, s.horizon + 1):
+        for v in range(1 << n):
+            sol = solve(assemble(s, t, int_to_mode(v, n)))
+            iterations += sol.iterations
+            if sol.status == "optimal":
+                optimal += 1
+                assert sol.kkt <= KKT_TOL
+            else:
+                rows[re.sub(r"\[\d+\]$", "", sol.certificate["row"])] += 1
+    assert (optimal, iterations, dict(rows)) == KERNEL_PATH[name]
+
+
+def test_solve_pivoted_matches_linalg():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+    rhs = rng.normal(size=6)
+    A0, rhs0 = A.copy(), rhs.copy()
+    y = _kernels.solve_pivoted(A, rhs, PIVOT_TOL)
+    assert np.max(np.abs(y - np.linalg.solve(A, rhs))) <= 1e-12
+    assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)  # not modified in place
+
+
+def test_solve_pivoted_fails_at_the_pivot_tolerance():
+    # tolerance is tol_piv * max(1, max|A|); a pivot equal to it fails
+    assert _kernels.solve_pivoted([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], PIVOT_TOL) is None
+    assert _kernels.solve_pivoted([[4.0, 0.0], [0.0, 4e-3]], [1.0, 1.0], 1e-3) is None
+    y = _kernels.solve_pivoted([[4.0, 0.0], [0.0, 5e-3]], [1.0, 1.0], 1e-3)
+    assert y == pytest.approx([0.25, 200.0])
+
+
+def test_kernel_failure_raises_numerical_error(e1c1, monkeypatch):
+    real = _kernels.qp_core
+
+    def starved(*args):
+        out = real(*args[:-1], 0)  # no iterations allowed
+        assert out[0] == _kernels.NUMERIC_FAIL
+        return out
+
+    monkeypatch.setattr(_kernels, "qp_core", starved)
+    with pytest.raises(QpNumericalError, match="t=4"):
+        solve(assemble(e1c1, 4, (1, 1)))

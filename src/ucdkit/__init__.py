@@ -30,6 +30,7 @@ from .costs import (
     running_cost,
     startup_cost_reference,
     switching_cost,
+    switching_matrix,
 )
 from .errors import (
     BudgetExceededError,
@@ -103,7 +104,7 @@ __all__ = [
     "load_bundled_scenario", "BUNDLED_SCENARIOS",
     # costs
     "fuel_cost", "emission", "resource_cost", "running_cost", "kappa",
-    "switching_cost", "startup_cost_reference", "quota_rebate",
+    "switching_cost", "switching_matrix", "startup_cost_reference", "quota_rebate",
     # qp
     "QpProblem", "QpSolution", "assemble", "solve", "kkt_residual",
     "mode_dynamics", "mode_candidates", "feasible_modes", "KKT_TOL", "FEAS_TOL",

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import running_cost, switching_cost
+from .costs import switching_cost, switching_matrix
 from .errors import InfeasibleModeError, ModelMismatchError, UcdError
 from .hybrid import int_to_mode, mode_to_int
-from .oracle import tie_tol
+from .oracle import Stages, tie_tol
 from .qp import mode_candidates
 from .scenario import Scenario, scenario_fingerprint
 
@@ -112,15 +112,6 @@ class ValueModel:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _stage_prev_modes(s: Scenario, layers):
-    """Candidate previous modes per stage: anything for t=1 (callers may
-    start from arbitrary states), the feasible modes of t-1 afterwards."""
-    prev = {1: list(range(1 << s.n_units))}
-    for t in range(2, s.horizon + 1):
-        prev[t] = [mode_to_int(m) for m, _, _ in layers[t - 1]]
-    return prev
-
-
 def _sample_states(s: Scenario, t: int, i_prev_bits, rng, count):
     """Dispatch states distributed like the reachable set entering t:
     committed units uniform over their capacity, others exactly 0, dg/dr
@@ -150,44 +141,40 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     nf = basis.n_features
 
     # ramp-relaxed candidates per period; also the existence check
-    layers = {}
+    stages = Stages(s)
     for t in range(1, s.horizon + 1):
-        cands = mode_candidates(s, t, None)
-        if not cands:
+        if not stages.candidates(t):
             raise UcdError(f"no feasible commitment at period t={t}; cannot train")
-        layers[t] = cands
-    prev_modes = _stage_prev_modes(s, layers)
+    K = switching_matrix(s)
 
     weights = {}
     discarded = {}
     rank_deficient = []
     for t in range(s.horizon, 0, -1):
-        # tail values at the successor states; without ramp coupling both
-        # the dispatch and the tail term are per-(t, I) constants
-        relaxed_tail = None
+        # previous modes: anything at t=1 (callers may start from
+        # arbitrary states), the feasible modes of t-1 afterwards
+        prev_modes = (range(1 << s.n_units) if t == 1
+                      else [mi for mi, _, _, _ in stages.candidates(t - 1)])
+        # without ramp coupling both the dispatch and the tail term are
+        # per-(t, I) constants: Q + Jhat_{t+1} over all modes, inf where
+        # infeasible
         if not s.ramp_enforced:
-            relaxed_tail = []
-            for mode, dispatch, q in layers[t]:
-                jt = _tail_value(basis, weights, s.horizon, t + 1, mode, dispatch)
-                relaxed_tail.append((mode, q + jt))
-        for ip in prev_modes[t]:
+            relaxed = stages.q(t)
+            for mi, mode, dispatch, _ in stages.candidates(t):
+                relaxed[mi] += _tail_value(basis, weights, s.horizon, t + 1, mode, dispatch)
+        for ip in prev_modes:
             ip_bits = int_to_mode(ip, s.n_units)
             rng = np.random.default_rng((cfg.seed, t, ip))
             states = _sample_states(s, t, ip_bits, rng, cfg.samples)
             ys = np.empty(cfg.samples)
             keep = np.ones(cfg.samples, dtype=bool)
-            if relaxed_tail is not None:
-                best = np.inf
-                for mode, base in relaxed_tail:
-                    v = base + switching_cost(s, ip_bits, mode)
-                    if v < best:
-                        best = v
-                ys[:] = best
+            if not s.ramp_enforced:
+                ys[:] = (relaxed + K[ip]).min()
             else:
                 for k in range(cfg.samples):
                     best = np.inf
-                    for mode, dispatch, q in mode_candidates(s, t, states[k]):
-                        v = (q + switching_cost(s, ip_bits, mode)
+                    for mi, mode, dispatch, q in stages.candidates(t, states[k]):
+                        v = (q + K[ip, mi]
                              + _tail_value(basis, weights, s.horizon, t + 1, mode, dispatch))
                         if v < best:
                             best = v

@@ -26,9 +26,9 @@ __all__ = [
     "running_cost",
     "kappa",
     "switching_cost",
+    "switching_matrix",
     "startup_cost_reference",
     "quota_rebate",
-    "horizon_emission_cost",
 ]
 
 
@@ -84,6 +84,19 @@ def switching_cost(s: Scenario, commit_prev, commit_now) -> float:
     )
 
 
+def switching_matrix(s: Scenario) -> np.ndarray:
+    """K[i_prev, i] = switching_cost over all pairs of modes as binary
+    integers (unit 1 = MSB), summed in unit order from the corners of
+    kappa so each entry equals switching_cost bit for bit."""
+    n = s.n_units
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    K = np.zeros((1 << n, 1 << n))
+    for j, u in enumerate(s.units):
+        corners = np.array([[kappa(u, a, b) for b in (0, 1)] for a in (0, 1)])
+        K += corners[bits[:, j, None], bits[None, :, j]]
+    return K
+
+
 def startup_cost_reference(unit: ThermalUnitParams, tau: int) -> float:
     """Restart cost after tau banked periods: c_bank * tau + c_fix.
 
@@ -97,11 +110,3 @@ def quota_rebate(s: Scenario) -> float:
     """Value of the free emission allowances, sum_n quota_n * price ($)."""
     return sum(u.quota for u in s.units) * s.cet.price
 
-
-def horizon_emission_cost(s: Scenario, per_unit_tons) -> float:
-    """Net carbon trading cost over the horizon, given each unit's total
-    emitted tons: sum_n (tons_n - quota_n) * price."""
-    tons = np.asarray(per_unit_tons, dtype=float)
-    if tons.shape != (s.n_units,):
-        raise ValueError(f"expected {s.n_units} per-unit totals, got shape {tons.shape}")
-    return float(sum((tons[n] - u.quota) * s.cet.price for n, u in enumerate(s.units)))

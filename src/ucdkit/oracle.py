@@ -1,11 +1,13 @@
 """Exact solvers: exhaustive enumeration and layered-graph DP.
 
 Both return certified optima. Enumeration walks the full mode tree
-carrying the dispatch state, so it is exact even with ramp coupling;
-the graph DP exploits that without ramp rows the stage cost depends
-only on (t, I), collapsing the problem to a shortest path over 2^N
-nodes per layer. Ties are broken toward the lexicographically smallest
-sequence of modes read as binary integers.
+carrying the dispatch state, so it is exact even with ramp coupling.
+Without ramp rows the stage cost depends only on (t, I), so graph DP is
+a shortest path over 2^N nodes per layer, each layer one vectorised min
+over K + Q + V (K the switching matrix). Each top-level call solves a
+ramp-relaxed (t, mode) at most once, through one `Stages`. Ties are
+broken toward the lexicographically smallest sequence of modes read as
+binary integers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import quota_rebate, running_cost, switching_cost
+from .costs import quota_rebate, switching_cost, switching_matrix
 from .errors import BudgetExceededError, UcdError
 from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
 from .qp import mode_candidates
@@ -22,6 +24,7 @@ from .scenario import Scenario
 
 __all__ = [
     "OracleResult",
+    "Stages",
     "enumerate_optimal",
     "enumerate_tail",
     "enumerate_schedule_costs",
@@ -65,38 +68,56 @@ class _Budget:
             raise BudgetExceededError(self.limit)
 
 
-def _candidates(s, t, p_prev, cache):
-    """Feasible (mode, dispatch, Q) at t; cached on t when the dispatch
-    cannot depend on the previous state."""
-    if cache is None:
-        return mode_candidates(s, t, p_prev)
-    got = cache.get(t)
-    if got is None:
-        got = mode_candidates(s, t, None)
-        cache[t] = got
-    return got
+class Stages:
+    """Per-period stage data of one scenario, for one top-level call.
+
+    A period's row is solved on first use and cached, unless ramps can
+    couple it to the previous dispatch (ramps enforced and p_prev given).
+    """
+
+    def __init__(self, s: Scenario):
+        self.s = s
+        self._rows = {}
+
+    def candidates(self, t: int, p_prev=None):
+        """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
+        if self.s.ramp_enforced and p_prev is not None:
+            return _tagged(mode_candidates(self.s, t, p_prev))
+        if t not in self._rows:
+            self._rows[t] = _tagged(mode_candidates(self.s, t, None))
+        return self._rows[t]
+
+    def q(self, t: int) -> np.ndarray:
+        """Ramp-relaxed Q at t over all 2^N modes, inf where infeasible."""
+        out = np.full(1 << self.s.n_units, np.inf)
+        for mi, _, _, q in self.candidates(t):
+            out[mi] = q
+        return out
 
 
-def _best_tail(s, t, i_prev, p_prev, budget, cache):
+def _tagged(cands):
+    return [(mode_to_int(m), m, d, q) for m, d, q in cands]
+
+
+def _best_tail(s, t, i_prev, p_prev, budget, stages):
     """Exact optimal continuation from state (i_prev, p_prev) entering
-    period t. Returns (stage cost sum, mode tuple sequence)."""
+    period t. Returns (stage cost sum, mode int sequence)."""
     if t > s.horizon:
         budget.charge()
         return 0.0, ()
     best = np.inf
     best_seq = None
-    for mode, dispatch, q in _candidates(s, t, p_prev, cache):
+    for mi, mode, dispatch, q in stages.candidates(t, p_prev):
         step = q + switching_cost(s, i_prev, mode)
-        sub, seq = _best_tail(s, t + 1, mode, dispatch, budget, cache)
+        sub, seq = _best_tail(s, t + 1, mode, dispatch, budget, stages)
         if seq is None:
             continue
         tot = step + sub
-        cand = (mode_to_int(mode),) + seq
-        if best_seq is None or tot < best - tie_tol(best) or (
-            abs(tot - best) <= tie_tol(best) and cand < best_seq
-        ):
+        # candidates arrive in ascending mode order, so every later
+        # sequence is lexicographically larger: the incumbent wins ties
+        if best_seq is None or tot < best - tie_tol(best):
             best = tot
-            best_seq = cand
+            best_seq = (mi,) + seq
     if best_seq is None:
         return np.inf, None
     return best, best_seq
@@ -105,9 +126,8 @@ def _best_tail(s, t, i_prev, p_prev, budget, cache):
 def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Method of exhaustion over the full mode tree."""
     b = _Budget(budget)
-    cache = None if s.ramp_enforced else {}
     cost, seq = _best_tail(
-        s, 1, s.initial_commitment, np.array(s.initial_dispatch), b, cache
+        s, 1, s.initial_commitment, np.array(s.initial_dispatch), b, Stages(s)
     )
     if seq is None:
         raise UcdError("no feasible schedule exists for this scenario")
@@ -123,10 +143,12 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     """Exact tail: optimal cost and mode sequence from an arbitrary state
     entering period t. Tail costs carry no rebate (it is a horizon
     constant, charged once by whoever assembles the full objective)."""
-    b = _Budget(budget)
-    cache = None if s.ramp_enforced else {}
+    return _tail(s, t, i_prev, p_prev, budget, Stages(s))
+
+
+def _tail(s, t, i_prev, p_prev, budget, stages):
     cost, seq = _best_tail(s, t, tuple(int(x) for x in i_prev),
-                           np.asarray(p_prev, dtype=float), b, cache)
+                           np.asarray(p_prev, dtype=float), _Budget(budget), stages)
     if seq is None:
         return np.inf, None
     return cost, tuple(int_to_mode(v, s.n_units) for v in seq)
@@ -136,7 +158,7 @@ def enumerate_schedule_costs(s: Scenario, budget: int = DEFAULT_BUDGET):
     """Every feasible schedule as (text, total cost), in lexicographic
     order. Costs include the quota rebate so they match run_schedule."""
     b = _Budget(budget)
-    cache = None if s.ramp_enforced else {}
+    stages = Stages(s)
     rebate = quota_rebate(s)
     out = []
 
@@ -145,7 +167,7 @@ def enumerate_schedule_costs(s: Scenario, budget: int = DEFAULT_BUDGET):
             b.charge()
             out.append((schedule_text(prefix), float(acc - rebate)))
             return
-        for mode, dispatch, q in _candidates(s, t, p_prev, cache):
+        for _, mode, dispatch, q in stages.candidates(t, p_prev):
             step = q + switching_cost(s, i_prev, mode)
             prefix.append(mode)
             walk(t + 1, mode, dispatch, prefix, acc + step)
@@ -166,57 +188,34 @@ def graph_dp_optimal(s: Scenario) -> OracleResult:
                        "must not depend on the previous dispatch)")
     n = s.n_units
     T = s.horizon
-    evals = 0
-    layers = []
+    stages = Stages(s)
+    q = [None]
     for t in range(1, T + 1):
-        cands = mode_candidates(s, t, None)
-        evals += 1 << n
-        if not cands:
+        q.append(stages.q(t))
+        if not np.isfinite(q[t]).any():
             raise UcdError(f"no feasible commitment at period t={t}")
-        layers.append([(mode_to_int(m), m, q) for m, _, q in cands])
+    K = switching_matrix(s)
 
     # value[t][ip] = optimal tail stage cost entering period t with
     # previous mode ip; computed for every ip, reachable or not
-    n_modes = 1 << n
-    value = np.zeros((T + 2, n_modes))
+    value = np.zeros((T + 2, 1 << n))
     for t in range(T, 0, -1):
-        for ip in range(n_modes):
-            prev_bits = int_to_mode(ip, n)
-            best = np.inf
-            for mi, mode, q in layers[t - 1]:
-                v = switching_cost(s, prev_bits, mode) + q + value[t + 1, mi]
-                if v < best:
-                    best = v
-            value[t, ip] = best
+        value[t] = (K + q[t] + value[t + 1]).min(1)
 
     ip = mode_to_int(s.initial_commitment)
     total = float(value[1, ip])
     if not np.isfinite(total):
         raise UcdError("no feasible schedule exists for this scenario")
     seq = []
-    prev_bits = s.initial_commitment
     for t in range(1, T + 1):
-        target = value[t, mode_to_int(prev_bits)]
-        chosen = None
-        for mi, mode, q in layers[t - 1]:  # ascending mode int: lex tie-break
-            v = switching_cost(s, prev_bits, mode) + q + value[t + 1, mi]
-            if abs(v - target) <= tie_tol(target):
-                chosen = mode
-                break
-        if chosen is None:
-            # tolerance windows can miss by a hair; fall back to the argmin
-            v_best = np.inf
-            for mi, mode, q in layers[t - 1]:
-                v = switching_cost(s, prev_bits, mode) + q + value[t + 1, mi]
-                if v < v_best:
-                    v_best = v
-                    chosen = mode
-        seq.append(chosen)
-        prev_bits = chosen
-    sched = Schedule(tuple(seq))
+        v = K[ip] + q[t] + value[t + 1]
+        best = v.min()
+        # the smallest mode int within the tie band: the lexicographic rule
+        ip = int(np.argmax(v <= best + tie_tol(best)))
+        seq.append(int_to_mode(ip, n))
     return OracleResult(
-        schedule=sched, total_cost=total - quota_rebate(s), stage_cost=total,
-        evaluations=evals, method="graph",
+        schedule=Schedule(tuple(seq)), total_cost=total - quota_rebate(s), stage_cost=total,
+        evaluations=T << n, method="graph",
     )
 
 
@@ -230,14 +229,14 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
     tuple): {"value": float, "argmin": first tail mode}}.
     """
     rng = np.random.default_rng(seed)
+    stages = Stages(s)
     if states is None:
         states = []
-        prev_layers = {1: [s.initial_commitment]}
-        for t in range(2, s.horizon + 1):
-            prev_layers[t] = [m for m, _, _ in mode_candidates(s, t - 1, None)]
         for t in range(1, s.horizon + 1):
             per = s.period(max(t - 1, 1))
-            for i_prev in prev_layers[t]:
+            prev = ([s.initial_commitment] if t == 1
+                    else [m for _, m, _, _ in stages.candidates(t - 1)])
+            for i_prev in prev:
                 for _ in range(samples):
                     p = np.zeros(s.n_units + 2)
                     for nn, u in enumerate(s.units):
@@ -248,7 +247,7 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
                     states.append((t, i_prev, p))
     table = {}
     for t, i_prev, p_prev in states:
-        cost, seq = enumerate_tail(s, t, i_prev, p_prev, budget)
+        cost, seq = _tail(s, t, i_prev, p_prev, budget, stages)
         key = (t, tuple(int(x) for x in i_prev),
                tuple(float(v) for v in np.asarray(p_prev)))
         table[key] = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace  # noqa: F401  (replace is part of the public surface)
+from dataclasses import dataclass
 from importlib import resources
 
 import yaml

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from ucdkit import (
+    BUNDLED_SCENARIOS,
     emission,
     fuel_cost,
+    int_to_mode,
     kappa,
+    load_bundled_scenario,
     quota_rebate,
     running_cost,
     startup_cost_reference,
     switching_cost,
+    switching_matrix,
 )
-from ucdkit.costs import horizon_emission_cost
 
 
 def test_fuel_cost_unit1_at_350(e1c1):
@@ -92,12 +95,12 @@ def test_quota_rebate(e2c3):
     assert quota_rebate(e2c3) > 0.0
 
 
-def test_horizon_emission_cost_shape_check(e2c3):
-    with pytest.raises(ValueError):
-        horizon_emission_cost(e2c3, [1.0, 2.0])
-
-
-def test_horizon_emission_cost_value(e2c3):
-    tons = [100.0, 50.0, 10.0, 5.0, 1.0]
-    want = sum((tons[n] - u.quota) * e2c3.cet.price for n, u in enumerate(e2c3.units))
-    assert horizon_emission_cost(e2c3, tons) == pytest.approx(want)
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_switching_matrix_equals_switching_cost(name):
+    s = load_bundled_scenario(name)
+    n = s.n_units
+    K = switching_matrix(s)
+    assert K.shape == (1 << n, 1 << n)
+    for a in range(1 << n):
+        for b in range(1 << n):
+            assert K[a, b] == switching_cost(s, int_to_mode(a, n), int_to_mode(b, n))

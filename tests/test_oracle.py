@@ -1,18 +1,26 @@
 """Exact solvers: enumeration against graph DP, Bellman consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ucdkit.qp
 from ucdkit import (
+    BUNDLED_SCENARIOS,
     BudgetExceededError,
     UcdError,
+    compare_with_oracle,
     enumerate_optimal,
     enumerate_schedule_costs,
     enumerate_tail,
     exact_value_table,
     graph_dp_optimal,
+    load_bundled_scenario,
     run_schedule,
     schedule_text,
+    simulate,
+    train,
 )
 from ucdkit.costs import switching_cost
 from ucdkit.qp import mode_candidates
@@ -53,16 +61,12 @@ def test_graph_dp_agrees_with_enumeration(e1c1, e1c4):
 
 
 def test_graph_dp_refuses_ramp_coupling(e1c1):
-    import dataclasses
-
     s = dataclasses.replace(e1c1, ramp_enforced=True)
     with pytest.raises(UcdError, match="ramp_enforced"):
         graph_dp_optimal(s)
 
 
 def test_enumeration_handles_ramp_coupling(e1c1):
-    import dataclasses
-
     # tight-ish ramp on unit 1 changes reachable dispatches but leaves a
     # feasible schedule; enumeration must still find a certified optimum
     ramped = dataclasses.replace(e1c1.units[0], ramp_up=200.0, ramp_down=200.0)
@@ -119,8 +123,6 @@ def test_exact_value_table_argmins(e1c1):
 
 def test_oracle_matches_on_wider_system(e2c1):
     # full enumeration is out of reach at 32^24; agree on a 3-period slice
-    import dataclasses
-
     s = dataclasses.replace(
         e2c1, periods=e2c1.periods[:3], name="e2c1_head3"
     )
@@ -128,3 +130,62 @@ def test_oracle_matches_on_wider_system(e2c1):
     b = graph_dp_optimal(s)
     assert a.schedule == b.schedule
     assert a.total_cost == pytest.approx(b.total_cost, abs=1e-7)
+
+
+E2_DIURNAL = ("11000-11000-11000-11000-11000-11010-11010-11010-11011-11011-11111-"
+              "11111-11011-11011-11010-11000-11000-11010-11110-11111-11110-11010-"
+              "11000-11000")
+
+GRAPH_DP_PINS = {
+    "example1_case1": ("122333", "27633.291964285716"),
+    "example1_case4": ("133333", "28851.691964285717"),
+    "example2_case1": (E2_DIURNAL, "548792.58548365"),
+    "example2_case2": ("11011" + "-11111" * 23, "742628.6287910065"),
+    "example2_case3": (E2_DIURNAL, "548792.58548365"),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_graph_dp_pinned_on_bundled_fleets(name):
+    res = graph_dp_optimal(load_bundled_scenario(name))
+    assert (schedule_text(res.schedule), repr(res.stage_cost)) == GRAPH_DP_PINS[name]
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = ucdkit.qp.solve
+
+    def counting(problem):
+        calls.append(problem.t)
+        return solve(problem)
+
+    monkeypatch.setattr(ucdkit.qp, "solve", counting)
+    return calls
+
+
+def test_exact_value_table_solves_each_stage_once(e1c1, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    exact_value_table(e1c1, samples=2, seed=11)
+    assert len(calls) <= e1c1.horizon << e1c1.n_units
+
+
+def test_last_period_tail_solves_only_its_row(e2c1, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    cost, modes = enumerate_tail(e2c1, e2c1.horizon, e2c1.initial_commitment,
+                                 e2c1.initial_dispatch)
+    assert np.isfinite(cost) and len(modes) == 1
+    assert calls == [e2c1.horizon] * (1 << e2c1.n_units)
+
+
+def test_exact_ties_agree_across_solvers(e1c4):
+    # unit 1 twice: the duplicates' modes tie exactly, and every solver
+    # must pick the lexicographically smallest one
+    s = dataclasses.replace(
+        e1c4, units=(e1c4.units[0],) + e1c4.units, initial_commitment=(0, 0, 1),
+        initial_dispatch=(0.0, 0.0, 200.0, 0.0, 0.0), name="e1c4_dup_unit1",
+    )
+    model = train(s)
+    assert schedule_text(enumerate_optimal(s).schedule) == "222666"
+    assert schedule_text(graph_dp_optimal(s).schedule) == "222666"
+    assert schedule_text(simulate(s, model).schedule) == "222666"
+    assert compare_with_oracle(s, model).oracle_schedule == "222666"

@@ -50,7 +50,6 @@ from .hybrid import (
     run_schedule,
     schedule_text,
     trajectory_csv,
-    write_trajectory_csv,
 )
 from .oracle import (
     DEFAULT_BUDGET,
@@ -67,7 +66,6 @@ from .qp import (
     QpProblem,
     QpSolution,
     assemble,
-    feasible_modes,
     kkt_residual,
     mode_candidates,
     mode_dynamics,
@@ -107,11 +105,11 @@ __all__ = [
     "switching_cost", "switching_matrix", "startup_cost_reference", "quota_rebate",
     # qp
     "QpProblem", "QpSolution", "assemble", "solve", "kkt_residual",
-    "mode_dynamics", "mode_candidates", "feasible_modes", "KKT_TOL", "FEAS_TOL",
+    "mode_dynamics", "mode_candidates", "KKT_TOL", "FEAS_TOL",
     # hybrid
     "Schedule", "PeriodRecord", "Trajectory", "mode_to_int", "int_to_mode",
     "schedule_text", "parse_schedule", "run_schedule",
-    "trajectory_csv", "write_trajectory_csv",
+    "trajectory_csv",
     # oracle
     "OracleResult", "enumerate_optimal", "enumerate_tail",
     "enumerate_schedule_costs", "graph_dp_optimal", "exact_value_table",

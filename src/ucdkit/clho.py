@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import switching_cost, switching_matrix
 from .errors import InfeasibleModeError, ModelMismatchError, UcdError
 from .hybrid import int_to_mode, mode_to_int
-from .oracle import Stages, tie_tol
-from .qp import mode_candidates
+from .oracle import Stages, tie_band
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -37,6 +35,8 @@ __all__ = [
     "basis_vector",
     "train",
     "approx_value",
+    "step_values",
+    "decide",
     "schedule_step",
     "save_model",
     "load_model",
@@ -139,15 +139,19 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         raise UcdError("training needs at least one sample per state")
     basis = cfg.basis or default_basis(s)
     nf = basis.n_features
+    # filled backward, so the targets at t read the tails fitted at t+1
+    model = ValueModel(
+        basis=basis, horizon=s.horizon, n_units=s.n_units, weights={},
+        fingerprint=scenario_fingerprint(s), seed=cfg.seed, samples=cfg.samples,
+        regularization=cfg.regularization,
+    )
 
     # ramp-relaxed candidates per period; also the existence check
     stages = Stages(s)
     for t in range(1, s.horizon + 1):
         if not stages.candidates(t):
             raise UcdError(f"no feasible commitment at period t={t}; cannot train")
-    K = switching_matrix(s)
 
-    weights = {}
     discarded = {}
     rank_deficient = []
     for t in range(s.horizon, 0, -1):
@@ -161,7 +165,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         if not s.ramp_enforced:
             relaxed = stages.q(t)
             for mi, mode, dispatch, _ in stages.candidates(t):
-                relaxed[mi] += _tail_value(basis, weights, s.horizon, t + 1, mode, dispatch)
+                relaxed[mi] += _tail_value(model, t + 1, mode, dispatch)
         for ip in prev_modes:
             ip_bits = int_to_mode(ip, s.n_units)
             rng = np.random.default_rng((cfg.seed, t, ip))
@@ -169,17 +173,12 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
             ys = np.empty(cfg.samples)
             keep = np.ones(cfg.samples, dtype=bool)
             if not s.ramp_enforced:
-                ys[:] = (relaxed + K[ip]).min()
+                ys[:] = (relaxed + stages.kappa_row(ip)).min()
             else:
                 for k in range(cfg.samples):
-                    best = np.inf
-                    for mi, mode, dispatch, q in stages.candidates(t, states[k]):
-                        v = (q + K[ip, mi]
-                             + _tail_value(basis, weights, s.horizon, t + 1, mode, dispatch))
-                        if v < best:
-                            best = v
-                    if np.isfinite(best):
-                        ys[k] = best
+                    _, values = step_values(model, stages, t, ip_bits, states[k])
+                    if len(values):
+                        ys[k] = values.min()
                     else:
                         keep[k] = False
                 if not keep.all():
@@ -206,60 +205,59 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
                 log.info("rank-deficient fit at t=%d, I_prev=%s (rank %d of %d); "
                          "minimum-norm solution used", t, "".join(map(str, ip_bits)),
                          rank, nf)
-            weights[(t, ip)] = w
+            model.weights[(t, ip)] = w
 
-    return ValueModel(
-        basis=basis, horizon=s.horizon, n_units=s.n_units, weights=weights,
-        fingerprint=scenario_fingerprint(s), seed=cfg.seed, samples=cfg.samples,
-        regularization=cfg.regularization,
-        diagnostics={
-            "discarded": {f"{t}:{ip}": c for (t, ip), c in discarded.items()},
-            "rank_deficient": [f"{t}:{ip}" for t, ip in rank_deficient],
-        },
-    )
+    model.diagnostics = {
+        "discarded": {f"{t}:{ip}": c for (t, ip), c in discarded.items()},
+        "rank_deficient": [f"{t}:{ip}" for t, ip in rank_deficient],
+    }
+    return model
 
 
-def _tail_value(basis, weights, horizon, t, mode, dispatch):
-    if t > horizon:
+def _tail_value(model, t, mode, dispatch):
+    if t > model.horizon:
         return 0.0
-    w = weights.get((t, mode_to_int(mode)))
+    w = model.weights.get((t, mode_to_int(mode)))
     if w is None:
         raise ModelMismatchError(
             f"model holds no weights for t={t}, "
             f"I_prev={''.join(str(b) for b in mode)}"
         )
-    return float(np.dot(w, basis_vector(basis, dispatch)))
+    return float(np.dot(w, basis_vector(model.basis, dispatch)))
 
 
 def approx_value(model: ValueModel, t: int, i_prev, dispatch) -> float:
     """Jhat_t evaluated at a dispatch state; 0 beyond the horizon."""
-    if t == model.horizon + 1:
-        return 0.0
-    if not 1 <= t <= model.horizon:
+    if not 1 <= t <= model.horizon + 1:
         raise UcdError(f"t={t} outside 1..{model.horizon + 1}")
-    return _tail_value(model.basis, model.weights, model.horizon, t,
-                       tuple(int(b) for b in i_prev), dispatch)
+    return _tail_value(model, t, tuple(int(b) for b in i_prev), dispatch)
+
+
+def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
+    """One Bellman step from state (i_prev, p_prev) entering period t: the
+    feasible candidates (mode int, mode, dispatch, Q), ascending mode int,
+    and their values Q + kappa + Jhat_{t+1}."""
+    cands = stages.candidates(t, p_prev)
+    kappa = stages.kappa_row(mode_to_int(i_prev))
+    values = np.array([q + kappa[mi] + _tail_value(model, t + 1, mode, dispatch)
+                       for mi, mode, dispatch, q in cands])
+    return cands, values
+
+
+def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
+    """The (mode, dispatch) minimizing the one-step value; ties break to
+    the smallest mode as a binary integer, matching the oracles."""
+    cands, values = step_values(model, stages, t, i_prev, p_prev)
+    if not cands:
+        raise InfeasibleModeError(t, tuple(int(b) for b in i_prev),
+                                  "no feasible successor mode")
+    _, mode, dispatch, _ = cands[tie_band(values)[1]]
+    return mode, dispatch
 
 
 def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
-    """One closed-loop decision: the mode and dispatch minimizing stage
-    cost plus the trained tail value. Ties break to the smallest mode
-    as a binary integer, matching the oracles."""
-    ip_bits = tuple(int(b) for b in i_prev)
-    best = np.inf
-    chosen = None
-    for mode, dispatch, q in mode_candidates(s, t, p_prev):
-        v = (q + switching_cost(s, ip_bits, mode)
-             + _tail_value(model.basis, model.weights, model.horizon,
-                           t + 1, mode, dispatch))
-        if chosen is None or v < best - tie_tol(best):
-            best = v
-            chosen = (mode, dispatch)
-        # candidates arrive in ascending binary order, so on a tie the
-        # incumbent already is the lexicographic winner
-    if chosen is None:
-        raise InfeasibleModeError(t, ip_bits, "no feasible successor mode")
-    return chosen
+    """One closed-loop decision: `decide` on a table of its own."""
+    return decide(model, Stages(s), t, i_prev, p_prev)
 
 
 def save_model(model: ValueModel, path) -> None:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .clho import BasisSpec, TrainConfig, load_model, save_model, schedule_step, train
+from .clho import TrainConfig, load_model, save_model, schedule_step, train
 from .costs import running_cost, switching_cost
 from .errors import ScenarioError, UcdError
 from .hybrid import run_schedule, schedule_text, trajectory_csv
@@ -104,11 +104,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_train(args) -> int:
     s = _load_scenario(args.scenario)
-    basis = None
-    if args.basis is not None and args.basis != "quad":
+    if args.basis not in (None, "quad"):
         raise UcdError(f"unknown basis family {args.basis!r}")
     cfg = TrainConfig(samples=args.samples, seed=args.seed,
-                      regularization=args.regularization, basis=basis)
+                      regularization=args.regularization)
     model = train(s, cfg)
     save_model(model, args.out)
     log.info("trained %d weight vectors, wrote %s", len(model.weights), args.out)

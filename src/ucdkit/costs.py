@@ -27,6 +27,7 @@ __all__ = [
     "kappa",
     "switching_cost",
     "switching_matrix",
+    "switching_row",
     "startup_cost_reference",
     "quota_rebate",
 ]
@@ -88,12 +89,17 @@ def switching_matrix(s: Scenario) -> np.ndarray:
     """K[i_prev, i] = switching_cost over all pairs of modes as binary
     integers (unit 1 = MSB), summed in unit order from the corners of
     kappa so each entry equals switching_cost bit for bit."""
+    return switching_row(s, np.arange(1 << s.n_units))
+
+
+def switching_row(s: Scenario, i_prev) -> np.ndarray:
+    """Row K[i_prev] of switching_matrix alone (rows, for an array)."""
     n = s.n_units
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    K = np.zeros((1 << n, 1 << n))
+    K = np.zeros(np.shape(i_prev) + (1 << n,))
     for j, u in enumerate(s.units):
         corners = np.array([[kappa(u, a, b) for b in (0, 1)] for a in (0, 1)])
-        K += corners[bits[:, j, None], bits[None, :, j]]
+        K += corners[bits[i_prev, j, None], bits[:, j]]
     return K
 
 

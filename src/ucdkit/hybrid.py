@@ -30,7 +30,6 @@ __all__ = [
     "parse_schedule",
     "run_schedule",
     "trajectory_csv",
-    "write_trajectory_csv",
 ]
 
 
@@ -68,12 +67,6 @@ class Schedule:
     @property
     def n_units(self) -> int:
         return len(self.modes[0])
-
-    def mode_ints(self) -> tuple[int, ...]:
-        return tuple(mode_to_int(m) for m in self.modes)
-
-    def text(self) -> str:
-        return schedule_text(self.modes)
 
 
 def schedule_text(modes) -> str:
@@ -216,8 +209,3 @@ def trajectory_csv(traj: Trajectory) -> str:
                 repr(float(rec.emissions_ton)), repr(float(cum))]
         w.writerow(row)
     return buf.getvalue()
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trajectory_csv(traj))

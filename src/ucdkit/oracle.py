@@ -5,9 +5,10 @@ carrying the dispatch state, so it is exact even with ramp coupling.
 Without ramp rows the stage cost depends only on (t, I), so graph DP is
 a shortest path over 2^N nodes per layer, each layer one vectorised min
 over K + Q + V (K the switching matrix). Each top-level call solves a
-ramp-relaxed (t, mode) at most once, through one `Stages`. Ties are
-broken toward the lexicographically smallest sequence of modes read as
-binary integers.
+ramp-relaxed (t, mode) at most once, through one `Stages`. Every argmin
+in the package goes through `tie_band`, which breaks ties toward the
+smallest mode read as a binary integer, so sequences tie-break to the
+lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import quota_rebate, switching_cost, switching_matrix
+from .costs import quota_rebate, switching_cost, switching_matrix, switching_row
 from .errors import BudgetExceededError, UcdError
 from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
 from .qp import mode_candidates
@@ -31,6 +32,7 @@ __all__ = [
     "graph_dp_optimal",
     "exact_value_table",
     "DEFAULT_BUDGET",
+    "tie_band",
 ]
 
 DEFAULT_BUDGET = 10_000_000
@@ -41,9 +43,14 @@ DEFAULT_BUDGET = 10_000_000
 TIE_RTOL = 1e-9
 
 
-def tie_tol(value: float) -> float:
-    """Absolute tie band around a cost: TIE_RTOL relative, floor 1."""
-    return TIE_RTOL * max(1.0, abs(value))
+def tie_band(values):
+    """(mask, argmin): the mask marks the entries within
+    TIE_RTOL * max(1, |min|) of the minimum, and the argmin is its first
+    true entry, so ties go to the earliest (smallest mode) entry."""
+    v = np.asarray(values, dtype=float)
+    best = v.min()
+    mask = v <= best + TIE_RTOL * max(1.0, abs(best))
+    return mask, int(np.argmax(mask))
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,7 @@ class Stages:
     def __init__(self, s: Scenario):
         self.s = s
         self._rows = {}
+        self._kappa = {}
 
     def candidates(self, t: int, p_prev=None):
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
@@ -94,6 +102,23 @@ class Stages:
             out[mi] = q
         return out
 
+    def kappa_row(self, i_prev: int) -> np.ndarray:
+        """Row i_prev of the switching matrix, built on first use."""
+        if i_prev not in self._kappa:
+            self._kappa[i_prev] = switching_row(self.s, i_prev)
+        return self._kappa[i_prev]
+
+    def values(self) -> np.ndarray:
+        """value[t, ip]: optimal ramp-relaxed tail stage cost entering
+        period t with previous mode ip, for t = 1..T+1 (row T+1 is 0);
+        computed for every ip, reachable or not."""
+        T = self.s.horizon
+        K = switching_matrix(self.s)
+        value = np.zeros((T + 2, 1 << self.s.n_units))
+        for t in range(T, 0, -1):
+            value[t] = (K + self.q(t) + value[t + 1]).min(1)
+        return value
+
 
 def _tagged(cands):
     return [(mode_to_int(m), m, d, q) for m, d, q in cands]
@@ -105,35 +130,27 @@ def _best_tail(s, t, i_prev, p_prev, budget, stages):
     if t > s.horizon:
         budget.charge()
         return 0.0, ()
-    best = np.inf
-    best_seq = None
+    found = []
     for mi, mode, dispatch, q in stages.candidates(t, p_prev):
-        step = q + switching_cost(s, i_prev, mode)
         sub, seq = _best_tail(s, t + 1, mode, dispatch, budget, stages)
-        if seq is None:
-            continue
-        tot = step + sub
-        # candidates arrive in ascending mode order, so every later
-        # sequence is lexicographically larger: the incumbent wins ties
-        if best_seq is None or tot < best - tie_tol(best):
-            best = tot
-            best_seq = (mi,) + seq
-    if best_seq is None:
+        if seq is not None:
+            found.append((q + switching_cost(s, i_prev, mode) + sub, mi, seq))
+    if not found:
         return np.inf, None
-    return best, best_seq
+    # candidates arrive in ascending mode order, so the first entry in
+    # the band heads the lexicographically smallest sequence
+    cost, mi, seq = found[tie_band([f[0] for f in found])[1]]
+    return cost, (mi,) + seq
 
 
 def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Method of exhaustion over the full mode tree."""
     b = _Budget(budget)
-    cost, seq = _best_tail(
-        s, 1, s.initial_commitment, np.array(s.initial_dispatch), b, Stages(s)
-    )
+    cost, seq = _tail(s, 1, s.initial_commitment, s.initial_dispatch, b, Stages(s))
     if seq is None:
         raise UcdError("no feasible schedule exists for this scenario")
-    sched = Schedule(tuple(int_to_mode(v, s.n_units) for v in seq))
     return OracleResult(
-        schedule=sched, total_cost=cost - quota_rebate(s), stage_cost=cost,
+        schedule=Schedule(seq), total_cost=cost - quota_rebate(s), stage_cost=cost,
         evaluations=b.used, method="enumerate",
     )
 
@@ -143,12 +160,12 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     """Exact tail: optimal cost and mode sequence from an arbitrary state
     entering period t. Tail costs carry no rebate (it is a horizon
     constant, charged once by whoever assembles the full objective)."""
-    return _tail(s, t, i_prev, p_prev, budget, Stages(s))
+    return _tail(s, t, i_prev, p_prev, _Budget(budget), Stages(s))
 
 
 def _tail(s, t, i_prev, p_prev, budget, stages):
     cost, seq = _best_tail(s, t, tuple(int(x) for x in i_prev),
-                           np.asarray(p_prev, dtype=float), _Budget(budget), stages)
+                           np.asarray(p_prev, dtype=float), budget, stages)
     if seq is None:
         return np.inf, None
     return cost, tuple(int_to_mode(v, s.n_units) for v in seq)
@@ -186,36 +203,23 @@ def graph_dp_optimal(s: Scenario) -> OracleResult:
     if s.ramp_enforced:
         raise UcdError("graph DP requires ramp_enforced: false (stage costs "
                        "must not depend on the previous dispatch)")
-    n = s.n_units
-    T = s.horizon
     stages = Stages(s)
-    q = [None]
-    for t in range(1, T + 1):
-        q.append(stages.q(t))
-        if not np.isfinite(q[t]).any():
+    for t in range(1, s.horizon + 1):
+        if not stages.candidates(t):
             raise UcdError(f"no feasible commitment at period t={t}")
-    K = switching_matrix(s)
-
-    # value[t][ip] = optimal tail stage cost entering period t with
-    # previous mode ip; computed for every ip, reachable or not
-    value = np.zeros((T + 2, 1 << n))
-    for t in range(T, 0, -1):
-        value[t] = (K + q[t] + value[t + 1]).min(1)
+    value = stages.values()
 
     ip = mode_to_int(s.initial_commitment)
     total = float(value[1, ip])
     if not np.isfinite(total):
         raise UcdError("no feasible schedule exists for this scenario")
     seq = []
-    for t in range(1, T + 1):
-        v = K[ip] + q[t] + value[t + 1]
-        best = v.min()
-        # the smallest mode int within the tie band: the lexicographic rule
-        ip = int(np.argmax(v <= best + tie_tol(best)))
-        seq.append(int_to_mode(ip, n))
+    for t in range(1, s.horizon + 1):
+        _, ip = tie_band(stages.kappa_row(ip) + stages.q(t) + value[t + 1])
+        seq.append(int_to_mode(ip, s.n_units))
     return OracleResult(
         schedule=Schedule(tuple(seq)), total_cost=total - quota_rebate(s), stage_cost=total,
-        evaluations=T << n, method="graph",
+        evaluations=s.horizon << s.n_units, method="graph",
     )
 
 
@@ -247,7 +251,7 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
                     states.append((t, i_prev, p))
     table = {}
     for t, i_prev, p_prev in states:
-        cost, seq = _tail(s, t, i_prev, p_prev, budget, stages)
+        cost, seq = _tail(s, t, i_prev, p_prev, _Budget(budget), stages)
         key = (t, tuple(int(x) for x in i_prev),
                tuple(float(v) for v in np.asarray(p_prev)))
         table[key] = {

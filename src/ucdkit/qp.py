@@ -38,7 +38,6 @@ __all__ = [
     "solve",
     "kkt_residual",
     "mode_dynamics",
-    "feasible_modes",
     "mode_candidates",
     "KKT_TOL",
 ]
@@ -313,8 +312,3 @@ def mode_candidates(s: Scenario, t: int, p_prev=None):
         if sol.status == "optimal":
             out.append((bits, sol.dispatch, running_cost(s, bits, sol.dispatch)))
     return out
-
-
-def feasible_modes(s: Scenario, t: int, p_prev=None):
-    """Commitment vectors with a nonempty dispatch set at period t."""
-    return [bits for bits, _, _ in mode_candidates(s, t, p_prev)]

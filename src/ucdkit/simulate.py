@@ -3,8 +3,10 @@
 A disturbance script overrides the realized dispatch after the decision at
 selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
-no retraining. Each override can be scored against an exact tail
-enumeration from the disturbed state.
+no retraining. Each override is scored against the exact tail from the
+disturbed state: read from the rollout's own graph-DP value table when
+ramps are relaxed (the tail then depends on the mode alone), enumerated
+under a budget when ramps are enforced.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clho import ValueModel, schedule_step
+from .clho import ValueModel, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
-from .hybrid import Schedule, schedule_text
-from .oracle import DEFAULT_BUDGET, enumerate_schedule_costs, enumerate_tail, tie_tol
+from .hybrid import Schedule, mode_to_int, schedule_text
+from .oracle import (DEFAULT_BUDGET, Stages, enumerate_schedule_costs, enumerate_tail,
+                     tie_band)
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -32,6 +35,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# enumeration budget of one exact tail when ramps are enforced
+TAIL_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,15 @@ class RunReport:
             fh.write("\n")
 
 
-def simulate(s: Scenario, model: ValueModel, script: DisturbanceScript | None = None,
-             oracle_budget: int = 200_000) -> RunReport:
+def simulate(s: Scenario, model: ValueModel,
+             script: DisturbanceScript | None = None) -> RunReport:
     """Roll the trained scheduler forward from the scenario's initial state.
 
     Rows mark diverged=True exactly at scripted periods. For every override
-    before the final period the realized tail is compared against an exact
-    enumeration from the disturbed state (skipped with a warning if the
-    enumeration budget runs out).
+    before the final period the realized tail is compared against the
+    exact tail from the disturbed state. With ramps relaxed that is the
+    value table of the rollout's stage rows; with ramps enforced it is an
+    enumeration, skipped with a warning if TAIL_BUDGET runs out.
     """
     if scenario_fingerprint(s) != model.fingerprint:
         raise ModelMismatchError(
@@ -159,10 +166,11 @@ def simulate(s: Scenario, model: ValueModel, script: DisturbanceScript | None = 
             raise UcdError(f"disturbance period t={t} outside 1..{s.horizon}")
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
+    stages = Stages(s)
     i_prev = s.initial_commitment
     p_prev = np.asarray(s.initial_dispatch, dtype=float)
     for t in range(1, s.horizon + 1):
-        mode, planned = schedule_step(model, s, t, i_prev, p_prev)
+        mode, planned = decide(model, stages, t, i_prev, p_prev)
         forced = script.lookup(t)
         realized = _pad_override(forced, s.n_units) if forced is not None else planned
         run = running_cost(s, mode, realized)
@@ -183,27 +191,29 @@ def simulate(s: Scenario, model: ValueModel, script: DisturbanceScript | None = 
     report.quota_rebate = quota_rebate(s)
     report.total_cost = report.running_total + report.switching_total - report.quota_rebate
 
+    # with ramps relaxed the rollout has solved every stage row, so the
+    # exact tails cost no further QP solves
+    value = stages.values() if script.overrides and not s.ramp_enforced else None
     for t, _ in script.overrides:
         if t >= s.horizon:
             continue
         row = report.rows[t - 1]
         realized_tail = sum(r["running"] + r["switching"] for r in report.rows[t:])
-        try:
-            exact_cost, _ = enumerate_tail(s, t + 1, row["mode"], row["realized"],
-                                           budget=oracle_budget)
-        except BudgetExceededError:
-            log.warning("oracle tail from t=%d skipped: enumeration budget "
-                        "%d exhausted", t + 1, oracle_budget)
-            report.oracle_comparison.append({
-                "after_t": t, "realized_tail": float(realized_tail),
-                "oracle_tail": None, "gap": None,
-            })
-            continue
+        if value is not None:
+            exact_cost = value[t + 1, mode_to_int(row["mode"])]
+        else:
+            try:
+                exact_cost, _ = enumerate_tail(s, t + 1, row["mode"], row["realized"],
+                                               budget=TAIL_BUDGET)
+            except BudgetExceededError:
+                log.warning("oracle tail from t=%d skipped: enumeration budget "
+                            "%d exhausted", t + 1, TAIL_BUDGET)
+                exact_cost = None
         report.oracle_comparison.append({
             "after_t": t,
             "realized_tail": float(realized_tail),
-            "oracle_tail": float(exact_cost),
-            "gap": float(realized_tail - exact_cost),
+            "oracle_tail": None if exact_cost is None else float(exact_cost),
+            "gap": None if exact_cost is None else float(realized_tail - exact_cost),
         })
     return report
 
@@ -251,16 +261,16 @@ def compare_with_oracle(s: Scenario, model: ValueModel,
             clho_schedule=clho_text, clho_cost=clho_cost,
             oracle_schedule=None, oracle_cost=None, matches=None,
         )
-    best_cost = min(c for _, c in table)
-    tol = tie_tol(best_cost)
-    best_text = next(txt for txt, c in table if c <= best_cost + tol)
+    costs = [c for _, c in table]
+    in_band, k = tie_band(costs)
+    best_text = table[k][0]
     rows = [
         {"schedule": txt, "total_cost": cost,
-         "is_argmin": cost <= best_cost + tol, "is_clho": txt == clho_text}
-        for txt, cost in table
+         "is_argmin": bool(tied), "is_clho": txt == clho_text}
+        for (txt, cost), tied in zip(table, in_band)
     ]
     return ComparisonReport(
         scenario_name=s.name, rows=rows, clho_schedule=clho_text,
-        clho_cost=clho_cost, oracle_schedule=best_text, oracle_cost=best_cost,
+        clho_cost=clho_cost, oracle_schedule=best_text, oracle_cost=min(costs),
         matches=(clho_text == best_text),
     )

@@ -16,6 +16,7 @@ from ucdkit import (
     switching_cost,
     switching_matrix,
 )
+from ucdkit.costs import switching_row
 
 
 def test_fuel_cost_unit1_at_350(e1c1):
@@ -104,3 +105,4 @@ def test_switching_matrix_equals_switching_cost(name):
     for a in range(1 << n):
         for b in range(1 << n):
             assert K[a, b] == switching_cost(s, int_to_mode(a, n), int_to_mode(b, n))
+        assert (switching_row(s, a) == K[a]).all()

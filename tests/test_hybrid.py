@@ -35,7 +35,7 @@ def test_schedule_text_digit_and_bitstring_forms():
     assert schedule_text(sched) == "122333"
     wide = parse_schedule("11000-11010", 5)
     assert schedule_text(wide) == "11000-11010"
-    assert parse_schedule("01,10,11", 2).mode_ints() == (1, 2, 3)
+    assert [mode_to_int(m) for m in parse_schedule("01,10,11", 2).modes] == [1, 2, 3]
 
 
 def test_parse_schedule_rejects_garbage():

@@ -23,6 +23,8 @@ from ucdkit import (
     train,
 )
 from ucdkit.costs import switching_cost
+from ucdkit.hybrid import int_to_mode
+from ucdkit.oracle import Stages
 from ucdkit.qp import mode_candidates
 
 
@@ -189,3 +191,22 @@ def test_exact_ties_agree_across_solvers(e1c4):
     assert schedule_text(graph_dp_optimal(s).schedule) == "222666"
     assert schedule_text(simulate(s, model).schedule) == "222666"
     assert compare_with_oracle(s, model).oracle_schedule == "222666"
+
+
+@pytest.mark.parametrize("name, first_t", [
+    ("example1_case1", 1), ("example1_case4", 1), ("example2_case1", 22),
+])
+def test_value_table_equals_enumerated_tails(name, first_t):
+    # ramps relaxed: the exact tail entering t depends on the previous
+    # mode alone, and the DP value table holds it bit for bit
+    s = load_bundled_scenario(name)
+    stages = Stages(s)
+    value = stages.values()
+    dispatch = np.zeros(s.n_units + 2)
+    for t in range(first_t, s.horizon + 1):
+        prev = (range(1 << s.n_units) if t == 1
+                else [mi for mi, _, _, _ in stages.candidates(t - 1)])
+        for ip in prev:
+            cost, _ = enumerate_tail(s, t, int_to_mode(ip, s.n_units), dispatch)
+            assert value[t, ip] == cost, (t, ip)
+    assert (value[s.horizon + 1] == 0.0).all()

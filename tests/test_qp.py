@@ -10,10 +10,10 @@ from ucdkit import (
     InfeasibleModeError,
     QpNumericalError,
     assemble,
-    feasible_modes,
     int_to_mode,
     kkt_residual,
     load_bundled_scenario,
+    mode_candidates,
     mode_dynamics,
     solve,
 )
@@ -62,10 +62,10 @@ def test_mode_dynamics_raises_on_infeasible(e1c1):
 
 
 def test_feasible_mode_sets(e1c1):
-    as_text = lambda ms: {"".join(map(str, m)) for m in ms}
-    assert as_text(feasible_modes(e1c1, 1)) == {"01", "10"}   # 200 MW
-    assert as_text(feasible_modes(e1c1, 2)) == {"01", "10", "11"}  # 350 MW
-    assert as_text(feasible_modes(e1c1, 4)) == {"11"}         # 700 MW
+    as_text = lambda cands: {"".join(map(str, m)) for m, _, _ in cands}
+    assert as_text(mode_candidates(e1c1, 1)) == {"01", "10"}   # 200 MW
+    assert as_text(mode_candidates(e1c1, 2)) == {"01", "10", "11"}  # 350 MW
+    assert as_text(mode_candidates(e1c1, 4)) == {"11"}         # 700 MW
 
 
 def test_uncommitted_coordinates_do_not_leak(e2c1):

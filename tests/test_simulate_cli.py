@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import ucdkit.qp
 from ucdkit import (
     DisturbanceScript,
     UcdError,
     compare_with_oracle,
     save_model,
     simulate,
+    train,
 )
 from ucdkit.cli import main
 from ucdkit.scenario import bundled_scenario_path
@@ -54,6 +56,27 @@ def test_simulate_tail_matches_oracle_after_shock(e1c1, model_e1c1):
     (cmp_row,) = rep.oracle_comparison
     assert cmp_row["after_t"] == 2
     assert cmp_row["gap"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_relaxed_exact_tail_is_scored_from_the_stage_rows(e2c1, monkeypatch):
+    # 24 periods of 32 modes: enumeration would exhaust its budget, the
+    # value table over the rollout's own stage rows scores the tail with
+    # no QP solve beyond the rollout's T * 2^N
+    model = train(e2c1)
+    solves = []
+    solve = ucdkit.qp.solve
+
+    def counting(problem):
+        solves.append(problem.t)
+        return solve(problem)
+
+    monkeypatch.setattr(ucdkit.qp, "solve", counting)
+    override = [0.5 * (u.p_min + u.p_max) for u in e2c1.units]
+    rep = simulate(e2c1, model, DisturbanceScript(((12, override),)))
+    (row,) = rep.oracle_comparison
+    assert row["after_t"] == 12
+    assert row["gap"] is not None and row["gap"] >= -1e-6
+    assert len(solves) == e2c1.horizon << e2c1.n_units == 768
 
 
 def test_simulate_totals_recompute(e1c4, model_e1c4):

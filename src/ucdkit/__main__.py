@@ -1,0 +1,8 @@
+"""`python -m ucdkit ...`: the command line front end, run from a checkout."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,10 @@ one-step target
 
 and fits the basis weights by least squares. Scheduling is then a single
 one-step argmin per period against the trained tail values; new initial
-states or mid-horizon disturbances need no retraining.
+states or mid-horizon disturbances need no retraining. A model keeps the
+stage table of the scenario it last decided on (training's own, at
+first), so a ramp-relaxed period's dispatch QPs are solved at most once
+across decisions.
 
 The default basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .costs import switching_matrix
 from .errors import InfeasibleModeError, ModelMismatchError, UcdError
 from .hybrid import int_to_mode, mode_to_int
 from .oracle import Stages, tie_band
@@ -110,6 +114,8 @@ class ValueModel:
     samples: int
     regularization: float
     diagnostics: dict = field(default_factory=dict)
+    # stage table reused by schedule_step; never saved, never compared
+    _stages: Stages | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _sample_states(s: Scenario, t: int, i_prev_bits, rng, count):
@@ -151,6 +157,10 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     for t in range(1, s.horizon + 1):
         if not stages.candidates(t):
             raise UcdError(f"no feasible commitment at period t={t}; cannot train")
+    # relaxed targets read rows of the full switching matrix, which is
+    # dropped after training; caching all 2^N rows in the table would
+    # more than double what every model keeps
+    K = None if s.ramp_enforced else switching_matrix(s)
 
     discarded = {}
     rank_deficient = []
@@ -173,7 +183,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
             ys = np.empty(cfg.samples)
             keep = np.ones(cfg.samples, dtype=bool)
             if not s.ramp_enforced:
-                ys[:] = (relaxed + stages.kappa_row(ip)).min()
+                ys[:] = (relaxed + K[ip]).min()
             else:
                 for k in range(cfg.samples):
                     _, values = step_values(model, stages, t, ip_bits, states[k])
@@ -211,6 +221,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         "discarded": {f"{t}:{ip}": c for (t, ip), c in discarded.items()},
         "rank_deficient": [f"{t}:{ip}" for t, ip in rank_deficient],
     }
+    model._stages = stages
     return model
 
 
@@ -256,8 +267,18 @@ def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
 
 
 def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
-    """One closed-loop decision: `decide` on a table of its own."""
-    return decide(model, Stages(s), t, i_prev, p_prev)
+    """One closed-loop decision: `decide` on the model's stage table.
+
+    The table is rebuilt when it was made for another scenario object.
+    Identity is the key, not the fingerprint: a Scenario is frozen, and
+    fingerprinting would cost more than a decision on cached rows. The
+    dispatch is a copy, so a caller may change it without touching the
+    table.
+    """
+    if model._stages is None or model._stages.s is not s:
+        model._stages = Stages(s)
+    mode, dispatch = decide(model, model._stages, t, i_prev, p_prev)
+    return mode, dispatch.copy()
 
 
 def save_model(model: ValueModel, path) -> None:

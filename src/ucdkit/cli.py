@@ -117,8 +117,10 @@ def cmd_train(args) -> int:
 
 def cmd_schedule(args) -> int:
     s = _load_scenario(args.scenario)
-    model = load_model(args.model, scenario=s, force=args.force)
     t0 = args.from_t
+    if not 1 <= t0 <= s.horizon:
+        raise UcdError(f"--from-t {t0} outside 1..{s.horizon}")
+    model = load_model(args.model, scenario=s, force=args.force)
     if args.state is not None:
         p_prev = _parse_state(args.state, s.n_units)
     else:

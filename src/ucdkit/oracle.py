@@ -119,6 +119,11 @@ class Stages:
             value[t] = (K + self.q(t) + value[t + 1]).min(1)
         return value
 
+    def best_next(self, value: np.ndarray, t: int, i_prev: int) -> int:
+        """Mode int that opens the optimal ramp-relaxed tail entering t
+        from previous mode i_prev, given the table from `values()`."""
+        return tie_band(self.kappa_row(i_prev) + self.q(t) + value[t + 1])[1]
+
 
 def _tagged(cands):
     return [(mode_to_int(m), m, d, q) for m, d, q in cands]
@@ -215,7 +220,7 @@ def graph_dp_optimal(s: Scenario) -> OracleResult:
         raise UcdError("no feasible schedule exists for this scenario")
     seq = []
     for t in range(1, s.horizon + 1):
-        _, ip = tie_band(stages.kappa_row(ip) + stages.q(t) + value[t + 1])
+        ip = stages.best_next(value, t, ip)
         seq.append(int_to_mode(ip, s.n_units))
     return OracleResult(
         schedule=Schedule(tuple(seq)), total_cost=total - quota_rebate(s), stage_cost=total,
@@ -230,7 +235,9 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
     states: iterable of (t, commitment, dispatch) triples; when omitted,
     `samples` random dispatch states are drawn per (t, feasible previous
     mode) the way the trainer samples. Returns {(t, mode bits, dispatch
-    tuple): {"value": float, "argmin": first tail mode}}.
+    tuple): {"value": float, "argmin": first tail mode}}. With ramps
+    relaxed the tails are read from the graph-DP value table and the
+    budget goes unused; with ramps enforced each is enumerated under it.
     """
     rng = np.random.default_rng(seed)
     stages = Stages(s)
@@ -249,13 +256,26 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
                     p[s.n_units] = rng.uniform(0.0, per.dg_max) if per.dg_max > 0 else 0.0
                     p[s.n_units + 1] = rng.uniform(0.0, per.dr_max) if per.dr_max > 0 else 0.0
                     states.append((t, i_prev, p))
+    value = None if s.ramp_enforced else stages.values()
     table = {}
     for t, i_prev, p_prev in states:
-        cost, seq = _tail(s, t, i_prev, p_prev, _Budget(budget), stages)
+        if value is None:
+            cost, seq = _tail(s, t, i_prev, p_prev, _Budget(budget), stages)
+            first = seq[0] if seq else None
+        else:
+            cost, first = _table_tail(stages, value, t, mode_to_int(i_prev))
         key = (t, tuple(int(x) for x in i_prev),
                tuple(float(v) for v in np.asarray(p_prev)))
-        table[key] = {
-            "value": float(cost),
-            "argmin": None if seq is None or not seq else seq[0],
-        }
+        table[key] = {"value": float(cost), "argmin": first}
     return table
+
+
+def _table_tail(stages, value, t, ip):
+    """(cost, first mode) of the ramp-relaxed exact tail entering t from
+    previous mode ip: what enumeration returns, read off the table."""
+    if t > stages.s.horizon:
+        return 0.0, None
+    cost = value[t, ip]
+    if not np.isfinite(cost):
+        return cost, None
+    return cost, int_to_mode(stages.best_next(value, t, ip), stages.s.n_units)

@@ -166,6 +166,10 @@ def simulate(s: Scenario, model: ValueModel,
             raise UcdError(f"disturbance period t={t} outside 1..{s.horizon}")
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
+    # a table of its own, not the model's: the benchmark's traced-count
+    # test pins 2304 QP solves for graph DP + train + simulate on
+    # example2_case1, which the model's table would cut to 1536, so
+    # sharing it waits for a change to the benchmark
     stages = Stages(s)
     i_prev = s.initial_commitment
     p_prev = np.asarray(s.initial_dispatch, dtype=float)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ucdkit.oracle
 from ucdkit import (
     BasisSpec,
     ModelMismatchError,
@@ -23,6 +24,8 @@ from ucdkit import (
     simulate,
     train,
 )
+from ucdkit.clho import decide
+from ucdkit.oracle import Stages
 
 
 def test_default_basis_sizes(e1c1, e2c1):
@@ -206,3 +209,116 @@ def test_training_with_ramps_samples_per_state(e1c1):
     rep = simulate(s, m)
     exact = enumerate_optimal(s)
     assert rep.total_cost <= exact.total_cost + 200.0  # near-optimal rollout
+
+
+# --- the model's stage table -------------------------------------------
+
+
+def _count_rows(monkeypatch):
+    """Calls of the stage-row solver: one per period row solved."""
+    calls = []
+    rows = ucdkit.oracle.mode_candidates
+
+    def counting(s, t, p_prev=None):
+        calls.append(t)
+        return rows(s, t, p_prev)
+
+    monkeypatch.setattr(ucdkit.oracle, "mode_candidates", counting)
+    return calls
+
+
+def _ramped_e1c1(e1c1):
+    ramped = dataclasses.replace(e1c1.units[0], ramp_up=400.0, ramp_down=400.0)
+    return dataclasses.replace(e1c1, units=(ramped, e1c1.units[1]),
+                               ramp_enforced=True, name="e1_ramped")
+
+
+def _same_decision(a, b):
+    return a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
+
+
+def test_decisions_after_training_solve_no_rows(e2c1, monkeypatch):
+    model = train(e2c1)
+    calls = _count_rows(monkeypatch)
+    i_prev, p_prev = e2c1.initial_commitment, np.asarray(e2c1.initial_dispatch)
+    for t in range(1, e2c1.horizon + 1):
+        i_prev, p_prev = schedule_step(model, e2c1, t, i_prev, p_prev)
+    assert calls == []
+
+
+def test_loaded_model_solves_a_period_once(e1c1, model_e1c1, tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save_model(model_e1c1, path)
+    model = load_model(path, scenario=e1c1)
+    calls = _count_rows(monkeypatch)
+    first = schedule_step(model, e1c1, 3, (1, 0), np.array([300.0, 0.0, 0.0, 0.0]))
+    again = schedule_step(model, e1c1, 3, (0, 1), np.array([0.0, 200.0, 0.0, 0.0]))
+    assert calls == [3]
+    for got, i_prev, p_prev in ((first, (1, 0), [300.0, 0.0, 0.0, 0.0]),
+                                (again, (0, 1), [0.0, 200.0, 0.0, 0.0])):
+        assert _same_decision(got, decide(model, Stages(e1c1), 3, i_prev, p_prev))
+
+
+def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkeypatch):
+    s = _ramped_e1c1(e1c1)
+    model = train(s, TrainConfig(samples=5, seed=3))
+    calls = _count_rows(monkeypatch)
+    p_prev = np.array([300.0, 200.0, 0.0, 0.0])
+    for t in (2, 2, 4):
+        schedule_step(model, s, t, (1, 1), p_prev)
+    assert calls == [2, 2, 4]
+
+
+@pytest.mark.parametrize("name", ["example2_case1", "example1_case4"])
+def test_shared_table_decides_like_a_fresh_one(name):
+    s = ucdkit.load_bundled_scenario(name)
+    model = train(s)
+    rng = np.random.default_rng(11)
+    caps = np.array([u.p_max for u in s.units] + [50.0, 50.0])
+    draws = [(int(rng.integers(1, s.horizon + 1)),
+              tuple(int(b) for b in rng.integers(0, 2, s.n_units)),
+              rng.uniform(0.0, 1.0, s.n_units + 2) * caps)
+             for _ in range(60)]
+    for k in rng.permutation(len(draws)):
+        t, i_prev, p_prev = draws[k]
+        got = schedule_step(model, s, t, i_prev, p_prev)
+        want = decide(model, Stages(s), t, i_prev, p_prev)
+        assert _same_decision(got, want), (t, i_prev)
+
+
+def test_table_follows_the_scenario_it_decides_on(e1c1):
+    shifted = dataclasses.replace(
+        e1c1, periods=tuple(dataclasses.replace(p, demand=p.demand + 10.0)
+                            for p in e1c1.periods),
+        name="e1c1_plus10",
+    )
+    model = train(e1c1)
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    answers = {}
+    for s in (e1c1, shifted, e1c1, shifted, shifted, e1c1):
+        for t in range(1, s.horizon + 1):
+            got = schedule_step(model, s, t, (1, 0), p_prev)
+            assert _same_decision(got, decide(model, Stages(s), t, (1, 0), p_prev))
+            answers.setdefault(s.name, []).append(got[1].tobytes())
+    # a stale table would have shown: the two scenarios dispatch differently
+    assert answers[e1c1.name][:6] != answers[shifted.name][:6]
+
+
+def test_returned_dispatch_is_the_callers_to_change(e1c1):
+    model = train(e1c1)
+    mode, dispatch = schedule_step(model, e1c1, 4, (1, 1), np.zeros(4))
+    want = dispatch.copy()
+    dispatch[:] = -1.0
+    assert _same_decision(schedule_step(model, e1c1, 4, (1, 1), np.zeros(4)),
+                          (mode, want))
+
+
+def test_deciding_leaves_the_saved_model_unchanged(e1c4, tmp_path):
+    model = train(e1c4)
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    save_model(model, before)
+    i_prev, p_prev = e1c4.initial_commitment, np.asarray(e1c4.initial_dispatch)
+    for t in range(1, e1c4.horizon + 1):
+        i_prev, p_prev = schedule_step(model, e1c4, t, i_prev, p_prev)
+    save_model(model, after)
+    assert before.read_bytes() == after.read_bytes()

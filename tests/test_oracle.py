@@ -210,3 +210,36 @@ def test_value_table_equals_enumerated_tails(name, first_t):
             cost, _ = enumerate_tail(s, t, int_to_mode(ip, s.n_units), dispatch)
             assert value[t, ip] == cost, (t, ip)
     assert (value[s.horizon + 1] == 0.0).all()
+
+
+@pytest.mark.parametrize("name", ["example1_case1", "example1_case4"])
+def test_relaxed_exact_value_table_equals_enumeration(name):
+    # ramps relaxed: the table reads each tail off the DP value table and
+    # must give the enumerated value and first mode, beyond the horizon too
+    s = load_bundled_scenario(name)
+    dispatch = np.zeros(s.n_units + 2)
+    beyond = [(s.horizon + 1, int_to_mode(ip, s.n_units), dispatch)
+              for ip in range(1 << s.n_units)]
+    for seed in range(5):
+        table = exact_value_table(s, samples=3, seed=seed)
+        table.update(exact_value_table(s, states=beyond))
+        for (t, i_prev, p_prev), rec in table.items():
+            cost, seq = enumerate_tail(s, t, i_prev, p_prev)
+            assert rec == {"value": cost, "argmin": seq[0] if seq else None}, (t, i_prev)
+
+
+def test_relaxed_exact_value_table_covers_a_24_period_fleet(e2c1, monkeypatch):
+    # enumeration exhausts this budget from the first state; the value
+    # table answers every state from one solve per (t, mode)
+    calls = _count_solves(monkeypatch)
+    table = exact_value_table(e2c1, samples=1, budget=200_000)
+    assert len(table) == 157
+    assert all(np.isfinite(r["value"]) and r["argmin"] is not None
+               for r in table.values())
+    assert len(calls) == e2c1.horizon << e2c1.n_units
+
+
+def test_ramped_exact_value_table_still_enumerates(e1c1):
+    s = dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_ramped")
+    with pytest.raises(BudgetExceededError):
+        exact_value_table(s, samples=1, budget=1)

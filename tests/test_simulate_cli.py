@@ -1,10 +1,15 @@
 """Closed-loop simulation reports and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucdkit
 import ucdkit.qp
 from ucdkit import (
     DisturbanceScript,
@@ -223,6 +228,30 @@ def test_cli_schedule_from_midhorizon_state(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4  # header + t in {4, 5, 6}
     assert all(ln.split(",")[1] == "11" for ln in lines[1:])
+
+
+@pytest.mark.parametrize("from_t", ["0", "7", "9"])
+def test_cli_schedule_rejects_from_t_outside_the_horizon(from_t, tmp_path, capsys,
+                                                         model_e1c1):
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c1, model)
+    rc = main(["schedule", _scenario_arg("example1_case1"), "--model", model,
+               "--from-t", from_t])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --from-t {from_t} outside 1..6\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(ucdkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ucdkit", "validate", "example1_case1"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "ok: 2 units, 6 periods\n")
 
 
 def test_cli_model_mismatch_is_domain_error(tmp_path, capsys, e1c1, model_e1c1):

@@ -2,8 +2,9 @@
 
 The tie band itself is unit-tested here; the randomized suite builds
 fleets that tie exactly (a duplicated unit, switching prices zeroed or
-kept) and asks enumeration, graph DP, the closed loop and the compare
-table for the same schedule.
+kept) and asks enumeration, graph DP, the closed loop (as one rollout
+and step by step on the model's stage table) and the compare table for
+the same schedule.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from ucdkit import (
     enumerate_optimal,
     graph_dp_optimal,
     load_bundled_scenario,
+    schedule_step,
     schedule_text,
     simulate,
     train,
@@ -82,4 +84,15 @@ def test_exact_ties_agree_on_random_duplicated_fleets(s):
     want = schedule_text(enumerate_optimal(s).schedule)
     assert schedule_text(graph_dp_optimal(s).schedule) == want
     assert schedule_text(simulate(s, model).schedule) == want
+    assert _stepped_schedule(s, model) == want
     assert compare_with_oracle(s, model).oracle_schedule == want
+
+
+def _stepped_schedule(s, model):
+    """The closed loop driven one schedule_step at a time."""
+    i_prev, p_prev = s.initial_commitment, np.asarray(s.initial_dispatch, dtype=float)
+    modes = []
+    for t in range(1, s.horizon + 1):
+        i_prev, p_prev = schedule_step(model, s, t, i_prev, p_prev)
+        modes.append(i_prev)
+    return schedule_text(modes)

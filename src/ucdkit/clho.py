@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -116,6 +116,17 @@ class ValueModel:
     diagnostics: dict = field(default_factory=dict)
     # stage table reused by schedule_step; never saved, never compared
     _stages: Stages | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __eq__(self, other):
+        """Field by field, the weight arrays key by key; the stage table
+        is a cache and takes no part."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.compare and f.name != "weights")
+                and self.weights.keys() == other.weights.keys()
+                and all(np.array_equal(w, other.weights[k])
+                        for k, w in self.weights.items()))
 
 
 def _sample_states(s: Scenario, t: int, i_prev_bits, rng, count):

@@ -59,6 +59,17 @@ def _parse_state(text: str, n_units: int) -> np.ndarray:
     return np.asarray(vals)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of an enumeration budget: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def cmd_validate(args) -> int:
     try:
         s = _load_scenario(args.scenario)
@@ -204,9 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("oracle", help="exact optimal schedule")
     q.add_argument("scenario")
     g = q.add_mutually_exclusive_group()
-    g.add_argument("--enumerate", action="store_true", help="exhaustive search (default)")
+    g.add_argument("--enumerate", action="store_true",
+                   help="mode-tree search, exhaustive with ramps relaxed and "
+                        "pruned by the ramp-relaxed value table with ramps "
+                        "enforced (default)")
     g.add_argument("--graph", action="store_true", help="layered-graph shortest path")
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    q.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="most evaluations: leaves reached plus children the "
+                        "bound cuts (schedules listed, with --dump-table)")
     q.add_argument("--dump-table", action="store_true",
                    help="CSV of every feasible schedule and its cost")
     q.set_defaults(func=cmd_oracle)
@@ -243,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("compare", help="closed loop vs exhaustive table")
     q.add_argument("scenario")
     q.add_argument("--model", required=True)
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    q.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="most schedules the exhaustive table may list")
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_compare)
 

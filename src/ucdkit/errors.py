@@ -39,7 +39,7 @@ class QpNumericalError(UcdError):
 
 
 class BudgetExceededError(UcdError):
-    """An exhaustive enumeration hit its evaluation budget."""
+    """A mode-tree walk hit its evaluation budget."""
 
     def __init__(self, budget, message=""):
         self.budget = budget

@@ -1,14 +1,18 @@
-"""Exact solvers: exhaustive enumeration and layered-graph DP.
+"""Exact solvers: mode-tree enumeration and layered-graph DP.
 
-Both return certified optima. Enumeration walks the full mode tree
-carrying the dispatch state, so it is exact even with ramp coupling.
-Without ramp rows the stage cost depends only on (t, I), so graph DP is
-a shortest path over 2^N nodes per layer, each layer one vectorised min
-over K + Q + V (K the switching matrix). Each top-level call solves a
-ramp-relaxed (t, mode) at most once, through one `Stages`. Every argmin
-in the package goes through `tie_band`, which breaks ties toward the
-smallest mode read as a binary integer, so sequences tie-break to the
-lexicographically smallest one.
+Both return certified optima. Enumeration walks the mode tree carrying
+the dispatch state, so it is exact even with ramp coupling. With ramps
+enforced the walk is a branch and bound: the ramp-relaxed value table is
+an admissible lower bound (ramp rows only add constraints), and a child
+is skipped when its bound cannot reach the tie band of the cheapest tail
+found so far. With ramps relaxed the walk stays exhaustive, as graph
+DP's independent reference. Without ramp rows the stage cost depends
+only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
+each layer one vectorised min over K + Q + V (K the switching matrix).
+Each top-level call solves a ramp-relaxed (t, mode) at most once,
+through one `Stages`. Every argmin in the package goes through
+`tie_band`, which breaks ties toward the smallest mode read as a binary
+integer, so sequences tie-break to the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import quota_rebate, switching_cost, switching_matrix, switching_row
-from .errors import BudgetExceededError, UcdError
+from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix,
+                    switching_row)
+from .errors import BudgetExceededError, InfeasibleModeError, UcdError
 from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
-from .qp import mode_candidates
+from .qp import mode_candidates, mode_dynamics
 from .scenario import Scenario
 
 __all__ = [
@@ -108,14 +113,15 @@ class Stages:
             self._kappa[i_prev] = switching_row(self.s, i_prev)
         return self._kappa[i_prev]
 
-    def values(self) -> np.ndarray:
+    def values(self, first: int = 1) -> np.ndarray:
         """value[t, ip]: optimal ramp-relaxed tail stage cost entering
-        period t with previous mode ip, for t = 1..T+1 (row T+1 is 0);
+        period t with previous mode ip, for t = first..T+1 (row T+1 is 0,
+        rows before `first` are left 0 and their periods unsolved);
         computed for every ip, reachable or not."""
         T = self.s.horizon
         K = switching_matrix(self.s)
         value = np.zeros((T + 2, 1 << self.s.n_units))
-        for t in range(T, 0, -1):
+        for t in range(T, first - 1, -1):
             value[t] = (K + self.q(t) + value[t + 1]).min(1)
         return value
 
@@ -129,17 +135,65 @@ def _tagged(cands):
     return [(mode_to_int(m), m, d, q) for m, d, q in cands]
 
 
-def _best_tail(s, t, i_prev, p_prev, budget, stages):
+class _Bound:
+    """Branch-and-bound state of one tail search: `value`, a lower bound
+    on every tail (the ramp-relaxed table), and `incumbent`, the cost
+    of the cheapest complete tail known (inf until one is)."""
+
+    __slots__ = ("value", "incumbent")
+
+    def __init__(self, value, incumbent):
+        self.value = value
+        self.incumbent = incumbent
+
+    def cuts(self, spent, t, mi):
+        """True when no tail that has spent `spent` and enters t from mode
+        mi can land in the tie band of the incumbent. x + band(x) never
+        decreases in x, so a tail in the final band of the optimum (which
+        is at most the incumbent) is never cut."""
+        inc = self.incumbent
+        return spent + self.value[t, mi] > inc + TIE_RTOL * max(1.0, abs(inc))
+
+
+def _incumbent(s, t, i_prev, p_prev, stages, value):
+    """Cost of the ramp-relaxed optimal path from (i_prev, p_prev)
+    entering t, re-dispatched under ramps; inf when a step of it has no
+    feasible dispatch under them."""
+    ip, cost = mode_to_int(i_prev), 0.0
+    for tt in range(t, s.horizon + 1):
+        mi = stages.best_next(value, tt, ip)
+        mode = int_to_mode(mi, s.n_units)
+        try:
+            p_prev = mode_dynamics(s, tt, mode, p_prev)
+        except InfeasibleModeError:
+            return np.inf
+        cost += running_cost(s, mode, p_prev) + stages.kappa_row(ip)[mi]
+        ip = mi
+    return cost
+
+
+def _best_tail(s, t, i_prev, p_prev, budget, stages, spent=0.0, bound=None):
     """Exact optimal continuation from state (i_prev, p_prev) entering
-    period t. Returns (stage cost sum, mode int sequence)."""
+    period t, having spent `spent` since the tail's start. Returns (stage
+    cost sum, mode int sequence). With a `_Bound`, a child the bound cuts
+    is skipped and each leaf offers its cost as the incumbent; without
+    one the walk is exhaustive. A leaf or a cut child charges one
+    evaluation."""
     if t > s.horizon:
         budget.charge()
+        if bound is not None and spent < bound.incumbent:
+            bound.incumbent = spent
         return 0.0, ()
     found = []
     for mi, mode, dispatch, q in stages.candidates(t, p_prev):
-        sub, seq = _best_tail(s, t + 1, mode, dispatch, budget, stages)
+        step = q + switching_cost(s, i_prev, mode)
+        if bound is not None and bound.cuts(spent + step, t + 1, mi):
+            budget.charge()
+            continue
+        sub, seq = _best_tail(s, t + 1, mode, dispatch, budget, stages,
+                              spent + step, bound)
         if seq is not None:
-            found.append((q + switching_cost(s, i_prev, mode) + sub, mi, seq))
+            found.append((step + sub, mi, seq))
     if not found:
         return np.inf, None
     # candidates arrive in ascending mode order, so the first entry in
@@ -149,7 +203,10 @@ def _best_tail(s, t, i_prev, p_prev, budget, stages):
 
 
 def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Method of exhaustion over the full mode tree."""
+    """Exact optimum by walking the mode tree from the initial state:
+    exhaustive with ramps relaxed, branch and bound with ramps enforced.
+    The budget caps the evaluations, one per leaf reached and one per
+    child the bound cuts; BudgetExceededError when it runs out."""
     b = _Budget(budget)
     cost, seq = _tail(s, 1, s.initial_commitment, s.initial_dispatch, b, Stages(s))
     if seq is None:
@@ -163,14 +220,24 @@ def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult
 def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
                    budget: int = DEFAULT_BUDGET):
     """Exact tail: optimal cost and mode sequence from an arbitrary state
-    entering period t. Tail costs carry no rebate (it is a horizon
-    constant, charged once by whoever assembles the full objective)."""
+    entering period t, walked like `enumerate_optimal` and under the same
+    budget. Tail costs carry no rebate (it is a horizon constant,
+    charged once by whoever assembles the full objective)."""
     return _tail(s, t, i_prev, p_prev, _Budget(budget), Stages(s))
 
 
-def _tail(s, t, i_prev, p_prev, budget, stages):
-    cost, seq = _best_tail(s, t, tuple(int(x) for x in i_prev),
-                           np.asarray(p_prev, dtype=float), budget, stages)
+def _tail(s, t, i_prev, p_prev, budget, stages, value=None):
+    """The walk from one state. With ramps enforced it is bounded by the
+    ramp-relaxed table `value` (rows t+1..T are built when none is
+    given) and starts from the relaxed path's incumbent."""
+    i_prev = tuple(int(x) for x in i_prev)
+    p_prev = np.asarray(p_prev, dtype=float)
+    bound = None
+    if s.ramp_enforced:
+        if value is None:
+            value = stages.values(first=t + 1)
+        bound = _Bound(value, _incumbent(s, t, i_prev, p_prev, stages, value))
+    cost, seq = _best_tail(s, t, i_prev, p_prev, budget, stages, 0.0, bound)
     if seq is None:
         return np.inf, None
     return cost, tuple(int_to_mode(v, s.n_units) for v in seq)
@@ -237,7 +304,8 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
     mode) the way the trainer samples. Returns {(t, mode bits, dispatch
     tuple): {"value": float, "argmin": first tail mode}}. With ramps
     relaxed the tails are read from the graph-DP value table and the
-    budget goes unused; with ramps enforced each is enumerated under it.
+    budget goes unused; with ramps enforced each is a branch and bound
+    on that table, under its own budget.
     """
     rng = np.random.default_rng(seed)
     stages = Stages(s)
@@ -256,11 +324,11 @@ def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
                     p[s.n_units] = rng.uniform(0.0, per.dg_max) if per.dg_max > 0 else 0.0
                     p[s.n_units + 1] = rng.uniform(0.0, per.dr_max) if per.dr_max > 0 else 0.0
                     states.append((t, i_prev, p))
-    value = None if s.ramp_enforced else stages.values()
+    value = stages.values()
     table = {}
     for t, i_prev, p_prev in states:
-        if value is None:
-            cost, seq = _tail(s, t, i_prev, p_prev, _Budget(budget), stages)
+        if s.ramp_enforced:
+            cost, seq = _tail(s, t, i_prev, p_prev, _Budget(budget), stages, value)
             first = seq[0] if seq else None
         else:
             cost, first = _table_tail(stages, value, t, mode_to_int(i_prev))

@@ -5,8 +5,9 @@ selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
 no retraining. Each override is scored against the exact tail from the
 disturbed state: read from the rollout's own graph-DP value table when
-ramps are relaxed (the tail then depends on the mode alone), enumerated
-under a budget when ramps are enforced.
+ramps are relaxed (the tail then depends on the mode alone), found by a
+branch and bound over the mode tree, under a budget, when ramps are
+enforced.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# enumeration budget of one exact tail when ramps are enforced
+# evaluation budget of one exact tail when ramps are enforced: the
+# branch and bound stays far inside it with ramp limits at half of each
+# unit's p_max, but its bound goes loose as ramps tighten and the search
+# can then grow toward the whole mode tree
 TAIL_BUDGET = 200_000
 
 
@@ -152,8 +156,9 @@ def simulate(s: Scenario, model: ValueModel,
     Rows mark diverged=True exactly at scripted periods. For every override
     before the final period the realized tail is compared against the
     exact tail from the disturbed state. With ramps relaxed that is the
-    value table of the rollout's stage rows; with ramps enforced it is an
-    enumeration, skipped with a warning if TAIL_BUDGET runs out.
+    value table of the rollout's stage rows; with ramps enforced it is
+    the branch and bound of `enumerate_tail`, skipped with a warning (gap
+    None) if TAIL_BUDGET runs out.
     """
     if scenario_fingerprint(s) != model.fingerprint:
         raise ModelMismatchError(

@@ -1,0 +1,153 @@
+"""Ramp-enforced tails by branch and bound.
+
+With ramps enforced, the oracle's walk skips a child when the ramp-relaxed
+value table proves it cannot reach the incumbent's tie band. These tests
+hold the pruned walk to the same walk with no bound: the same cost, bit
+for bit, and the same sequence, on every state tried.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ucdkit import (
+    DisturbanceScript,
+    TrainConfig,
+    enumerate_optimal,
+    enumerate_tail,
+    exact_value_table,
+    graph_dp_optimal,
+    load_bundled_scenario,
+    run_schedule,
+    simulate,
+    train,
+)
+from ucdkit.clho import _sample_states
+from ucdkit.hybrid import int_to_mode, mode_to_int
+from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
+
+
+def _with_ramps(s, frac):
+    """Symmetric ramp limits of frac * p_max on every unit, enforced."""
+    units = tuple(dataclasses.replace(u, ramp_up=frac * u.p_max, ramp_down=frac * u.p_max)
+                  for u in s.units)
+    return dataclasses.replace(s, units=units, ramp_enforced=True,
+                               name=f"{s.name}_ramps{frac}")
+
+
+def _first_unit_ramped(s, limit):
+    """Ramp limits on unit 1 only, enforced."""
+    first = dataclasses.replace(s.units[0], ramp_up=limit, ramp_down=limit)
+    return dataclasses.replace(s, units=(first,) + s.units[1:], ramp_enforced=True,
+                               name=f"{s.name}_unit1_ramp{limit:g}")
+
+
+def _exhaustive_tail(s, t, i_prev, p_prev):
+    """The oracle's walk from one state with no bound: every leaf."""
+    cost, seq = _best_tail(s, t, tuple(int(b) for b in i_prev),
+                           np.asarray(p_prev, dtype=float),
+                           _Budget(DEFAULT_BUDGET), Stages(s))
+    return cost, None if seq is None else tuple(int_to_mode(v, s.n_units) for v in seq)
+
+
+def _drawn_states(s, first_t, seed=0):
+    """One state per (t >= first_t, ramp-relaxed feasible mode of t-1),
+    drawn by the trainer's sampler."""
+    stages = Stages(s)
+    rng = np.random.default_rng(seed)
+    states = []
+    for t in range(first_t, s.horizon + 1):
+        for _, mode, _, _ in stages.candidates(t - 1):
+            states.append((t, mode, _sample_states(s, t, mode, rng, 1)[0]))
+    return states
+
+
+def _assert_pruned_is_exhaustive(s, states):
+    finite = 0
+    for t, i_prev, p_prev in states:
+        want = _exhaustive_tail(s, t, i_prev, p_prev)
+        got = enumerate_tail(s, t, i_prev, p_prev)
+        assert got[0] == want[0] and got[1] == want[1], (t, i_prev, tuple(p_prev))
+        finite += np.isfinite(want[0])
+    assert finite, "every state was infeasible; nothing was compared"
+
+
+def test_bound_cuts_only_beyond_the_incumbents_tie_band():
+    value = np.zeros((3, 4))
+    value[2, 3] = np.inf                      # no relaxed tail from mode 3
+    band = TIE_RTOL * 1000.0
+    bound = _Bound(value, 1000.0)
+    assert not bound.cuts(1000.0 + 0.9 * band, 2, 0)
+    assert bound.cuts(1000.0 + 1.1 * band, 2, 0)
+    assert bound.cuts(0.0, 2, 3)
+    # before any tail is known nothing is cut, not even a dead end
+    assert not _Bound(value, np.inf).cuts(1e300, 2, 3)
+
+
+def _ramped_example1_fleets():
+    """(fleet, whether its ramps bind on some default state)."""
+    e1c1 = load_bundled_scenario("example1_case1")
+    e1c4 = load_bundled_scenario("example1_case4")
+    return [
+        (dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_no_limits"), False),
+        (_first_unit_ramped(e1c1, 400.0), False),
+        (_first_unit_ramped(e1c1, 200.0), True),
+        (_with_ramps(e1c1, 0.2), True),
+        (_with_ramps(e1c4, 0.2), True),
+        (_with_ramps(e1c4, 0.35), True),
+    ]
+
+
+@pytest.mark.parametrize("s, binding", _ramped_example1_fleets(),
+                         ids=lambda x: getattr(x, "name", "binding" if x else "loose"))
+def test_pruned_tails_equal_exhaustive_on_every_default_state(s, binding):
+    table = exact_value_table(s)
+    assert len(table) > 20
+    relaxed = Stages(s).values()
+    binds = False
+    for (t, i_prev, p_prev), rec in table.items():
+        cost, seq = _exhaustive_tail(s, t, i_prev, p_prev)
+        assert rec == {"value": cost, "argmin": seq[0] if seq else None}, (t, i_prev)
+        got = enumerate_tail(s, t, i_prev, p_prev)
+        assert got[0] == cost and got[1] == seq, (t, i_prev, p_prev)
+        binds |= cost != relaxed[t, mode_to_int(i_prev)]
+    # where the ramps bind, the bound is tested below equality too
+    assert binds == binding
+
+
+def test_pruned_tails_equal_exhaustive_on_late_example2_states(e2c1):
+    s = _with_ramps(e2c1, 0.5)
+    _assert_pruned_is_exhaustive(s, _drawn_states(s, 21))
+
+
+def test_pruned_tails_equal_exhaustive_under_tight_ramps(e2c1):
+    # the states of the ramp-relaxed optimum from t=18, and drawn states
+    # from t=19 (at 5% ramps most of them have no feasible tail)
+    s = _with_ramps(e2c1, 0.05)
+    path = run_schedule(e2c1, graph_dp_optimal(e2c1).schedule).periods
+    on_path = [(t, path[t - 2].commitment, path[t - 2].dispatch)
+               for t in range(18, e2c1.horizon + 1)]
+    _assert_pruned_is_exhaustive(s, on_path + _drawn_states(s, 19))
+
+
+def test_ramped_example2_optimum_fits_a_small_budget(e2c1):
+    # exhaustive enumeration cannot finish this 24-period horizon
+    s = _with_ramps(e2c1, 0.5)
+    res = enumerate_optimal(s, budget=2_000)
+    assert res.evaluations <= 2_000
+    assert run_schedule(s, res.schedule).total_cost == pytest.approx(res.total_cost,
+                                                                     abs=1e-6)
+
+
+def test_ramped_example2_scores_a_midhorizon_disturbance(e2c1):
+    s = _with_ramps(e2c1, 0.5)
+    model = train(s, TrainConfig(samples=2))
+    row = simulate(s, model).rows[11]
+    pushed = [min(u.p_max, 1.03 * p) if on else p
+              for u, on, p in zip(s.units, row["mode"], row["realized"])]
+    pushed += list(row["realized"][s.n_units:])
+    report = simulate(s, model, DisturbanceScript(((12, pushed),)))
+    (scored,) = report.oracle_comparison
+    assert scored["after_t"] == 12
+    assert scored["gap"] is not None and scored["gap"] >= -1e-6

@@ -322,3 +322,16 @@ def test_deciding_leaves_the_saved_model_unchanged(e1c4, tmp_path):
         i_prev, p_prev = schedule_step(model, e1c4, t, i_prev, p_prev)
     save_model(model, after)
     assert before.read_bytes() == after.read_bytes()
+
+
+def test_model_equals_its_saved_copy_until_a_weight_changes(model_e1c4, e1c4, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(model_e1c4, path)
+    copy = load_model(path, scenario=e1c4)
+    assert model_e1c4._stages is not None and copy._stages is None
+    assert copy == model_e1c4 and model_e1c4 == copy
+    key = next(iter(copy.weights))
+    copy.weights[key] = copy.weights[key].copy()
+    copy.weights[key][-1] += 1.0
+    assert copy != model_e1c4
+    assert model_e1c4 != "not a model"

@@ -274,3 +274,19 @@ def test_cli_run_schedule(capsys):
     assert main(["run", _scenario_arg("example1_case4"), "133333", "--csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("t,I_1,I_2,")
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+@pytest.mark.parametrize("budget", ["0", "-3", "1.5"])
+def test_cli_budget_takes_positive_integers_only(command, budget, tmp_path, capsys,
+                                                 model_e1c1):
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c1, model)
+    extra = ["--model", model] if command == "compare" else []
+    with pytest.raises(SystemExit) as e:
+        main([command, _scenario_arg("example1_case1"), *extra, "--budget", budget])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget:" in captured.err
+    assert main([command, _scenario_arg("example1_case1"), *extra, "--budget", "18"]) == 0

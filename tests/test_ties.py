@@ -4,7 +4,8 @@ The tie band itself is unit-tested here; the randomized suite builds
 fleets that tie exactly (a duplicated unit, switching prices zeroed or
 kept) and asks enumeration, graph DP, the closed loop (as one rollout
 and step by step on the model's stage table) and the compare table for
-the same schedule.
+the same schedule. With binding ramp limits, the branch-and-bound oracle
+must pick the tie-band argmin of the exhaustive schedule table.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from ucdkit import (
     compare_with_oracle,
     enumerate_optimal,
+    enumerate_schedule_costs,
     graph_dp_optimal,
     load_bundled_scenario,
     schedule_step,
@@ -86,6 +88,28 @@ def test_exact_ties_agree_on_random_duplicated_fleets(s):
     assert schedule_text(simulate(s, model).schedule) == want
     assert _stepped_schedule(s, model) == want
     assert compare_with_oracle(s, model).oracle_schedule == want
+
+
+@st.composite
+def tied_ramped_fleets(draw):
+    """A tied fleet over the last four periods, whose 350 -> 700 MW step
+    makes ramp limits of a fifth to a third of p_max bind."""
+    s = draw(tied_fleets())
+    frac = draw(st.sampled_from([0.2, 0.25, 0.35]))
+    units = tuple(dataclasses.replace(u, ramp_up=frac * u.p_max, ramp_down=frac * u.p_max)
+                  for u in s.units)
+    return dataclasses.replace(s, units=units, periods=s.periods[2:], ramp_enforced=True,
+                               name=f"{s.name}_ramps{frac}")
+
+
+@TIE_SUITE
+@given(tied_ramped_fleets())
+def test_pruned_ties_agree_with_the_exhaustive_table_under_ramps(s):
+    table = enumerate_schedule_costs(s)
+    relaxed = enumerate_schedule_costs(dataclasses.replace(s, ramp_enforced=False))
+    assert table != relaxed          # the ramps bind
+    want = table[tie_band([c for _, c in table])[1]][0]
+    assert schedule_text(enumerate_optimal(s).schedule) == want
 
 
 def _stepped_schedule(s, model):

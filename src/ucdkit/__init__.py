@@ -13,7 +13,6 @@ from .clho import (
     BasisSpec,
     TrainConfig,
     ValueModel,
-    approx_value,
     basis_vector,
     default_basis,
     load_model,
@@ -28,7 +27,6 @@ from .costs import (
     quota_rebate,
     resource_cost,
     running_cost,
-    startup_cost_reference,
     switching_cost,
     switching_matrix,
 )
@@ -57,7 +55,6 @@ from .oracle import (
     enumerate_optimal,
     enumerate_schedule_costs,
     enumerate_tail,
-    exact_value_table,
     graph_dp_optimal,
 )
 from .qp import (
@@ -78,7 +75,6 @@ from .scenario import (
     Scenario,
     ThermalUnitParams,
     VirtualResourceParams,
-    bundled_scenario_path,
     load_bundled_scenario,
     parse_scenario,
     scenario_fingerprint,
@@ -98,11 +94,11 @@ __all__ = [
     # scenario
     "Scenario", "ThermalUnitParams", "VirtualResourceParams", "CetParams",
     "PeriodExogenous", "parse_scenario", "serialize_scenario",
-    "validate_scenario", "scenario_fingerprint", "bundled_scenario_path",
-    "load_bundled_scenario", "BUNDLED_SCENARIOS",
+    "validate_scenario", "scenario_fingerprint", "load_bundled_scenario",
+    "BUNDLED_SCENARIOS",
     # costs
     "fuel_cost", "emission", "resource_cost", "running_cost", "kappa",
-    "switching_cost", "switching_matrix", "startup_cost_reference", "quota_rebate",
+    "switching_cost", "switching_matrix", "quota_rebate",
     # qp
     "QpProblem", "QpSolution", "assemble", "solve", "kkt_residual",
     "mode_dynamics", "mode_candidates", "KKT_TOL", "FEAS_TOL",
@@ -112,11 +108,10 @@ __all__ = [
     "trajectory_csv",
     # oracle
     "OracleResult", "enumerate_optimal", "enumerate_tail",
-    "enumerate_schedule_costs", "graph_dp_optimal", "exact_value_table",
-    "DEFAULT_BUDGET",
+    "enumerate_schedule_costs", "graph_dp_optimal", "DEFAULT_BUDGET",
     # clho
     "BasisSpec", "TrainConfig", "ValueModel", "default_basis", "basis_vector",
-    "train", "approx_value", "schedule_step", "save_model", "load_model",
+    "train", "schedule_step", "save_model", "load_model",
     # simulate
     "DisturbanceScript", "RunReport", "ComparisonReport", "simulate",
     "compare_with_oracle",

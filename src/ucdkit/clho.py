@@ -13,7 +13,7 @@ stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
 across decisions.
 
-The default basis is quadratic-diagonal: a square and a linear feature
+The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "default_basis",
     "basis_vector",
     "train",
-    "approx_value",
     "step_values",
     "decide",
     "schedule_step",
@@ -98,7 +98,6 @@ class TrainConfig:
     samples: int = 100
     regularization: float = 0.0
     seed: int = 0
-    basis: BasisSpec | None = None   # None = default for the scenario
 
 
 @dataclass
@@ -154,7 +153,9 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     cfg = config or TrainConfig()
     if cfg.samples < 1:
         raise UcdError("training needs at least one sample per state")
-    basis = cfg.basis or default_basis(s)
+    if not 0.0 <= cfg.regularization < np.inf:
+        raise UcdError(f"regularization must be finite and >= 0, got {cfg.regularization!r}")
+    basis = default_basis(s)
     nf = basis.n_features
     # filled backward, so the targets at t read the tails fitted at t+1
     model = ValueModel(
@@ -237,6 +238,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
 
 
 def _tail_value(model, t, mode, dispatch):
+    """Jhat_t at a dispatch state entering t from `mode`; 0 beyond the horizon."""
     if t > model.horizon:
         return 0.0
     w = model.weights.get((t, mode_to_int(mode)))
@@ -246,13 +248,6 @@ def _tail_value(model, t, mode, dispatch):
             f"I_prev={''.join(str(b) for b in mode)}"
         )
     return float(np.dot(w, basis_vector(model.basis, dispatch)))
-
-
-def approx_value(model: ValueModel, t: int, i_prev, dispatch) -> float:
-    """Jhat_t evaluated at a dispatch state; 0 beyond the horizon."""
-    if not 1 <= t <= model.horizon + 1:
-        raise UcdError(f"t={t} outside 1..{model.horizon + 1}")
-    return _tail_value(model, t, tuple(int(b) for b in i_prev), dispatch)
 
 
 def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
@@ -315,40 +310,61 @@ def save_model(model: ValueModel, path) -> None:
         fh.write("\n")
 
 
+def _field(doc, key, kind):
+    """doc[key] when it holds a `kind`; a JSON boolean is never a number."""
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ModelMismatchError(f"model field {key!r} is missing or ill-typed")
+    return value
+
+
 def load_model(path, scenario: Scenario | None = None, force: bool = False) -> ValueModel:
     """Read a stored model.
 
     When a scenario is supplied, its fingerprint must match the one the
-    model was trained on; pass force=True to override deliberately.
+    model was trained on; pass force=True to override deliberately. A
+    document that is not a well-formed model raises ModelMismatchError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ModelMismatchError(f"cannot read model document: {exc}") from exc
-    if doc.get("format") != "ucdkit-value-model":
+    if not isinstance(doc, dict) or doc.get("format") != "ucdkit-value-model":
         raise ModelMismatchError("not a value model document")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelMismatchError(
             f"unsupported model format version {doc.get('format_version')!r}"
         )
+    fingerprint = _field(doc, "fingerprint", str)
     if scenario is not None and not force:
         fp = scenario_fingerprint(scenario)
-        if fp != doc.get("fingerprint"):
+        if fp != fingerprint:
             raise ModelMismatchError(
                 "model was trained on a different scenario (fingerprint "
-                f"{doc.get('fingerprint', '')[:12]}... vs {fp[:12]}...); "
+                f"{fingerprint[:12]}... vs {fp[:12]}...); "
                 "pass force to use it anyway"
             )
-    basis = BasisSpec(family=doc["basis"]["family"],
-                      coords=tuple(int(c) for c in doc["basis"]["coords"]))
+    n_units = _field(doc, "n_units", int)
+    spec = _field(doc, "basis", dict)
+    coords = _field(spec, "coords", list)
+    if (_field(spec, "family", str) != "quad"
+            or not all(type(c) is int and 0 <= c < n_units + 2 for c in coords)):
+        raise ModelMismatchError(f"unsupported basis {spec!r}")
+    basis = BasisSpec(family="quad", coords=tuple(coords))
     weights = {}
-    for key, vals in doc["weights"].items():
-        t_s, ip_s = key.split(":")
-        weights[(int(t_s), int(ip_s))] = np.array([float(v) for v in vals])
+    for key, vals in _field(doc, "weights", dict).items():
+        t_ip = re.fullmatch(r"([0-9]+):([0-9]+)", key)
+        floats = isinstance(vals, list) and all(type(v) is float for v in vals)
+        w = np.array(vals if floats else [], dtype=float)
+        if t_ip is None or len(w) != basis.n_features or not np.isfinite(w).all():
+            raise ModelMismatchError(f"weights {key!r}: expected a t:ip key and "
+                                     f"{basis.n_features} finite floats")
+        weights[(int(t_ip[1]), int(t_ip[2]))] = w
     return ValueModel(
-        basis=basis, horizon=int(doc["horizon"]), n_units=int(doc["n_units"]),
-        weights=weights, fingerprint=doc["fingerprint"], seed=int(doc["seed"]),
-        samples=int(doc["samples"]), regularization=float(doc["regularization"]),
+        basis=basis, horizon=_field(doc, "horizon", int), n_units=n_units,
+        weights=weights, fingerprint=fingerprint, seed=_field(doc, "seed", int),
+        samples=_field(doc, "samples", int),
+        regularization=float(_field(doc, "regularization", (int, float))),
         diagnostics=doc.get("diagnostics", {}),
     )

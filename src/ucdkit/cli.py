@@ -56,6 +56,8 @@ def _parse_state(text: str, n_units: int) -> np.ndarray:
         raise UcdError(
             f"state vector has {len(vals)} entries; expected {n_units} or {n_units + 2}"
         )
+    if any(not np.isfinite(v) or v < 0.0 for v in vals):
+        raise UcdError(f"state vector {text!r}: values must be finite and >= 0")
     return np.asarray(vals)
 
 
@@ -115,8 +117,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_train(args) -> int:
     s = _load_scenario(args.scenario)
-    if args.basis not in (None, "quad"):
-        raise UcdError(f"unknown basis family {args.basis!r}")
     cfg = TrainConfig(samples=args.samples, seed=args.seed,
                       regularization=args.regularization)
     model = train(s, cfg)
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--regularization", type=float, default=0.0)
-    q.add_argument("--basis", default=None, help="basis family (quad)")
     q.set_defaults(func=cmd_train)
 
     q = sub.add_parser("schedule", help="closed-loop plan from a state")

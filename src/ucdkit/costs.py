@@ -28,7 +28,6 @@ __all__ = [
     "switching_cost",
     "switching_matrix",
     "switching_row",
-    "startup_cost_reference",
     "quota_rebate",
 ]
 
@@ -101,15 +100,6 @@ def switching_row(s: Scenario, i_prev) -> np.ndarray:
         corners = np.array([[kappa(u, a, b) for b in (0, 1)] for a in (0, 1)])
         K += corners[bits[i_prev, j, None], bits[:, j]]
     return K
-
-
-def startup_cost_reference(unit: ThermalUnitParams, tau: int) -> float:
-    """Restart cost after tau banked periods: c_bank * tau + c_fix.
-
-    Reference formula for the cycle identity: the kappa charges over a
-    complete off cycle of length tau sum to this value plus c_shut.
-    """
-    return unit.c_bank * tau + unit.c_fix
 
 
 def quota_rebate(s: Scenario) -> float:

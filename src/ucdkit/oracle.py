@@ -10,9 +10,11 @@ DP's independent reference. Without ramp rows the stage cost depends
 only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
 each layer one vectorised min over K + Q + V (K the switching matrix).
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
-through one `Stages`. Every argmin in the package goes through
-`tie_band`, which breaks ties toward the smallest mode read as a binary
-integer, so sequences tie-break to the lexicographically smallest one.
+through one `Stages`. An exact tail from any state is `enumerate_tail`;
+with ramps relaxed, `Stages.values()` holds every tail at once. Every
+argmin in the package goes through `tie_band`, which breaks ties toward
+the smallest mode read as a binary integer, so sequences tie-break to
+the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "enumerate_tail",
     "enumerate_schedule_costs",
     "graph_dp_optimal",
-    "exact_value_table",
     "DEFAULT_BUDGET",
     "tie_band",
 ]
@@ -208,7 +209,7 @@ def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult
     The budget caps the evaluations, one per leaf reached and one per
     child the bound cuts; BudgetExceededError when it runs out."""
     b = _Budget(budget)
-    cost, seq = _tail(s, 1, s.initial_commitment, s.initial_dispatch, b, Stages(s))
+    cost, seq = _tail(s, 1, s.initial_commitment, s.initial_dispatch, b)
     if seq is None:
         raise UcdError("no feasible schedule exists for this scenario")
     return OracleResult(
@@ -223,19 +224,19 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     entering period t, walked like `enumerate_optimal` and under the same
     budget. Tail costs carry no rebate (it is a horizon constant,
     charged once by whoever assembles the full objective)."""
-    return _tail(s, t, i_prev, p_prev, _Budget(budget), Stages(s))
+    return _tail(s, t, i_prev, p_prev, _Budget(budget))
 
 
-def _tail(s, t, i_prev, p_prev, budget, stages, value=None):
-    """The walk from one state. With ramps enforced it is bounded by the
-    ramp-relaxed table `value` (rows t+1..T are built when none is
-    given) and starts from the relaxed path's incumbent."""
+def _tail(s, t, i_prev, p_prev, budget):
+    """The walk from one state, on its own `Stages`. With ramps enforced it
+    is bounded by rows t+1..T of the ramp-relaxed table and starts from
+    the relaxed path's incumbent."""
     i_prev = tuple(int(x) for x in i_prev)
     p_prev = np.asarray(p_prev, dtype=float)
+    stages = Stages(s)
     bound = None
     if s.ramp_enforced:
-        if value is None:
-            value = stages.values(first=t + 1)
+        value = stages.values(first=t + 1)
         bound = _Bound(value, _incumbent(s, t, i_prev, p_prev, stages, value))
     cost, seq = _best_tail(s, t, i_prev, p_prev, budget, stages, 0.0, bound)
     if seq is None:
@@ -293,57 +294,3 @@ def graph_dp_optimal(s: Scenario) -> OracleResult:
         schedule=Schedule(tuple(seq)), total_cost=total - quota_rebate(s), stage_cost=total,
         evaluations=s.horizon << s.n_units, method="graph",
     )
-
-
-def exact_value_table(s: Scenario, states=None, samples: int = 3, seed: int = 0,
-                      budget: int = DEFAULT_BUDGET):
-    """Exact tail costs for a set of states.
-
-    states: iterable of (t, commitment, dispatch) triples; when omitted,
-    `samples` random dispatch states are drawn per (t, feasible previous
-    mode) the way the trainer samples. Returns {(t, mode bits, dispatch
-    tuple): {"value": float, "argmin": first tail mode}}. With ramps
-    relaxed the tails are read from the graph-DP value table and the
-    budget goes unused; with ramps enforced each is a branch and bound
-    on that table, under its own budget.
-    """
-    rng = np.random.default_rng(seed)
-    stages = Stages(s)
-    if states is None:
-        states = []
-        for t in range(1, s.horizon + 1):
-            per = s.period(max(t - 1, 1))
-            prev = ([s.initial_commitment] if t == 1
-                    else [m for _, m, _, _ in stages.candidates(t - 1)])
-            for i_prev in prev:
-                for _ in range(samples):
-                    p = np.zeros(s.n_units + 2)
-                    for nn, u in enumerate(s.units):
-                        if i_prev[nn]:
-                            p[nn] = rng.uniform(u.p_min, u.p_max)
-                    p[s.n_units] = rng.uniform(0.0, per.dg_max) if per.dg_max > 0 else 0.0
-                    p[s.n_units + 1] = rng.uniform(0.0, per.dr_max) if per.dr_max > 0 else 0.0
-                    states.append((t, i_prev, p))
-    value = stages.values()
-    table = {}
-    for t, i_prev, p_prev in states:
-        if s.ramp_enforced:
-            cost, seq = _tail(s, t, i_prev, p_prev, _Budget(budget), stages, value)
-            first = seq[0] if seq else None
-        else:
-            cost, first = _table_tail(stages, value, t, mode_to_int(i_prev))
-        key = (t, tuple(int(x) for x in i_prev),
-               tuple(float(v) for v in np.asarray(p_prev)))
-        table[key] = {"value": float(cost), "argmin": first}
-    return table
-
-
-def _table_tail(stages, value, t, ip):
-    """(cost, first mode) of the ramp-relaxed exact tail entering t from
-    previous mode ip: what enumeration returns, read off the table."""
-    if t > stages.s.horizon:
-        return 0.0, None
-    cost = value[t, ip]
-    if not np.isfinite(cost):
-        return cost, None
-    return cost, int_to_mode(stages.best_next(value, t, ip), stages.s.n_units)

@@ -28,7 +28,6 @@ __all__ = [
     "validate_scenario",
     "serialize_scenario",
     "scenario_fingerprint",
-    "bundled_scenario_path",
     "load_bundled_scenario",
     "BUNDLED_SCENARIOS",
 ]
@@ -450,14 +449,6 @@ def scenario_fingerprint(s: Scenario) -> str:
 
 # ---------------------------------------------------------------------------
 # bundled scenario documents
-
-def bundled_scenario_path(key: str):
-    """Filesystem path of a bundled scenario ('example1_case1', ...)."""
-    name = key if key.endswith(".ucd") else key + ".ucd"
-    ref = resources.files("ucdkit") / "scenarios" / name
-    with resources.as_file(ref) as p:
-        return p
-
 
 def load_bundled_scenario(key: str) -> Scenario:
     name = key if key.endswith(".ucd") else key + ".ucd"

@@ -16,14 +16,12 @@ from ucdkit import (
     TrainConfig,
     enumerate_optimal,
     enumerate_tail,
-    exact_value_table,
     graph_dp_optimal,
     load_bundled_scenario,
     run_schedule,
     simulate,
     train,
 )
-from ucdkit.clho import _sample_states
 from ucdkit.hybrid import int_to_mode, mode_to_int
 from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
 
@@ -49,18 +47,6 @@ def _exhaustive_tail(s, t, i_prev, p_prev):
                            np.asarray(p_prev, dtype=float),
                            _Budget(DEFAULT_BUDGET), Stages(s))
     return cost, None if seq is None else tuple(int_to_mode(v, s.n_units) for v in seq)
-
-
-def _drawn_states(s, first_t, seed=0):
-    """One state per (t >= first_t, ramp-relaxed feasible mode of t-1),
-    drawn by the trainer's sampler."""
-    stages = Stages(s)
-    rng = np.random.default_rng(seed)
-    states = []
-    for t in range(first_t, s.horizon + 1):
-        for _, mode, _, _ in stages.candidates(t - 1):
-            states.append((t, mode, _sample_states(s, t, mode, rng, 1)[0]))
-    return states
 
 
 def _assert_pruned_is_exhaustive(s, states):
@@ -101,14 +87,13 @@ def _ramped_example1_fleets():
 
 @pytest.mark.parametrize("s, binding", _ramped_example1_fleets(),
                          ids=lambda x: getattr(x, "name", "binding" if x else "loose"))
-def test_pruned_tails_equal_exhaustive_on_every_default_state(s, binding):
-    table = exact_value_table(s)
-    assert len(table) > 20
+def test_pruned_tails_equal_exhaustive_on_every_default_state(s, binding, drawn_states):
+    states = drawn_states(s, 1, count=3)
+    assert len(states) > 20
     relaxed = Stages(s).values()
     binds = False
-    for (t, i_prev, p_prev), rec in table.items():
+    for t, i_prev, p_prev in states:
         cost, seq = _exhaustive_tail(s, t, i_prev, p_prev)
-        assert rec == {"value": cost, "argmin": seq[0] if seq else None}, (t, i_prev)
         got = enumerate_tail(s, t, i_prev, p_prev)
         assert got[0] == cost and got[1] == seq, (t, i_prev, p_prev)
         binds |= cost != relaxed[t, mode_to_int(i_prev)]
@@ -116,19 +101,19 @@ def test_pruned_tails_equal_exhaustive_on_every_default_state(s, binding):
     assert binds == binding
 
 
-def test_pruned_tails_equal_exhaustive_on_late_example2_states(e2c1):
+def test_pruned_tails_equal_exhaustive_on_late_example2_states(e2c1, drawn_states):
     s = _with_ramps(e2c1, 0.5)
-    _assert_pruned_is_exhaustive(s, _drawn_states(s, 21))
+    _assert_pruned_is_exhaustive(s, drawn_states(s, 21))
 
 
-def test_pruned_tails_equal_exhaustive_under_tight_ramps(e2c1):
+def test_pruned_tails_equal_exhaustive_under_tight_ramps(e2c1, drawn_states):
     # the states of the ramp-relaxed optimum from t=18, and drawn states
     # from t=19 (at 5% ramps most of them have no feasible tail)
     s = _with_ramps(e2c1, 0.05)
     path = run_schedule(e2c1, graph_dp_optimal(e2c1).schedule).periods
     on_path = [(t, path[t - 2].commitment, path[t - 2].dispatch)
                for t in range(18, e2c1.horizon + 1)]
-    _assert_pruned_is_exhaustive(s, on_path + _drawn_states(s, 19))
+    _assert_pruned_is_exhaustive(s, on_path + drawn_states(s, 19))
 
 
 def test_ramped_example2_optimum_fits_a_small_budget(e2c1):

@@ -1,6 +1,7 @@
 """Value training and closed-loop scheduling."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from ucdkit import (
     ModelMismatchError,
     TrainConfig,
     UcdError,
-    approx_value,
     basis_vector,
     default_basis,
     enumerate_optimal,
     enumerate_tail,
-    exact_value_table,
     load_model,
     save_model,
     schedule_step,
@@ -24,7 +23,7 @@ from ucdkit import (
     simulate,
     train,
 )
-from ucdkit.clho import decide
+from ucdkit.clho import _tail_value, decide
 from ucdkit.oracle import Stages
 
 
@@ -66,23 +65,20 @@ def test_seed_changes_samples_not_quality(e1c1):
         assert schedule_text(rep.schedule) == want
 
 
-def test_value_matches_exact_tails(e1c1, model_e1c1):
-    table = exact_value_table(e1c1, samples=3, seed=2)
-    for (t, i_prev, disp), rec in table.items():
-        got = approx_value(model_e1c1, t, i_prev, np.array(disp))
-        assert got == pytest.approx(rec["value"], abs=1e-6)
+def test_value_matches_exact_tails(e1c1, model_e1c1, drawn_states):
+    for t, i_prev, p_prev in drawn_states(e1c1, 1, count=3, seed=2):
+        want, _ = enumerate_tail(e1c1, t, i_prev, p_prev)
+        assert _tail_value(model_e1c1, t, i_prev, p_prev) == pytest.approx(want, abs=1e-6)
 
 
 def test_value_beyond_horizon(model_e1c1, e1c1):
-    assert approx_value(model_e1c1, e1c1.horizon + 1, (1, 1), np.zeros(4)) == 0.0
-    with pytest.raises(UcdError):
-        approx_value(model_e1c1, e1c1.horizon + 2, (1, 1), np.zeros(4))
+    assert _tail_value(model_e1c1, e1c1.horizon + 1, (1, 1), np.zeros(4)) == 0.0
 
 
 def test_missing_state_raises(model_e1c1):
     with pytest.raises(ModelMismatchError):
         # period 3 never has (0, 0) as a feasible previous mode
-        approx_value(model_e1c1, 3, (0, 0), np.zeros(4))
+        _tail_value(model_e1c1, 3, (0, 0), np.zeros(4))
 
 
 def test_closed_loop_matches_oracle_from_both_starts(e1c1, model_e1c1):
@@ -170,8 +166,6 @@ def test_fingerprint_guard(e1c1, e1c4, model_e1c1, tmp_path):
 
 
 def test_version_guard(model_e1c1, tmp_path):
-    import json
-
     path = tmp_path / "m.json"
     save_model(model_e1c1, path)
     doc = json.loads(path.read_text())
@@ -181,9 +175,27 @@ def test_version_guard(model_e1c1, tmp_path):
         load_model(path)
 
 
-def test_not_a_model_document(tmp_path):
-    p = tmp_path / "junk.json"
-    p.write_text('{"hello": 1}')
+MALFORMED = {
+    "not-a-model": lambda doc: {"hello": 1},
+    "not-utf8": lambda doc: b"\xff\xfe{",
+    "not-an-object": lambda doc: [],
+    "no-basis": lambda doc: {k: v for k, v in doc.items() if k != "basis"},
+    "short-weights": lambda doc: {**doc, "weights": {k: w[:2] for k, w in
+                                                     doc["weights"].items()}},
+    "nan-weight": lambda doc: {**doc, "weights": {"1:1": [float("nan")] * 5}},
+    "bad-weight-key": lambda doc: {**doc, "weights": {"1-1": [0.0] * 5}},
+    "int-weight": lambda doc: {**doc, "weights": {"1:1": [0.0] * 4 + [10**400]}},
+    "cubic-basis": lambda doc: {**doc, "basis": {**doc["basis"], "family": "cubic"}},
+    "string-horizon": lambda doc: {**doc, "horizon": "6"},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_not_a_model_document(case, model_e1c1, tmp_path):
+    p = tmp_path / "m.json"
+    save_model(model_e1c1, p)
+    bad = MALFORMED[case](json.loads(p.read_text()))
+    p.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
     with pytest.raises(ModelMismatchError):
         load_model(p)
 

@@ -12,11 +12,19 @@ from ucdkit import (
     load_bundled_scenario,
     quota_rebate,
     running_cost,
-    startup_cost_reference,
     switching_cost,
     switching_matrix,
 )
 from ucdkit.costs import switching_row
+
+
+def startup_cost_reference(unit, tau):
+    """Restart cost after tau banked periods: c_bank * tau + c_fix.
+
+    Reference formula for the cycle identity: the kappa charges over a
+    complete off cycle of length tau sum to this value plus c_shut.
+    """
+    return unit.c_bank * tau + unit.c_fix
 
 
 def test_fuel_cost_unit1_at_350(e1c1):

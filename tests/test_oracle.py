@@ -14,7 +14,6 @@ from ucdkit import (
     enumerate_optimal,
     enumerate_schedule_costs,
     enumerate_tail,
-    exact_value_table,
     graph_dp_optimal,
     load_bundled_scenario,
     run_schedule,
@@ -23,7 +22,7 @@ from ucdkit import (
     train,
 )
 from ucdkit.costs import switching_cost
-from ucdkit.hybrid import int_to_mode
+from ucdkit.hybrid import int_to_mode, mode_to_int
 from ucdkit.oracle import Stages
 from ucdkit.qp import mode_candidates
 
@@ -83,6 +82,10 @@ def test_enumeration_handles_ramp_coupling(e1c1):
 def test_budget_is_enforced(e1c1):
     with pytest.raises(BudgetExceededError):
         enumerate_optimal(e1c1, budget=5)
+    ramped = dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_ramped")
+    with pytest.raises(BudgetExceededError):
+        enumerate_tail(ramped, 1, ramped.initial_commitment, ramped.initial_dispatch,
+                       budget=1)
 
 
 def test_tail_from_midhorizon_state(e1c1):
@@ -112,15 +115,15 @@ def test_bellman_consistency(e1c4):
             assert lhs == pytest.approx(best, abs=1e-6)
 
 
-def test_exact_value_table_argmins(e1c1):
-    table = exact_value_table(e1c1, samples=2, seed=11)
-    assert table  # non-empty
-    for (t, i_prev, _), rec in table.items():
-        assert np.isfinite(rec["value"])
+def test_exact_value_table_argmins(e1c1, drawn_states):
+    states = drawn_states(e1c1, 1, count=2, seed=11)
+    assert states  # non-empty
+    for t, i_prev, p_prev in states:
+        cost, seq = enumerate_tail(e1c1, t, i_prev, p_prev)
+        assert np.isfinite(cost)
         if t == 1:
             # optimal first mode from the initial commitment is mode 1
-            if i_prev == (0, 1):
-                assert rec["argmin"] == (0, 1)
+            assert i_prev == (0, 1) and seq[0] == (0, 1)
 
 
 def test_oracle_matches_on_wider_system(e2c1):
@@ -165,12 +168,6 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def test_exact_value_table_solves_each_stage_once(e1c1, monkeypatch):
-    calls = _count_solves(monkeypatch)
-    exact_value_table(e1c1, samples=2, seed=11)
-    assert len(calls) <= e1c1.horizon << e1c1.n_units
-
-
 def test_last_period_tail_solves_only_its_row(e2c1, monkeypatch):
     calls = _count_solves(monkeypatch)
     cost, modes = enumerate_tail(e2c1, e2c1.horizon, e2c1.initial_commitment,
@@ -213,33 +210,21 @@ def test_value_table_equals_enumerated_tails(name, first_t):
 
 
 @pytest.mark.parametrize("name", ["example1_case1", "example1_case4"])
-def test_relaxed_exact_value_table_equals_enumeration(name):
-    # ramps relaxed: the table reads each tail off the DP value table and
-    # must give the enumerated value and first mode, beyond the horizon too
+def test_relaxed_exact_value_table_equals_enumeration(name, drawn_states):
+    # ramps relaxed: the DP value table and its argmin must give the
+    # enumerated value and first mode from sampled states, beyond the
+    # horizon too
     s = load_bundled_scenario(name)
+    stages = Stages(s)
+    value = stages.values()
     dispatch = np.zeros(s.n_units + 2)
-    beyond = [(s.horizon + 1, int_to_mode(ip, s.n_units), dispatch)
+    states = [(s.horizon + 1, int_to_mode(ip, s.n_units), dispatch)
               for ip in range(1 << s.n_units)]
     for seed in range(5):
-        table = exact_value_table(s, samples=3, seed=seed)
-        table.update(exact_value_table(s, states=beyond))
-        for (t, i_prev, p_prev), rec in table.items():
-            cost, seq = enumerate_tail(s, t, i_prev, p_prev)
-            assert rec == {"value": cost, "argmin": seq[0] if seq else None}, (t, i_prev)
-
-
-def test_relaxed_exact_value_table_covers_a_24_period_fleet(e2c1, monkeypatch):
-    # enumeration exhausts this budget from the first state; the value
-    # table answers every state from one solve per (t, mode)
-    calls = _count_solves(monkeypatch)
-    table = exact_value_table(e2c1, samples=1, budget=200_000)
-    assert len(table) == 157
-    assert all(np.isfinite(r["value"]) and r["argmin"] is not None
-               for r in table.values())
-    assert len(calls) == e2c1.horizon << e2c1.n_units
-
-
-def test_ramped_exact_value_table_still_enumerates(e1c1):
-    s = dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_ramped")
-    with pytest.raises(BudgetExceededError):
-        exact_value_table(s, samples=1, budget=1)
+        states += drawn_states(s, 1, count=3, seed=seed)
+    for t, i_prev, p_prev in states:
+        cost, seq = enumerate_tail(s, t, i_prev, p_prev)
+        ip = mode_to_int(i_prev)
+        first = (int_to_mode(stages.best_next(value, t, ip), s.n_units)
+                 if t <= s.horizon and np.isfinite(value[t, ip]) else None)
+        assert (value[t, ip], first) == (cost, seq[0] if seq else None), (t, i_prev)

@@ -26,10 +26,11 @@ from ucdkit import (
     kappa,
     run_schedule,
     solve,
-    startup_cost_reference,
 )
 from ucdkit.costs import running_cost, switching_cost
 from ucdkit.qp import KKT_TOL, mode_candidates
+
+from test_costs import startup_cost_reference
 
 SUITE = settings(
     max_examples=1000,

@@ -20,7 +20,6 @@ from ucdkit import (
     train,
 )
 from ucdkit.cli import main
-from ucdkit.scenario import bundled_scenario_path
 
 
 def test_disturbance_parse_forms():
@@ -134,7 +133,8 @@ def test_compare_with_oracle_marks_argmin(e1c1, model_e1c1):
 
 
 def _scenario_arg(key):
-    return str(bundled_scenario_path(key))
+    """File path of a bundled scenario, read from the package directory."""
+    return str(Path(ucdkit.__file__).parent / "scenarios" / f"{key}.ucd")
 
 
 def test_cli_validate_ok(capsys):
@@ -260,6 +260,41 @@ def test_cli_model_mismatch_is_domain_error(tmp_path, capsys, e1c1, model_e1c1):
     rc = main(["simulate", _scenario_arg("example1_case4"), "--model", model])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_malformed_model_is_domain_error(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text("[]")
+    rc = main(["schedule", _scenario_arg("example1_case1"), "--model", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: not a value model document\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_train_rejects_bad_regularization(value, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    rc = main(["train", _scenario_arg("example1_case1"), "--out", str(model),
+               "--regularization", value])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: regularization must be finite")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["schedule", "--from-t", "2", "--state", "nan,-5"],
+    ["dispatch", "--t", "4", "--mode", "11", "--prev", "inf,-3"],
+    ["dispatch", "--t", "4", "--mode", "11", "--prev", "300,-1"],
+], ids=["schedule-nan", "dispatch-inf", "dispatch-negative"])
+def test_cli_state_entries_must_be_finite_and_nonnegative(args, tmp_path, capsys,
+                                                          model_e1c1):
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c1, model)
+    extra = ["--model", model] if args[0] == "schedule" else []
+    rc = main([args[0], _scenario_arg("example1_case1"), *extra, *args[1:]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "values must be finite and >= 0" in captured.err
 
 
 def test_cli_usage_error_exits_2():

@@ -82,6 +82,10 @@ def test_enumeration_handles_ramp_coupling(e1c1):
 def test_budget_is_enforced(e1c1):
     with pytest.raises(BudgetExceededError):
         enumerate_optimal(e1c1, budget=5)
+
+
+def test_ramped_exact_value_table_still_enumerates(e1c1):
+    # ramp-enforced exact tails are enumerated, so the budget still binds
     ramped = dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_ramped")
     with pytest.raises(BudgetExceededError):
         enumerate_tail(ramped, 1, ramped.initial_commitment, ramped.initial_dispatch,

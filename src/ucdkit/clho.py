@@ -11,7 +11,8 @@ one-step argmin per period against the trained tail values; new initial
 states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
-across decisions.
+across decisions; with ramps enforced those relaxed rows screen each
+decision's candidates.
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
@@ -116,6 +117,15 @@ class ValueModel:
     # stage table reused by schedule_step; never saved, never compared
     _stages: Stages | None = field(default=None, init=False, repr=False, compare=False)
 
+    def stages_for(self, s: Scenario) -> Stages:
+        """The model's stage table, rebuilt when it was made for another
+        scenario object. Identity is the key, not the fingerprint: a
+        Scenario is frozen, and fingerprinting would cost more than a
+        decision on cached rows."""
+        if self._stages is None or self._stages.s is not s:
+            self._stages = Stages(s)
+        return self._stages
+
     def __eq__(self, other):
         """Field by field, the weight arrays key by key; the stage table
         is a cache and takes no part."""
@@ -153,6 +163,8 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     cfg = config or TrainConfig()
     if cfg.samples < 1:
         raise UcdError("training needs at least one sample per state")
+    if cfg.seed < 0:
+        raise UcdError(f"seed must be >= 0, got {cfg.seed!r}")
     if not 0.0 <= cfg.regularization < np.inf:
         raise UcdError(f"regularization must be finite and >= 0, got {cfg.regularization!r}")
     basis = default_basis(s)
@@ -273,17 +285,11 @@ def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
 
 
 def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
-    """One closed-loop decision: `decide` on the model's stage table.
-
-    The table is rebuilt when it was made for another scenario object.
-    Identity is the key, not the fingerprint: a Scenario is frozen, and
-    fingerprinting would cost more than a decision on cached rows. The
-    dispatch is a copy, so a caller may change it without touching the
-    table.
+    """One closed-loop decision: `decide` on the model's stage table
+    (`ValueModel.stages_for`). The dispatch is a copy, so a caller may
+    change it without touching the table.
     """
-    if model._stages is None or model._stages.s is not s:
-        model._stages = Stages(s)
-    mode, dispatch = decide(model, model._stages, t, i_prev, p_prev)
+    mode, dispatch = decide(model, model.stages_for(s), t, i_prev, p_prev)
     return mode, dispatch.copy()
 
 
@@ -322,8 +328,10 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
     """Read a stored model.
 
     When a scenario is supplied, its fingerprint must match the one the
-    model was trained on; pass force=True to override deliberately. A
-    document that is not a well-formed model raises ModelMismatchError.
+    model was trained on; pass force=True to override deliberately. Its
+    unit count and horizon must match even then, since a model of another
+    shape cannot be evaluated on it. A document that is not a well-formed
+    model raises ModelMismatchError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -346,6 +354,12 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
                 "pass force to use it anyway"
             )
     n_units = _field(doc, "n_units", int)
+    horizon = _field(doc, "horizon", int)
+    if scenario is not None and (n_units, horizon) != (scenario.n_units, scenario.horizon):
+        raise ModelMismatchError(
+            f"model has {n_units} units over {horizon} periods; the scenario "
+            f"has {scenario.n_units} over {scenario.horizon}"
+        )
     spec = _field(doc, "basis", dict)
     coords = _field(spec, "coords", list)
     if (_field(spec, "family", str) != "quad"
@@ -362,7 +376,7 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
                                      f"{basis.n_features} finite floats")
         weights[(int(t_ip[1]), int(t_ip[2]))] = w
     return ValueModel(
-        basis=basis, horizon=_field(doc, "horizon", int), n_units=n_units,
+        basis=basis, horizon=horizon, n_units=n_units,
         weights=weights, fingerprint=fingerprint, seed=_field(doc, "seed", int),
         samples=_field(doc, "samples", int),
         regularization=float(_field(doc, "regularization", (int, float))),

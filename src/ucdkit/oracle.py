@@ -10,8 +10,11 @@ DP's independent reference. Without ramp rows the stage cost depends
 only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
 each layer one vectorised min over K + Q + V (K the switching matrix).
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
-through one `Stages`. An exact tail from any state is `enumerate_tail`;
-with ramps relaxed, `Stages.values()` holds every tail at once. Every
+through one `Stages`. With ramps enforced, a period's candidate set from
+a given dispatch is solved only for the modes of its relaxed row, by the
+same admissibility argument. An exact tail from any state is
+`enumerate_tail`, on the caller's table or a new one; with ramps
+relaxed, `Stages.values()` holds every tail at once. Every
 argmin in the package goes through `tie_band`, which breaks ties toward
 the smallest mode read as a binary integer, so sequences tie-break to
 the lexicographically smallest one.
@@ -82,10 +85,14 @@ class _Budget:
 
 
 class Stages:
-    """Per-period stage data of one scenario, for one top-level call.
+    """Per-period stage data of one scenario, for one top-level call or,
+    as a model's table, across closed-loop decisions.
 
-    A period's row is solved on first use and cached, unless ramps can
-    couple it to the previous dispatch (ramps enforced and p_prev given).
+    A period's ramp-relaxed row is solved on first use and cached. When
+    ramps couple a period to the previous dispatch (ramps enforced and
+    p_prev given) its candidates are solved per call, but only for the
+    modes of the relaxed row: ramp rows only add constraints, so a mode
+    infeasible with them relaxed stays infeasible with them enforced.
     """
 
     def __init__(self, s: Scenario):
@@ -95,11 +102,12 @@ class Stages:
 
     def candidates(self, t: int, p_prev=None):
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
-        if self.s.ramp_enforced and p_prev is not None:
-            return _tagged(mode_candidates(self.s, t, p_prev))
         if t not in self._rows:
             self._rows[t] = _tagged(mode_candidates(self.s, t, None))
-        return self._rows[t]
+        row = self._rows[t]
+        if self.s.ramp_enforced and p_prev is not None:
+            return _tagged(mode_candidates(self.s, t, p_prev, [c[0] for c in row]))
+        return row
 
     def q(self, t: int) -> np.ndarray:
         """Ramp-relaxed Q at t over all 2^N modes, inf where infeasible."""
@@ -219,21 +227,25 @@ def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult
 
 
 def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
-                   budget: int = DEFAULT_BUDGET):
+                   budget: int = DEFAULT_BUDGET, stages: Stages | None = None):
     """Exact tail: optimal cost and mode sequence from an arbitrary state
     entering period t, walked like `enumerate_optimal` and under the same
     budget. Tail costs carry no rebate (it is a horizon constant,
-    charged once by whoever assembles the full objective)."""
-    return _tail(s, t, i_prev, p_prev, _Budget(budget))
+    charged once by whoever assembles the full objective). `stages`, a
+    table of `s` the caller already holds, spares re-solving its rows."""
+    return _tail(s, t, i_prev, p_prev, _Budget(budget), stages)
 
 
-def _tail(s, t, i_prev, p_prev, budget):
-    """The walk from one state, on its own `Stages`. With ramps enforced it
-    is bounded by rows t+1..T of the ramp-relaxed table and starts from
-    the relaxed path's incumbent."""
+def _tail(s, t, i_prev, p_prev, budget, stages=None):
+    """The walk from one state, on the given `Stages` or a new one. With
+    ramps enforced it is bounded by rows t+1..T of the ramp-relaxed table
+    and starts from the relaxed path's incumbent."""
     i_prev = tuple(int(x) for x in i_prev)
     p_prev = np.asarray(p_prev, dtype=float)
-    stages = Stages(s)
+    if stages is None:
+        stages = Stages(s)
+    elif stages.s is not s:
+        raise UcdError("the stage table belongs to another scenario")
     bound = None
     if s.ramp_enforced:
         value = stages.values(first=t + 1)

@@ -301,12 +301,13 @@ def mode_dynamics(s: Scenario, t: int, commitment, p_prev=None) -> np.ndarray:
     return sol.dispatch
 
 
-def mode_candidates(s: Scenario, t: int, p_prev=None):
+def mode_candidates(s: Scenario, t: int, p_prev=None, modes=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
-    ordered by the commitment read as a binary integer (unit 1 = MSB)."""
+    ordered by the commitment read as a binary integer (unit 1 = MSB).
+    `modes`, ascending mode ints, limits the solves to those commitments."""
     n = s.n_units
     out = []
-    for v in range(1 << n):
+    for v in range(1 << n) if modes is None else modes:
         bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
         sol = solve(assemble(s, t, bits, p_prev))
         if sol.status == "optimal":

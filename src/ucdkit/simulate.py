@@ -3,11 +3,14 @@
 A disturbance script overrides the realized dispatch after the decision at
 selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
-no retraining. Each override is scored against the exact tail from the
-disturbed state: read from the rollout's own graph-DP value table when
-ramps are relaxed (the tail then depends on the mode alone), found by a
-branch and bound over the mode tree, under a budget, when ramps are
-enforced.
+no retraining. With ramps relaxed a rollout decides on a stage table of
+its own; with ramps enforced it decides on the model's table, whose
+relaxed rows screen each period's ramped candidates (a loaded model
+solves each relaxed row once, on first use). Each override is scored
+against the exact tail from the disturbed state: read from the rollout's
+graph-DP value table when ramps are relaxed (the tail then depends on
+the mode alone), found by a branch and bound over the mode tree, on the
+same table and under a budget, when ramps are enforced.
 """
 
 from __future__ import annotations
@@ -157,8 +160,8 @@ def simulate(s: Scenario, model: ValueModel,
     before the final period the realized tail is compared against the
     exact tail from the disturbed state. With ramps relaxed that is the
     value table of the rollout's stage rows; with ramps enforced it is
-    the branch and bound of `enumerate_tail`, skipped with a warning (gap
-    None) if TAIL_BUDGET runs out.
+    the branch and bound of `enumerate_tail` on the rollout's table,
+    skipped with a warning (gap None) if TAIL_BUDGET runs out.
     """
     if scenario_fingerprint(s) != model.fingerprint:
         raise ModelMismatchError(
@@ -171,11 +174,13 @@ def simulate(s: Scenario, model: ValueModel,
             raise UcdError(f"disturbance period t={t} outside 1..{s.horizon}")
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
-    # a table of its own, not the model's: the benchmark's traced-count
-    # test pins 2304 QP solves for graph DP + train + simulate on
-    # example2_case1, which the model's table would cut to 1536, so
-    # sharing it waits for a change to the benchmark
-    stages = Stages(s)
+    # with ramps enforced every decision screens its candidates by the
+    # period's relaxed row, which the model's table already holds after
+    # training. With ramps relaxed the rollout keeps a table of its own:
+    # the benchmark's traced-count test pins 2304 QP solves for graph DP
+    # + train + simulate on example2_case1, which the model's table would
+    # cut to 1536, so sharing it waits for a change to the benchmark
+    stages = model.stages_for(s) if s.ramp_enforced else Stages(s)
     i_prev = s.initial_commitment
     p_prev = np.asarray(s.initial_dispatch, dtype=float)
     for t in range(1, s.horizon + 1):
@@ -213,7 +218,7 @@ def simulate(s: Scenario, model: ValueModel,
         else:
             try:
                 exact_cost, _ = enumerate_tail(s, t + 1, row["mode"], row["realized"],
-                                               budget=TAIL_BUDGET)
+                                               budget=TAIL_BUDGET, stages=stages)
             except BudgetExceededError:
                 log.warning("oracle tail from t=%d skipped: enumeration budget "
                             "%d exhausted", t + 1, TAIL_BUDGET)

@@ -14,6 +14,7 @@ import pytest
 from ucdkit import (
     DisturbanceScript,
     TrainConfig,
+    UcdError,
     enumerate_optimal,
     enumerate_tail,
     graph_dp_optimal,
@@ -24,6 +25,7 @@ from ucdkit import (
 )
 from ucdkit.hybrid import int_to_mode, mode_to_int
 from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
+from ucdkit.qp import mode_candidates
 
 
 def _with_ramps(s, frac):
@@ -136,3 +138,40 @@ def test_ramped_example2_scores_a_midhorizon_disturbance(e2c1):
     (scored,) = report.oracle_comparison
     assert scored["after_t"] == 12
     assert scored["gap"] is not None and scored["gap"] >= -1e-6
+
+
+# --- the ramp-relaxed row screens ramped candidate sets ----------------------
+
+
+def _random_states(s, count, seed):
+    """`count` (t, None, p_prev) with each unit on or off at random and
+    on units uniform over [0, p_max]; dg/dr uniform over [0, 50]."""
+    rng = np.random.default_rng(seed)
+    caps = np.array([u.p_max for u in s.units] + [50.0, 50.0])
+    on = np.ones((count, s.n_units + 2))
+    on[:, :s.n_units] = rng.integers(0, 2, (count, s.n_units))
+    p = rng.uniform(0.0, 1.0, (count, s.n_units + 2)) * caps * on
+    return [(int(rng.integers(1, s.horizon + 1)), None, row) for row in p]
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("name", ["example1_case1", "example1_case4", "example2_case1"])
+def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
+    s = _with_ramps(load_bundled_scenario(name), frac)
+    stages = Stages(s)
+    feasible = 0
+    for t, _, p_prev in drawn_states(s, 1) + _random_states(s, 40, seed=17):
+        got = stages.candidates(t, p_prev)
+        want = mode_candidates(s, t, p_prev)
+        assert [(mi, mode) for mi, mode, _, _ in got] == [(mode_to_int(m), m)
+                                                         for m, _, _ in want]
+        for (_, _, dispatch, q), (_, want_dispatch, want_q) in zip(got, want):
+            assert dispatch.tobytes() == want_dispatch.tobytes()
+            assert q == want_q
+        feasible += bool(want)
+    assert feasible, "every state was infeasible; nothing was compared"
+
+
+def test_a_tail_refuses_another_scenarios_table(e1c1, e1c4):
+    with pytest.raises(UcdError, match="another scenario"):
+        enumerate_tail(e1c1, 2, (1, 1), e1c1.initial_dispatch, stages=Stages(e1c4))

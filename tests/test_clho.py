@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import ucdkit.oracle
+import ucdkit.qp
 from ucdkit import (
     BasisSpec,
+    DisturbanceScript,
     ModelMismatchError,
     TrainConfig,
     UcdError,
@@ -175,6 +177,29 @@ def test_version_guard(model_e1c1, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("edit", [
+    {"n_units": 3, "basis": {"family": "quad", "coords": [0, 4]}},
+    {"horizon": 7},
+], ids=["n_units", "horizon"])
+def test_model_of_another_shape_is_refused_even_with_force(edit, e1c1, model_e1c1,
+                                                         tmp_path):
+    path = tmp_path / "m.json"
+    save_model(model_e1c1, path)
+    doc = {**json.loads(path.read_text()), **edit}
+    path.write_text(json.dumps(doc))
+    for force in (False, True):
+        with pytest.raises(ModelMismatchError, match="the scenario has 2 over 6"):
+            load_model(path, scenario=e1c1, force=force)
+    # with no scenario there is nothing to check the shape against
+    back = load_model(path)
+    assert (back.n_units, back.horizon) == (doc["n_units"], doc["horizon"])
+
+
+def test_negative_seed_is_refused(e1c1):
+    with pytest.raises(UcdError, match="seed must be >= 0"):
+        train(e1c1, TrainConfig(seed=-1))
+
+
 MALFORMED = {
     "not-a-model": lambda doc: {"hello": 1},
     "not-utf8": lambda doc: b"\xff\xfe{",
@@ -226,14 +251,16 @@ def test_training_with_ramps_samples_per_state(e1c1):
 # --- the model's stage table -------------------------------------------
 
 
-def _count_rows(monkeypatch):
-    """Calls of the stage-row solver: one per period row solved."""
+def _count_rows(monkeypatch, relaxed_only=False):
+    """Calls of the stage-row solver: one per period row solved, or per
+    ramp-relaxed row with relaxed_only."""
     calls = []
     rows = ucdkit.oracle.mode_candidates
 
-    def counting(s, t, p_prev=None):
-        calls.append(t)
-        return rows(s, t, p_prev)
+    def counting(s, t, p_prev=None, modes=None):
+        if p_prev is None or not relaxed_only:
+            calls.append(t)
+        return rows(s, t, p_prev, modes)
 
     monkeypatch.setattr(ucdkit.oracle, "mode_candidates", counting)
     return calls
@@ -279,6 +306,60 @@ def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkey
     for t in (2, 2, 4):
         schedule_step(model, s, t, (1, 1), p_prev)
     assert calls == [2, 2, 4]
+
+
+def _count_solves(monkeypatch):
+    """Calls of the dispatch QP solver: one per QP solved."""
+    calls = []
+    solve = ucdkit.qp.solve
+
+    def counting(q):
+        calls.append(q.t)
+        return solve(q)
+
+    monkeypatch.setattr(ucdkit.qp, "solve", counting)
+    return calls
+
+
+def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch):
+    s = _ramped_e1c1(e1c1)
+    model = train(s, TrainConfig(samples=5, seed=3))
+    row = model.stages_for(s).candidates(2)
+    assert len(row) < 1 << s.n_units
+    solves = _count_solves(monkeypatch)
+    p_prev = np.array([300.0, 200.0, 0.0, 0.0])
+    schedule_step(model, s, 2, (1, 1), p_prev)
+    assert solves == [2] * len(row)
+    # a loaded model has no table: its first decision at t solves row t
+    # in full, and no later decision solves it again
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    cold = load_model(path, scenario=s)
+    solves.clear()
+    rows = _count_rows(monkeypatch)
+    for _ in range(2):
+        schedule_step(cold, s, 2, (1, 1), p_prev)
+    assert len(solves) == (1 << s.n_units) + 2 * len(row)
+    assert rows == [2, 2, 2]
+
+
+def test_scored_ramped_override_solves_no_relaxed_row_twice(e1c1, tmp_path,
+                                                             monkeypatch):
+    s = _ramped_e1c1(e1c1)
+    model = train(s, TrainConfig(samples=5, seed=3))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    row = simulate(s, model).rows[1]
+    script = DisturbanceScript(((2, 0.9 * row["realized"]),))
+    relaxed = _count_rows(monkeypatch, relaxed_only=True)
+    # the trained model's table holds every row already
+    warm = simulate(s, model, script)
+    assert relaxed == []
+    cold = simulate(s, load_model(path, scenario=s), script)
+    assert relaxed == list(range(1, s.horizon + 1))
+    assert cold.oracle_comparison == warm.oracle_comparison
+    (scored,) = warm.oracle_comparison
+    assert scored["gap"] is not None and scored["gap"] >= -1e-6
 
 
 @pytest.mark.parametrize("name", ["example2_case1", "example1_case4"])

@@ -280,6 +280,30 @@ def test_cli_train_rejects_bad_regularization(value, tmp_path, capsys):
     assert not model.exists()
 
 
+def test_cli_train_rejects_negative_seed(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    rc = main(["train", _scenario_arg("example1_case1"), "--out", str(model),
+               "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_cli_model_of_another_shape_is_domain_error(force, tmp_path, capsys, model_e1c1):
+    model = tmp_path / "m.json"
+    save_model(model_e1c1, model)
+    doc = json.loads(model.read_text())
+    doc["n_units"] = 3
+    doc["basis"]["coords"] = [0, 4]
+    model.write_text(json.dumps(doc))
+    rc = main(["schedule", _scenario_arg("example1_case1"), "--model", str(model), *force])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: model has 3 units over 6 periods")
+
+
 @pytest.mark.parametrize("args", [
     ["schedule", "--from-t", "2", "--state", "nan,-5"],
     ["dispatch", "--t", "4", "--mode", "11", "--prev", "inf,-3"],

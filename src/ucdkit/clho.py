@@ -11,8 +11,8 @@ one-step argmin per period against the trained tail values; new initial
 states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
-across decisions; with ramps enforced those relaxed rows screen each
-decision's candidates.
+across decisions; with ramps enforced the relaxed rows it holds screen
+each decision's candidates.
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.

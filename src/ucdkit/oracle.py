@@ -11,10 +11,11 @@ only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
 each layer one vectorised min over K + Q + V (K the switching matrix).
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
 through one `Stages`. With ramps enforced, a period's candidate set from
-a given dispatch is solved only for the modes of its relaxed row, by the
-same admissibility argument. An exact tail from any state is
-`enumerate_tail`, on the caller's table or a new one; with ramps
-relaxed, `Stages.values()` holds every tail at once. Every
+a given dispatch is solved only for the modes of its relaxed row once
+the table holds that row, by the same admissibility argument; the
+walk's bound caches the rows it screens with. An exact tail from any
+state is `enumerate_tail`, on the caller's table or a new one; with
+ramps relaxed, `Stages.values()` holds every tail at once. Every
 argmin in the package goes through `tie_band`, which breaks ties toward
 the smallest mode read as a binary integer, so sequences tie-break to
 the lexicographically smallest one.
@@ -90,9 +91,12 @@ class Stages:
 
     A period's ramp-relaxed row is solved on first use and cached. When
     ramps couple a period to the previous dispatch (ramps enforced and
-    p_prev given) its candidates are solved per call, but only for the
-    modes of the relaxed row: ramp rows only add constraints, so a mode
-    infeasible with them relaxed stays infeasible with them enforced.
+    p_prev given) its candidates are solved per call; once the table
+    holds the period's relaxed row, only for that row's modes. Ramp rows
+    only add constraints, so a mode infeasible with them relaxed stays
+    infeasible with them enforced. A ramped call does not solve the
+    relaxed row itself: for one decision per period that costs more
+    than it screens out.
     """
 
     def __init__(self, s: Scenario):
@@ -102,12 +106,13 @@ class Stages:
 
     def candidates(self, t: int, p_prev=None):
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
+        if self.s.ramp_enforced and p_prev is not None:
+            row = self._rows.get(t)
+            modes = None if row is None else [c[0] for c in row]
+            return _tagged(mode_candidates(self.s, t, p_prev, modes))
         if t not in self._rows:
             self._rows[t] = _tagged(mode_candidates(self.s, t, None))
-        row = self._rows[t]
-        if self.s.ramp_enforced and p_prev is not None:
-            return _tagged(mode_candidates(self.s, t, p_prev, [c[0] for c in row]))
-        return row
+        return self._rows[t]
 
     def q(self, t: int) -> np.ndarray:
         """Ramp-relaxed Q at t over all 2^N modes, inf where infeasible."""
@@ -217,7 +222,7 @@ def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult
     The budget caps the evaluations, one per leaf reached and one per
     child the bound cuts; BudgetExceededError when it runs out."""
     b = _Budget(budget)
-    cost, seq = _tail(s, 1, s.initial_commitment, s.initial_dispatch, b)
+    cost, seq = _tail(Stages(s), 1, s.initial_commitment, s.initial_dispatch, b)
     if seq is None:
         raise UcdError("no feasible schedule exists for this scenario")
     return OracleResult(
@@ -232,20 +237,19 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     entering period t, walked like `enumerate_optimal` and under the same
     budget. Tail costs carry no rebate (it is a horizon constant,
     charged once by whoever assembles the full objective). `stages`, a
-    table of `s` the caller already holds, spares re-solving its rows."""
-    return _tail(s, t, i_prev, p_prev, _Budget(budget), stages)
+    table the caller already holds, spares re-solving its rows; when it
+    is given the walk reads the table's scenario, which should be `s`."""
+    return _tail(Stages(s) if stages is None else stages, t, i_prev, p_prev,
+                 _Budget(budget))
 
 
-def _tail(s, t, i_prev, p_prev, budget, stages=None):
-    """The walk from one state, on the given `Stages` or a new one. With
-    ramps enforced it is bounded by rows t+1..T of the ramp-relaxed table
-    and starts from the relaxed path's incumbent."""
+def _tail(stages, t, i_prev, p_prev, budget):
+    """The walk from one state, on the table's scenario. With ramps
+    enforced it is bounded by rows t+1..T of the ramp-relaxed table and
+    starts from the relaxed path's incumbent, which caches row t too."""
+    s = stages.s
     i_prev = tuple(int(x) for x in i_prev)
     p_prev = np.asarray(p_prev, dtype=float)
-    if stages is None:
-        stages = Stages(s)
-    elif stages.s is not s:
-        raise UcdError("the stage table belongs to another scenario")
     bound = None
     if s.ramp_enforced:
         value = stages.values(first=t + 1)

@@ -5,8 +5,10 @@ selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
 no retraining. With ramps relaxed a rollout decides on a stage table of
 its own; with ramps enforced it decides on the model's table, whose
-relaxed rows screen each period's ramped candidates (a loaded model
-solves each relaxed row once, on first use). Each override is scored
+relaxed rows (all of them after training) screen each period's ramped
+candidates. A loaded model's table starts empty, so its rollout solves
+the ramped candidates in full until a scored tail caches the rows it
+bounds with. Each override is scored
 against the exact tail from the disturbed state: read from the rollout's
 graph-DP value table when ramps are relaxed (the tail then depends on
 the mode alone), found by a branch and bound over the mode tree, on the
@@ -175,11 +177,12 @@ def simulate(s: Scenario, model: ValueModel,
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
     # with ramps enforced every decision screens its candidates by the
-    # period's relaxed row, which the model's table already holds after
-    # training. With ramps relaxed the rollout keeps a table of its own:
-    # the benchmark's traced-count test pins 2304 QP solves for graph DP
-    # + train + simulate on example2_case1, which the model's table would
-    # cut to 1536, so sharing it waits for a change to the benchmark
+    # period's relaxed row when the model's table holds it, as it does
+    # after training. With ramps relaxed the rollout keeps a table of its
+    # own only because the benchmark's traced-count test pins 2304 QP
+    # solves for graph DP + train + simulate on example2_case1, which the
+    # model's table would cut to 1536; when that pin moves, the split goes
+    # and every rollout decides on the model's table
     stages = model.stages_for(s) if s.ramp_enforced else Stages(s)
     i_prev = s.initial_commitment
     p_prev = np.asarray(s.initial_dispatch, dtype=float)

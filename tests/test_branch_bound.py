@@ -14,7 +14,6 @@ import pytest
 from ucdkit import (
     DisturbanceScript,
     TrainConfig,
-    UcdError,
     enumerate_optimal,
     enumerate_tail,
     graph_dp_optimal,
@@ -159,6 +158,7 @@ def _random_states(s, count, seed):
 def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
     s = _with_ramps(load_bundled_scenario(name), frac)
     stages = Stages(s)
+    stages.values()     # caches every relaxed row, so each call below screens
     feasible = 0
     for t, _, p_prev in drawn_states(s, 1) + _random_states(s, 40, seed=17):
         got = stages.candidates(t, p_prev)
@@ -170,8 +170,3 @@ def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
             assert q == want_q
         feasible += bool(want)
     assert feasible, "every state was infeasible; nothing was compared"
-
-
-def test_a_tail_refuses_another_scenarios_table(e1c1, e1c4):
-    with pytest.raises(UcdError, match="another scenario"):
-        enumerate_tail(e1c1, 2, (1, 1), e1c1.initial_dispatch, stages=Stages(e1c4))

@@ -328,19 +328,23 @@ def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch
     assert len(row) < 1 << s.n_units
     solves = _count_solves(monkeypatch)
     p_prev = np.array([300.0, 200.0, 0.0, 0.0])
-    schedule_step(model, s, 2, (1, 1), p_prev)
+    warm = schedule_step(model, s, 2, (1, 1), p_prev)
     assert solves == [2] * len(row)
-    # a loaded model has no table: its first decision at t solves row t
-    # in full, and no later decision solves it again
+    # a loaded model's table is empty: its decision at t solves the ramped
+    # set in full and no relaxed row, and screens once the table holds row t
     path = tmp_path / "m.json"
     save_model(model, path)
     cold = load_model(path, scenario=s)
     solves.clear()
-    rows = _count_rows(monkeypatch)
-    for _ in range(2):
-        schedule_step(cold, s, 2, (1, 1), p_prev)
-    assert len(solves) == (1 << s.n_units) + 2 * len(row)
-    assert rows == [2, 2, 2]
+    relaxed = _count_rows(monkeypatch, relaxed_only=True)
+    assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
+    assert len(solves) == 1 << s.n_units
+    assert relaxed == []
+    cold.stages_for(s).candidates(2)
+    solves.clear()
+    assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
+    assert solves == [2] * len(row)
+    assert relaxed == [2]
 
 
 def test_scored_ramped_override_solves_no_relaxed_row_twice(e1c1, tmp_path,
@@ -355,8 +359,10 @@ def test_scored_ramped_override_solves_no_relaxed_row_twice(e1c1, tmp_path,
     # the trained model's table holds every row already
     warm = simulate(s, model, script)
     assert relaxed == []
+    # a loaded model's rollout solves none; the scored tail from t=3
+    # solves rows 3..T once each for its bound, and its walk screens on them
     cold = simulate(s, load_model(path, scenario=s), script)
-    assert relaxed == list(range(1, s.horizon + 1))
+    assert sorted(relaxed) == list(range(3, s.horizon + 1))
     assert cold.oracle_comparison == warm.oracle_comparison
     (scored,) = warm.oracle_comparison
     assert scored["gap"] is not None and scored["gap"] >= -1e-6

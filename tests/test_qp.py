@@ -1,5 +1,7 @@
 """Dispatch QP: assembly, solutions, certificates, the kernel's pivoting path."""
 
+import dataclasses
+import hashlib
 import re
 from collections import Counter
 
@@ -235,3 +237,49 @@ def test_kernel_failure_raises_numerical_error(e1c1, monkeypatch):
     monkeypatch.setattr(_kernels, "qp_core", starved)
     with pytest.raises(QpNumericalError, match="t=4"):
         solve(assemble(e1c1, 4, (1, 1)))
+
+
+def _with_ramps(s, frac):
+    """Symmetric ramp limits of frac * p_max on every unit, enforced."""
+    units = tuple(dataclasses.replace(u, ramp_up=frac * u.p_max, ramp_down=frac * u.p_max)
+                  for u in s.units)
+    return dataclasses.replace(s, units=units, ramp_enforced=True)
+
+
+def _golden_problems(drawn_states):
+    """Every (t, mode) of the five bundled ramp-relaxed grids, then every
+    mode of example2_case1 with ramps at 0.5 p_max from one seeded state
+    per (t, previous ramp-relaxed feasible mode)."""
+    for name in sorted(KERNEL_PATH):
+        s = load_bundled_scenario(name)
+        for t in range(1, s.horizon + 1):
+            for v in range(1 << s.n_units):
+                yield assemble(s, t, int_to_mode(v, s.n_units))
+    s = _with_ramps(load_bundled_scenario("example2_case1"), 0.5)
+    for t, _, p_prev in drawn_states(s, 1, count=1, seed=0):
+        for v in range(1 << s.n_units):
+            yield assemble(s, t, int_to_mode(v, s.n_units), p_prev)
+
+
+# sha256 over every golden problem's status, iteration count and
+# certificate row, and for optima the dispatch, objective, multipliers,
+# active set and KKT residual, bytes or repr. The infeasible `violation`
+# is left out: it is read at an iterate, not at a certified point. The
+# digest follows the floating-point behaviour of the numpy/BLAS build
+# the kernel runs on.
+KERNEL_GOLDEN = (7376, "36771034c5bc3ceea0b43375478ef1cbfc64473175a233a7056af29a8ae7e6cc")
+
+
+def test_kernel_golden_digest(drawn_states):
+    h = hashlib.sha256()
+    count = 0
+    for q in _golden_problems(drawn_states):
+        sol = solve(q)
+        count += 1
+        h.update(repr((sol.status, sol.iterations, sol.certificate.get("row"))).encode())
+        if sol.status == "optimal":
+            h.update(sol.dispatch.tobytes())
+            h.update(sol.ineq_multipliers.tobytes())
+            h.update(repr((sol.objective_value, sol.eq_multiplier, sol.active_set,
+                           sol.kkt)).encode())
+    assert (count, h.hexdigest()) == KERNEL_GOLDEN

@@ -18,6 +18,10 @@ inequality rows.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import copysign
+from operator import mul
+
 import numpy as np
 
 __all__ = ["qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL"]
@@ -33,22 +37,49 @@ def solve_pivoted(A, rhs, tol_piv):
 
     Returns None when a pivot is at or below tol_piv * max(1, max|A|),
     so a near-singular system is reported rather than solved.
+
+    The result is bit for bit that of dense elimination on a numpy array.
+    Python floats round each quotient, product and difference as numpy's
+    elementwise ops do. A row whose multiple f of the pivot row is a zero
+    is only updated where it holds -0.0: elsewhere a - f*b is a, and
+    elimination never makes a new -0.0. Back-substitution keeps numpy's
+    dot on the rows of the eliminated array, because a sequential sum
+    does not add in BLAS's order; a dot of at most one term is that term
+    plus +0.0, as numpy sums it.
     """
     k = len(rhs)
-    M = np.empty((k, k + 1))          # augmented [A | rhs], eliminated in place
-    M[:, :k] = A
-    M[:, k] = rhs
-    tol = tol_piv * max(1.0, float(abs(M[:, :k]).max(initial=0.0)))
+    M = [[*row, v] for row, v in zip(A, rhs)]
+    tol = tol_piv * max(1.0, max(map(abs, chain.from_iterable(A)), default=0.0))
+    Z = [None] * k          # per row, the columns past the pivot that hold -0.0
     for c in range(k):
-        piv = c + int(abs(M[c:, c]).argmax())   # first largest wins
-        if abs(M[piv, c]) <= tol:
+        col = [abs(row[c]) for row in M[c:]]
+        big = max(col)
+        if big <= tol:
             return None
-        if piv != c:
-            M[[c, piv]] = M[[piv, c]]
-        M[c + 1:, c:] -= M[c + 1:, c, None] / M[c, c] * M[c, c:]
-    y = M[:, k]
+        piv = c + col.index(big)                # first largest wins
+        M[c], M[piv], Z[c], Z[piv] = M[piv], M[c], Z[piv], Z[c]
+        top = M[c]
+        d, tail = top[c], top[c + 1:]
+        for i in range(c + 1, k):
+            row = M[i]
+            f = row[c] / d
+            if f:
+                row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], tail)]
+                continue
+            if Z[i] is None:
+                Z[i] = [j for j in range(c + 1, k + 1) if not row[j] and copysign(1.0, row[j]) < 0.0]
+            for j in Z[i]:
+                if j > c:
+                    row[j] -= f * top[j]
+    D = np.array(M)
+    y = D[:, k]
     for c in range(k - 1, -1, -1):
-        y[c] = (y[c] - M[c, c + 1:k] @ y[c + 1:]) / M[c, c]
+        row = M[c]
+        if c < k - 2:
+            dot = D[c, c + 1:k] @ y[c + 1:]
+        else:
+            dot = row[c + 1] * y[c + 1] + 0.0 if c < k - 1 else 0.0
+        y[c] = (row[k] - dot) / row[c]
     return y
 
 
@@ -57,13 +88,17 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
 
     Returns (status, x, w, iterations, bad_row). w are row multipliers in
     the >= convention described in the module docstring; bad_row is the
-    row certifying infeasibility (-1 otherwise).
+    row certifying infeasibility (-1 otherwise). The iterations run on
+    Python floats; the polish solves the KKT system entry for entry as a
+    dense array holds it, so its point is bit for bit the dense one.
     """
     n, m = hdiag.shape[0], C.shape[0]
     hinv = 1.0 / hdiag
-    x = -glin * hinv
+    x = (-glin * hinv).tolist()
+    hinv = hinv.tolist()
     W, sig, u = [], [], []      # active rows, signs on their normals, multipliers
-    w_out = np.zeros(m)
+    N, G = [], []               # signed normals of W, and their Gram matrix N Hinv N'
+    blocked = np.zeros(m)       # +inf on the rows of W
     iters = 0
 
     while True:
@@ -72,30 +107,35 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
         if len(W) < meq:
             p = next(i for i in range(meq) if i not in W)
         else:
-            slack = C @ x - bvec
-            slack[W] = np.inf      # every equality is in W by now
-            p = int(np.argmin(slack))
+            slack = C @ x - bvec + blocked      # every equality is in W by now
+            p = int(slack.argmin())
             if slack[p] >= -tol_feas:
                 break  # all rows satisfied, multipliers nonnegative: done
 
-        sp = -1.0 if p < meq and C[p] @ x - bvec[p] > 0.0 else 1.0
-        npvec, bp, up = sp * C[p], sp * bvec[p], 0.0
+        cp = C[p].tolist()
+        sp = -1.0 if p < meq and sum(map(mul, cp, x)) - bvec[p] > 0.0 else 1.0
+        npvec = [sp * v for v in cp]
+        hnp = list(map(mul, hinv, npvec))
+        bp, up = sp * bvec[p], 0.0
+        g = [sum(map(mul, a, hnp)) for a in N]      # N Hinv npvec
 
         while True:
             iters += 1
             if iters > max_iter:
-                return NUMERIC_FAIL, x, w_out, iters, p
+                return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
 
             # step directions: r in the duals of W, z in primal space;
-            # r solves (N' Hinv N) r = N' Hinv npvec, z = Hinv(npvec - N r)
-            r, z = (), hinv * npvec
+            # r solves (N Hinv N') r = N Hinv npvec, z = Hinv(npvec - N' r)
+            r, z = [], hnp
             if W:
-                N = np.array(sig)[:, None] * C[W]
-                NH = N * hinv
-                r = solve_pivoted(NH @ N.T, NH @ npvec, tol_piv)
+                r = solve_pivoted(G, g, tol_piv)
                 if r is None:
-                    return NUMERIC_FAIL, x, w_out, iters, p
-                z = hinv * (npvec - r @ N)
+                    return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
+                r = r.tolist()
+                z = npvec
+                for ra, a in zip(r, N):
+                    z = [zj - ra * aj for zj, aj in zip(z, a)]
+                z = list(map(mul, hinv, z))
 
             # dual step bound: first active inequality whose multiplier hits 0
             t1, l1 = min(((u[a] / r[a], a) for a in range(len(W))
@@ -103,47 +143,55 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
 
             # primal step to reach the new row
             t2 = np.inf
-            zn = npvec @ z
-            if np.abs(z).max() > tol_piv and zn > tol_piv:
-                t2 = max(0.0, -(npvec @ x - bp) / zn)
+            zn = sum(map(mul, npvec, z))
+            if max(map(abs, z)) > tol_piv and zn > tol_piv:
+                t2 = max(0.0, -(sum(map(mul, npvec, x)) - bp) / zn)
 
             if t1 == np.inf and t2 == np.inf:
                 # the row's normal lies in span(W) with a nonnegative dual
                 # ray: Farkas certificate, the constraint set is empty
-                return INFEASIBLE, x, w_out, iters, p
+                return INFEASIBLE, np.array(x), np.zeros(m), iters, p
 
             # a full primal step adds row p; otherwise relax the blocking
             # row (without moving x when no primal step exists) and retry
             t = min(t1, t2)
             if t2 < np.inf:
-                x = x + t * z
+                x = [xj + t * zj for xj, zj in zip(x, z)]
             u = [ua - t * ra for ua, ra in zip(u, r)]
             up += t
             if t2 <= t1:
                 if len(W) > n:
-                    return NUMERIC_FAIL, x, w_out, iters, p
+                    return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
                 W.append(p)
                 sig.append(sp)
                 u.append(up)
+                N.append(npvec)
+                blocked[p] = np.inf
+                for Ga, ga in zip(G, g):
+                    Ga.append(ga)
+                G.append(g + [sum(map(mul, npvec, hnp))])
                 break
-            del W[l1], sig[l1], u[l1]
+            blocked[W[l1]] = 0.0
+            del W[l1], sig[l1], u[l1], N[l1], G[l1], g[l1]
+            for Ga in G:
+                del Ga[l1]
 
     # polish: re-solve the KKT system of the final active set in one shot;
     # the top-right block carries -N so u keeps the convention H x + g - N u = 0
     k = len(W)
-    N = np.array(sig)[:, None] * C[W]
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = np.diag(hdiag)
-    K[:n, n:] = -N.T
-    K[n:, :n] = N
-    sol = solve_pivoted(K, np.concatenate([-glin, np.array(sig) * bvec[W]]), tol_piv)
+    K = [[0.0] * n + [-a[j] for a in N] for j in range(n)]
+    for j, h in enumerate(hdiag.tolist()):
+        K[j][j] = h
+    sol = solve_pivoted(K + [a + [0.0] * k for a in N],
+                        [-v for v in glin.tolist()] + [s * bvec[i] for s, i in zip(sig, W)],
+                        tol_piv)
     # accept the polished point only if it kept the active multipliers
     # nonnegative and the inactive rows feasible
     if sol is not None:
-        slack = C @ sol[:n] - bvec
-        slack[W] = 0.0
-        if (all(sol[n + a] >= -tol_feas for a in range(k) if W[a] >= meq)
-                and slack.min() >= -tol_feas):
-            x, u = sol[:n], list(sol[n:])
+        ys = sol.tolist()
+        if (all(ys[n + a] >= -tol_feas for a in range(k) if W[a] >= meq)
+                and (C @ sol[:n] - bvec + blocked).min() >= -tol_feas):
+            x, u = sol[:n], ys[n:]
+    w_out = np.zeros(m)
     w_out[W] = np.multiply(sig, u)
-    return OPTIMAL, x, w_out, iters, -1
+    return OPTIMAL, np.asarray(x), w_out, iters, -1

@@ -93,9 +93,11 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     """
     per = s.period(t)
     n_units = s.n_units
-    bits = tuple(int(b) for b in commitment)
-    if len(bits) != n_units or any(b not in (0, 1) for b in bits):
+    entries = tuple(commitment)
+    # checked before int(), which would read 1.9 as 1
+    if len(entries) != n_units or any(b not in (0, 1) for b in entries):
         raise ValueError(f"commitment must be {n_units} binary entries, got {commitment!r}")
+    bits = tuple(int(b) for b in entries)
     p_e = s.cet.price
 
     committed = [n for n in range(n_units) if bits[n]]
@@ -111,67 +113,59 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
         free.append(n_units + 1)
     nf = len(free)
 
-    hdiag = np.empty(nf)
-    glin = np.empty(nf)
-    for col, n in enumerate(free):
+    hdiag = []
+    glin = []
+    for n in free:
         if n < n_units:
             u = s.units[n]
-            hdiag[col] = 2.0 * (u.a + p_e * u.alpha)
-            glin[col] = u.b + p_e * u.beta
+            hdiag.append(2.0 * (u.a + p_e * u.alpha))
+            glin.append(u.b + p_e * u.beta)
         elif n == n_units:
-            hdiag[col] = 2.0 * s.dg.a
-            glin[col] = s.dg.b
+            hdiag.append(2.0 * s.dg.a)
+            glin.append(s.dg.b)
         else:
-            hdiag[col] = 2.0 * s.dr.a
-            glin[col] = s.dr.b
+            hdiag.append(2.0 * s.dr.a)
+            glin.append(s.dr.b)
     const = sum(s.units[n].c + p_e * s.units[n].gamma for n in committed)
     const += s.dg.c + s.dr.c
 
     pmin_sum = sum(s.units[n].p_min for n in committed)
     pmax_sum = sum(s.units[n].p_max for n in committed)
 
-    rows = []
-    rhs = []
-    labels = []
-
-    def add(coeffs, bound, label):
-        row = np.zeros(nf)
-        for col, v in coeffs:
-            row[col] = v
-        rows.append(row)
-        rhs.append(bound)
-        labels.append(label)
-
+    rows = []       # (coefficients as (col, value) pairs, bound, label)
     virt_cols = [c for c in (dg_col, dr_col) if c >= 0]
-    add([(c, 1.0) for c in virt_cols], per.demand - per.reserve_lo - pmin_sum, "reserve_lo")
-    add([(c, -1.0) for c in virt_cols], pmax_sum - per.demand - per.reserve_hi, "reserve_hi")
+    rows.append(([(c, 1.0) for c in virt_cols], per.demand - per.reserve_lo - pmin_sum, "reserve_lo"))
+    rows.append(([(c, -1.0) for c in virt_cols], pmax_sum - per.demand - per.reserve_hi, "reserve_hi"))
 
-    for col, n in enumerate(free):
-        if n >= n_units:
-            continue
+    for col, n in enumerate(committed):
         u = s.units[n]
-        add([(col, 1.0)], u.p_max, f"cap_hi[{n}]")
-        add([(col, -1.0)], -u.p_min, f"cap_lo[{n}]")
+        rows.append(([(col, 1.0)], u.p_max, f"cap_hi[{n}]"))
+        rows.append(([(col, -1.0)], -u.p_min, f"cap_lo[{n}]"))
         if s.ramp_enforced and p_prev is not None and p_prev[n] > 0.0:
             if u.ramp_up is not None:
-                add([(col, 1.0)], float(p_prev[n]) + u.ramp_up, f"ramp_up[{n}]")
+                rows.append(([(col, 1.0)], float(p_prev[n]) + u.ramp_up, f"ramp_up[{n}]"))
             if u.ramp_down is not None:
-                add([(col, -1.0)], u.ramp_down - float(p_prev[n]), f"ramp_dn[{n}]")
+                rows.append(([(col, -1.0)], u.ramp_down - float(p_prev[n]), f"ramp_dn[{n}]"))
 
     if dg_on:
-        add([(dg_col, 1.0)], per.dg_max, "dg_hi")
-        add([(dg_col, -1.0)], 0.0, "dg_lo")
-        pen = [(dg_col, 1.0 - s.eta_max)]
-        pen += [(col, -s.eta_max) for col, n in enumerate(free) if n < n_units]
-        add(pen, 0.0, "penetration")
+        rows.append(([(dg_col, 1.0)], per.dg_max, "dg_hi"))
+        rows.append(([(dg_col, -1.0)], 0.0, "dg_lo"))
+        pen = [(dg_col, 1.0 - s.eta_max)] + [(col, -s.eta_max) for col in range(len(committed))]
+        rows.append((pen, 0.0, "penetration"))
     if dr_on:
-        add([(dr_col, 1.0)], per.dr_max, "dr_hi")
-        add([(dr_col, -1.0)], 0.0, "dr_lo")
+        rows.append(([(dr_col, 1.0)], per.dr_max, "dr_hi"))
+        rows.append(([(dr_col, -1.0)], 0.0, "dr_lo"))
 
-    G = np.array(rows, dtype=float).reshape(len(rows), nf)
-    h = np.array(rhs, dtype=float)
+    flat = [0.0] * (len(rows) * nf)
+    for i, (coeffs, _, _) in enumerate(rows):
+        for col, v in coeffs:
+            flat[i * nf + col] = v
+    G = np.array(flat, dtype=float).reshape(len(rows), nf)
+    h = np.array([bound for _, bound, _ in rows], dtype=float)
+    labels = [label for _, _, label in rows]
     return QpProblem(
-        t=t, commitment=bits, free=tuple(free), hdiag=hdiag, glin=glin,
+        t=t, commitment=bits, free=tuple(free),
+        hdiag=np.array(hdiag, dtype=float), glin=np.array(glin, dtype=float),
         const=float(const), beq=float(per.demand), G=G, h=h,
         labels=tuple(labels), n_units=n_units,
     )
@@ -179,8 +173,7 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
 
 def _expand(q: QpProblem, x: np.ndarray) -> np.ndarray:
     full = np.zeros(q.n_units + 2)
-    for col, n in enumerate(q.free):
-        full[n] = x[col]
+    full[list(q.free)] = x
     return full
 
 
@@ -244,12 +237,10 @@ def solve(q: QpProblem) -> QpSolution:
         )
 
     lam = -float(w[0])
-    mu = np.asarray(w[1:]).copy()
+    mu = w[1:].copy()
     obj = float(0.5 * np.dot(q.hdiag * x, x) + np.dot(q.glin, x) + q.const)
-    slacks = q.G @ x - q.h
-    active = tuple(
-        q.labels[i] for i in range(m) if mu[i] > 0.0 or slacks[i] > -1e-7
-    )
+    active = tuple(label for label, mi, si in zip(q.labels, mu.tolist(), (q.G @ x - q.h).tolist())
+                   if mi > 0.0 or si > -1e-7)
     sol = QpSolution(
         status="optimal", dispatch=_expand(q, x), objective_value=obj,
         eq_multiplier=lam, ineq_multipliers=mu, active_set=active,
@@ -273,17 +264,17 @@ def kkt_residual(q: QpProblem, sol: QpSolution) -> float:
         raise ValueError("kkt_residual is defined for optimal solutions only")
     if q.n_free == 0:
         return abs(q.beq)
-    x = np.array([sol.dispatch[n] for n in q.free])
+    x = sol.dispatch[list(q.free)]
     lam = sol.eq_multiplier
     mu = sol.ineq_multipliers
     stat = q.hdiag * x + q.glin + lam + (q.G.T @ mu if len(mu) else 0.0)
-    r = float(np.max(np.abs(stat)))
-    r = max(r, abs(float(np.sum(x)) - q.beq))
+    r = float(np.abs(stat).max())
+    r = max(r, abs(float(x.sum()) - q.beq))
     if len(mu):
         slack = q.G @ x - q.h
-        r = max(r, float(np.max(slack, initial=0.0)))
-        r = max(r, float(np.max(-mu, initial=0.0)))
-        r = max(r, float(np.max(np.abs(mu * slack), initial=0.0)))
+        r = max(r, float(slack.max(initial=0.0)))
+        r = max(r, float((-mu).max(initial=0.0)))
+        r = max(r, float(np.abs(mu * slack).max(initial=0.0)))
     return r
 
 

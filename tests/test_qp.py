@@ -283,3 +283,105 @@ def test_kernel_golden_digest(drawn_states):
             h.update(repr((sol.objective_value, sol.eq_multiplier, sol.active_set,
                            sol.kkt)).encode())
     assert (count, h.hexdigest()) == KERNEL_GOLDEN
+
+
+def _frozen(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("t, mode, ramped", [
+    (12, (1, 1, 1, 1, 1), False),   # optimal, penetration and boxes active
+    (3, (1, 1, 0, 0, 0), False),    # optimal
+    (12, (0, 0, 0, 0, 1), False),   # infeasible
+    (9, (1, 1, 1, 0, 1), True),     # optimal, with ramp rows
+])
+def test_kernel_and_solve_leave_their_inputs_alone(e2c1, t, mode, ramped):
+    # read-only arrays make any in-place write raise; the bytes are
+    # compared as well, for a write that would go through a copy's view
+    s = _with_ramps(e2c1, 0.2) if ramped else e2c1
+    prev = np.array([535.9, 406.4, 130.0, 0.0, 32.7, 35.0, 10.0]) if ramped else None
+    q = assemble(s, t, mode, prev)
+    q = dataclasses.replace(q, hdiag=_frozen(q.hdiag), glin=_frozen(q.glin),
+                            G=_frozen(q.G), h=_frozen(q.h))
+    before = [a.tobytes() for a in (q.hdiag, q.glin, q.G, q.h)]
+    sol = solve(q)
+    assert [a.tobytes() for a in (q.hdiag, q.glin, q.G, q.h)] == before
+    C = _frozen(np.vstack([np.ones(q.n_free), -q.G]))
+    b = _frozen(np.concatenate([[q.beq], -q.h]))
+    args = (q.hdiag, q.glin, C, b)
+    before = [a.tobytes() for a in args]
+    status, *_ = _kernels.qp_core(*args, 1, 1e-9, PIVOT_TOL, 1000)
+    assert [a.tobytes() for a in args] == before
+    assert (status, sol.status) in ((_kernels.OPTIMAL, "optimal"), (_kernels.INFEASIBLE, "infeasible"))
+    assert any(label.startswith("ramp") for label in q.labels) == ramped
+
+
+def test_assemble_rejects_non_binary_commitments(e1c1):
+    for bad in [(1.9, 0.2), (1, 0.5), (2, 0), (-1, 1), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="binary"):
+            assemble(e1c1, 1, bad)
+    with pytest.raises(ValueError, match="binary"):
+        mode_dynamics(e1c1, 1, (1.9, 0.2))
+    # booleans and integral floats are binary entries
+    for ok in [(True, False), (1.0, 0.0), np.array([1, 0])]:
+        assert assemble(e1c1, 1, ok).commitment == (1, 0)
+
+
+def _dense_elimination(A, rhs, tol_piv):
+    """Reference: partial-pivoting elimination on one numpy array, with
+    numpy's elementwise ops and dots."""
+    k = len(rhs)
+    M = np.empty((k, k + 1))
+    M[:, :k] = A
+    M[:, k] = rhs
+    tol = tol_piv * max(1.0, float(abs(M[:, :k]).max(initial=0.0)))
+    for c in range(k):
+        piv = c + int(abs(M[c:, c]).argmax())
+        if abs(M[piv, c]) <= tol:
+            return None
+        if piv != c:
+            M[[c, piv]] = M[[piv, c]]
+        M[c + 1:, c:] -= M[c + 1:, c, None] / M[c, c] * M[c, c:]
+    y = M[:, k]
+    for c in range(k - 1, -1, -1):
+        y[c] = (y[c] - M[c, c + 1:k] @ y[c + 1:]) / M[c, c]
+    return y
+
+
+def test_solve_pivoted_is_dense_elimination_to_the_bit():
+    # KKT systems shaped like the polish's, signed zeros included: a tiny
+    # diagonal Hessian, then signed normals of balance, box and
+    # penetration rows, zeros of either sign, right-hand sides with -0.0
+    # a one-term dot: numpy adds it to +0.0, so -0.0 - (1.0 * -0.0) is -0.0
+    want = _dense_elimination(np.array([[1.0, 1.0], [-0.0, 1.0]]), np.array([-0.0, -0.0]), PIVOT_TOL)
+    got = _kernels.solve_pivoted([[1.0, 1.0], [-0.0, 1.0]], [-0.0, -0.0], PIVOT_TOL)
+    assert got.tobytes() == want.tobytes() == np.array([-0.0, -0.0]).tobytes()
+    rng = np.random.default_rng(11)
+    solved = 0
+    for _ in range(400):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        N = np.zeros((k, n))
+        for a in range(k):
+            kind = rng.integers(3)
+            if kind == 0:
+                N[a] = 1.0
+            elif kind == 1:
+                N[a, rng.integers(n)] = rng.choice([1.0, -1.0])
+            else:
+                N[a] = -0.05
+                N[a, rng.integers(n)] = 0.95
+        N = rng.choice([1.0, -1.0], size=(k, 1)) * -N
+        K = np.zeros((n + k, n + k))
+        K[:n, :n] = np.diag(rng.choice([1e-4, 2e-3, 0.5], size=n))
+        K[:n, n:] = -N.T
+        K[n:, :n] = N
+        rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3], size=n + k)
+        want = _dense_elimination(K, rhs, PIVOT_TOL)
+        got = _kernels.solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)
+        assert (got is None) == (want is None)
+        if want is not None:
+            solved += 1
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert solved > 100

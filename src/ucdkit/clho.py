@@ -39,6 +39,7 @@ __all__ = [
     "ValueModel",
     "default_basis",
     "basis_vector",
+    "basis_matrix",
     "train",
     "step_values",
     "decide",
@@ -81,17 +82,23 @@ def default_basis(s: Scenario) -> BasisSpec:
     return BasisSpec(family="quad", coords=tuple(coords))
 
 
-def basis_vector(spec: BasisSpec, dispatch) -> np.ndarray:
+def basis_matrix(spec: BasisSpec, states) -> np.ndarray:
+    """Feature rows of a batch of dispatch states, C-contiguous: the
+    squares of the basis coordinates, the coordinates, then 1."""
     if spec.family != "quad":
         raise UcdError(f"unknown basis family {spec.family!r}")
-    d = np.asarray(dispatch, dtype=float)
-    out = np.empty(spec.n_features)
-    k = len(spec.coords)
-    for j, c in enumerate(spec.coords):
-        out[j] = d[c] * d[c]
-        out[k + j] = d[c]
-    out[2 * k] = 1.0
-    return out
+    P = np.asarray(states, dtype=float)[:, list(spec.coords)]
+    k = P.shape[1]
+    X = np.empty((len(P), 2 * k + 1))
+    np.multiply(P, P, out=X[:, :k])
+    X[:, k:2 * k] = P
+    X[:, 2 * k] = 1.0
+    return X
+
+
+def basis_vector(spec: BasisSpec, dispatch) -> np.ndarray:
+    """The features of one dispatch state: row 0 of `basis_matrix`."""
+    return basis_matrix(spec, [dispatch])[0]
 
 
 @dataclass(frozen=True)
@@ -198,8 +205,9 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         # infeasible
         if not s.ramp_enforced:
             relaxed = stages.q(t)
-            for mi, mode, dispatch, _ in stages.candidates(t):
-                relaxed[mi] += _tail_value(model, t + 1, mode, dispatch)
+            cands = stages.candidates(t)
+            for (mi, _, _, _), tail in zip(cands, _tail_values(model, t + 1, cands)):
+                relaxed[mi] += tail
         for ip in prev_modes:
             ip_bits = int_to_mode(ip, s.n_units)
             rng = np.random.default_rng((cfg.seed, t, ip))
@@ -226,7 +234,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
                     f"every sampled state at t={t}, "
                     f"I_prev={''.join(map(str, ip_bits))} was infeasible"
                 )
-            X = np.stack([basis_vector(basis, st) for st in states[keep]])
+            X = basis_matrix(basis, states[keep])
             y = ys[keep]
             if cfg.regularization > 0.0:
                 A = X.T @ X + cfg.regularization * np.eye(nf)
@@ -249,17 +257,27 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     return model
 
 
+def _tail_values(model, t, cands):
+    """Jhat_t at each candidate's dispatch, entering t from its mode (a
+    candidate is (mode int, mode, dispatch, ...)); 0 beyond the horizon."""
+    if t > model.horizon or not cands:
+        return [0.0] * len(cands)
+    ws = []
+    for mi, mode, *_ in cands:
+        w = model.weights.get((t, mi))
+        if w is None:
+            raise ModelMismatchError(
+                f"model holds no weights for t={t}, "
+                f"I_prev={''.join(str(b) for b in mode)}"
+            )
+        ws.append(w)
+    X = basis_matrix(model.basis, [dispatch for _, _, dispatch, *_ in cands])
+    return [float(np.dot(w, x)) for w, x in zip(ws, X)]
+
+
 def _tail_value(model, t, mode, dispatch):
-    """Jhat_t at a dispatch state entering t from `mode`; 0 beyond the horizon."""
-    if t > model.horizon:
-        return 0.0
-    w = model.weights.get((t, mode_to_int(mode)))
-    if w is None:
-        raise ModelMismatchError(
-            f"model holds no weights for t={t}, "
-            f"I_prev={''.join(str(b) for b in mode)}"
-        )
-    return float(np.dot(w, basis_vector(model.basis, dispatch)))
+    """Jhat_t at one dispatch state entering t from `mode`."""
+    return _tail_values(model, t, [(mode_to_int(mode), mode, dispatch)])[0]
 
 
 def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
@@ -268,8 +286,8 @@ def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     and their values Q + kappa + Jhat_{t+1}."""
     cands = stages.candidates(t, p_prev)
     kappa = stages.kappa_row(mode_to_int(i_prev))
-    values = np.array([q + kappa[mi] + _tail_value(model, t + 1, mode, dispatch)
-                       for mi, mode, dispatch, q in cands])
+    values = np.array([q + kappa[mi] + tail
+                       for (mi, _, _, q), tail in zip(cands, _tail_values(model, t + 1, cands))])
     return cands, values
 
 

@@ -25,7 +25,7 @@ from ucdkit import (
     simulate,
     train,
 )
-from ucdkit.clho import _tail_value, decide
+from ucdkit.clho import _tail_value, basis_matrix, decide
 from ucdkit.oracle import Stages
 
 
@@ -42,6 +42,17 @@ def test_basis_vector_layout():
     spec = BasisSpec(family="quad", coords=(0, 1))
     phi = basis_vector(spec, np.array([350.0, 0.0, 0.0, 0.0]))
     assert phi.tolist() == [122500.0, 0.0, 350.0, 0.0, 1.0]
+
+
+def test_basis_matrix_rows_are_basis_vectors():
+    spec = BasisSpec(family="quad", coords=(0, 2))
+    states = np.array([[350.0, 1.0, 0.5, 9.0], [0.0, 2.0, -0.0, 7.0], [1e-3, 0.0, 30.0, 0.0]])
+    X = basis_matrix(spec, states)
+    assert X.flags.c_contiguous and X.shape == (3, 5)
+    assert X[0].tolist() == [122500.0, 0.25, 350.0, 0.5, 1.0]
+    for row, st in zip(X, states):
+        assert row.tobytes() == basis_vector(spec, st).tobytes()
+    assert basis_matrix(BasisSpec(family="quad"), states).tolist() == [[1.0]] * 3
 
 
 def test_unknown_basis_family_rejected():

@@ -36,21 +36,18 @@ def solve_pivoted(A, rhs, tol_piv):
     """Solve A y = rhs by Gaussian elimination with partial pivoting.
 
     Returns None when a pivot is at or below tol_piv * max(1, max|A|),
-    so a near-singular system is reported rather than solved.
-
-    The result is bit for bit that of dense elimination on a numpy array.
-    Python floats round each quotient, product and difference as numpy's
-    elementwise ops do. A row whose multiple f of the pivot row is a zero
-    is only updated where it holds -0.0: elsewhere a - f*b is a, and
-    elimination never makes a new -0.0. Back-substitution keeps numpy's
-    dot on the rows of the eliminated array, because a sequential sum
-    does not add in BLAS's order; a dot of at most one term is that term
-    plus +0.0, as numpy sums it.
+    so a near-singular system is reported rather than solved. The result
+    is bit for bit that of the same elimination on a numpy array: Python
+    floats round as numpy's elementwise ops do, a row whose multiple of
+    the pivot row is a zero is only updated where it holds -0.0 (nothing
+    else can change, and elimination never makes a -0.0), and
+    back-substitution keeps numpy's dot, whose order of addition a
+    sequential sum does not follow (a one-term dot is the term + 0.0).
     """
     k = len(rhs)
     M = [[*row, v] for row, v in zip(A, rhs)]
     tol = tol_piv * max(1.0, max(map(abs, chain.from_iterable(A)), default=0.0))
-    Z = [None] * k          # per row, the columns past the pivot that hold -0.0
+    Z = [None] * k          # per row, the columns that may hold -0.0, found when first needed
     for c in range(k):
         col = [abs(row[c]) for row in M[c:]]
         big = max(col)
@@ -89,8 +86,7 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
     Returns (status, x, w, iterations, bad_row). w are row multipliers in
     the >= convention described in the module docstring; bad_row is the
     row certifying infeasibility (-1 otherwise). The iterations run on
-    Python floats; the polish solves the KKT system entry for entry as a
-    dense array holds it, so its point is bit for bit the dense one.
+    Python floats, which cost far less than numpy calls at these sizes.
     """
     n, m = hdiag.shape[0], C.shape[0]
     hinv = 1.0 / hdiag

@@ -39,7 +39,6 @@ __all__ = [
     "ValueModel",
     "default_basis",
     "basis_vector",
-    "basis_matrix",
     "train",
     "step_values",
     "decide",

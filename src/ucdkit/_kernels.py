@@ -10,8 +10,8 @@ spanned by the working set with a nonnegative dual ray (no step can
 help), so no phase-one subproblem is needed. A final KKT solve on the
 active set strips the drift of the incremental steps.
 
-Kernel convention: rows are C[i] . x >= b[i]; the first meq rows are
-equalities (sign-flipped as needed, never dropped, multiplier free).
+Kernel convention: rows are C[i] . x >= b[i], except row 0, the balance,
+an equality (sign-flipped as needed, never dropped, multiplier free).
 Returned multipliers w satisfy H x + g - C^T w = 0 with w >= 0 on
 inequality rows.
 """
@@ -80,8 +80,8 @@ def solve_pivoted(A, rhs, tol_piv):
     return y
 
 
-def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
-    """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec (meq leading equalities).
+def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
+    """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec, row 0 an equality.
 
     Returns (status, x, w, iterations, bad_row). w are row multipliers in
     the >= convention described in the module docstring; bad_row is the
@@ -92,27 +92,28 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
     hinv = 1.0 / hdiag
     x = (-glin * hinv).tolist()
     hinv = hinv.tolist()
-    W, sig, u = [], [], []      # active rows, signs on their normals, multipliers
+    W, u = [], []               # active rows (W[0] is the balance once added), multipliers
+    sign = 1.0                  # on the balance row's normal
     N, G = [], []               # signed normals of W, and their Gram matrix N Hinv N'
     blocked = np.zeros(m)       # +inf on the rows of W
     iters = 0
 
     while True:
-        # next row to enforce: equalities first, then the most violated
+        # next row to enforce: the balance first, then the most violated
         # inequality (ties go to the lowest row index)
-        if len(W) < meq:
-            p = next(i for i in range(meq) if i not in W)
-        else:
-            slack = C @ x - bvec + blocked      # every equality is in W by now
+        if W:
+            slack = C @ x - bvec + blocked
             p = int(slack.argmin())
             if slack[p] >= -tol_feas:
                 break  # all rows satisfied, multipliers nonnegative: done
+        else:
+            p = 0
 
-        cp = C[p].tolist()
-        sp = -1.0 if p < meq and sum(map(mul, cp, x)) - bvec[p] > 0.0 else 1.0
-        npvec = [sp * v for v in cp]
+        npvec = C[p].tolist()       # the row's normal, the balance's flipped when x lies above it
+        if p == 0 and sum(map(mul, npvec, x)) - bvec[0] > 0.0:
+            sign, npvec = -1.0, [-v for v in npvec]
         hnp = list(map(mul, hinv, npvec))
-        bp, up = sp * bvec[p], 0.0
+        bp, up = sign * bvec[0] if p == 0 else bvec[p], 0.0
         g = [sum(map(mul, a, hnp)) for a in N]      # N Hinv npvec
 
         while True:
@@ -134,8 +135,8 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
                 z = list(map(mul, hinv, z))
 
             # dual step bound: first active inequality whose multiplier hits 0
-            t1, l1 = min(((u[a] / r[a], a) for a in range(len(W))
-                          if W[a] >= meq and r[a] > tol_piv), default=(np.inf, -1))
+            t1, l1 = min(((u[a] / r[a], a) for a in range(1, len(W))
+                          if r[a] > tol_piv), default=(np.inf, -1))
 
             # primal step to reach the new row
             t2 = np.inf
@@ -159,7 +160,6 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
                 if len(W) > n:
                     return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
                 W.append(p)
-                sig.append(sp)
                 u.append(up)
                 N.append(npvec)
                 blocked[p] = np.inf
@@ -168,7 +168,7 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
                 G.append(g + [sum(map(mul, npvec, hnp))])
                 break
             blocked[W[l1]] = 0.0
-            del W[l1], sig[l1], u[l1], N[l1], G[l1], g[l1]
+            del W[l1], u[l1], N[l1], G[l1], g[l1]
             for Ga in G:
                 del Ga[l1]
 
@@ -179,15 +179,16 @@ def qp_core(hdiag, glin, C, bvec, meq, tol_feas, tol_piv, max_iter):
     for j, h in enumerate(hdiag.tolist()):
         K[j][j] = h
     sol = solve_pivoted(K + [a + [0.0] * k for a in N],
-                        [-v for v in glin.tolist()] + [s * bvec[i] for s, i in zip(sig, W)],
+                        [-v for v in glin.tolist()] + [sign * bvec[0]] + bvec[W[1:]].tolist(),
                         tol_piv)
     # accept the polished point only if it kept the active multipliers
     # nonnegative and the inactive rows feasible
     if sol is not None:
         ys = sol.tolist()
-        if (all(ys[n + a] >= -tol_feas for a in range(k) if W[a] >= meq)
+        if (all(ys[n + a] >= -tol_feas for a in range(1, k))
                 and (C @ sol[:n] - bvec + blocked).min() >= -tol_feas):
             x, u = sol[:n], ys[n:]
     w_out = np.zeros(m)
-    w_out[W] = np.multiply(sig, u)
+    w_out[W] = u
+    w_out[0] *= sign
     return OPTIMAL, np.asarray(x), w_out, iters, -1

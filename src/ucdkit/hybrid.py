@@ -35,9 +35,12 @@ __all__ = [
 
 def mode_to_int(bits) -> int:
     """Commitment vector as a binary integer, unit 1 in the most
-    significant position ([0,1] -> 1, [1,0] -> 2, [1,1] -> 3)."""
+    significant position ([0,1] -> 1, [1,0] -> 2, [1,1] -> 3). An entry
+    other than 0 or 1 raises ValueError; int() alone would read 1.9 as 1."""
     v = 0
     for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"commitment entries must be 0 or 1, got {bits!r}")
         v = (v << 1) | int(b)
     return v
 

@@ -248,7 +248,7 @@ def _tail(stages, t, i_prev, p_prev, budget):
     enforced it is bounded by rows t+1..T of the ramp-relaxed table and
     starts from the relaxed path's incumbent, which caches row t too."""
     s = stages.s
-    i_prev = tuple(int(x) for x in i_prev)
+    i_prev = int_to_mode(mode_to_int(i_prev), len(i_prev))
     p_prev = np.asarray(p_prev, dtype=float)
     bound = None
     if s.ramp_enforced:

@@ -219,7 +219,7 @@ def solve(q: QpProblem) -> QpSolution:
     b[1:] = -q.h
     max_iter = 100 + 50 * (m + 1)
     status, x, w, iters, bad = _kernels.qp_core(
-        q.hdiag, q.glin, C, b, 1, FEAS_TOL, PIVOT_TOL, max_iter,
+        q.hdiag, q.glin, C, b, FEAS_TOL, PIVOT_TOL, max_iter,
     )
     if status == _kernels.INFEASIBLE:
         label = "balance" if bad == 0 else q.labels[bad - 1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 import yaml
@@ -74,7 +74,6 @@ class VirtualResourceParams:
     a: float
     b: float
     c: float
-    role: str = "dg"  # "dg" or "dr"
 
 
 @dataclass(frozen=True)
@@ -132,14 +131,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # parsing
 
-_UNIT_FIELDS = {
-    "a", "b", "c", "p_min", "p_max", "c_bank", "c_fix", "c_shut",
-    "ramp_down", "ramp_up", "alpha", "beta", "gamma", "quota",
-}
-_UNIT_REQUIRED = ("a", "b", "c", "p_min", "p_max")
-_PERIOD_FIELDS = {"demand", "dg_max", "dr_max", "reserve_lo", "reserve_hi", "reserve_frac"}
-
-
 def _as_float(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
@@ -149,74 +140,41 @@ def _as_float(value, where):
     return out
 
 
-def _as_mapping(value, where):
+def _as_mapping(value, where, keys, noun="field"):
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected a mapping")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown {noun}(s) {sorted(unknown)}")
     return value
 
 
-def _parse_unit(raw, where):
-    raw = _as_mapping(raw, where)
-    unknown = set(raw) - _UNIT_FIELDS
-    if unknown:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
-    for key in _UNIT_REQUIRED:
-        if key not in raw:
-            raise ScenarioError(f"{where}.{key}: missing required field")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in ("ramp_down", "ramp_up") and value is None:
-            kwargs[key] = None
-        else:
-            kwargs[key] = _as_float(value, f"{where}.{key}")
-    return ThermalUnitParams(**kwargs)
+def _record(cls, raw, where, extra=()):
+    """The values of one record as keyword arguments for ``cls``.
 
-
-def _parse_virtual(raw, where, role):
-    if raw is None:
-        return VirtualResourceParams(a=1.0, b=0.0, c=0.0, role=role)
-    raw = _as_mapping(raw, where)
-    unknown = set(raw) - {"a", "b", "c"}
-    if unknown:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
-    for key in ("a", "b", "c"):
-        if key not in raw:
+    The keys are the dataclass's fields (plus ``extra``), those without a
+    default are required, and null stands only where the default is None.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    raw = _as_mapping(raw, where, [*defaults, *extra])
+    for key, default in defaults.items():
+        if default is MISSING and key not in raw:
             raise ScenarioError(f"{where}.{key}: missing required field")
-    return VirtualResourceParams(
-        a=_as_float(raw["a"], f"{where}.a"),
-        b=_as_float(raw["b"], f"{where}.b"),
-        c=_as_float(raw["c"], f"{where}.c"),
-        role=role,
-    )
+    return {key: None if value is None and defaults.get(key, MISSING) is None
+            else _as_float(value, f"{where}.{key}") for key, value in raw.items()}
 
 
 def _parse_period(raw, where, default_frac):
-    raw = _as_mapping(raw, where)
-    unknown = set(raw) - _PERIOD_FIELDS
-    if unknown:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
-    if "demand" not in raw:
-        raise ScenarioError(f"{where}.demand: missing required field")
-    demand = _as_float(raw["demand"], f"{where}.demand")
-    dg_max = _as_float(raw.get("dg_max", 0.0), f"{where}.dg_max")
-    dr_max = _as_float(raw.get("dr_max", 0.0), f"{where}.dr_max")
+    kw = _record(PeriodExogenous, raw, where, extra=("reserve_frac",))
     # Reserves may come as absolute MW or as a fraction of demand; the
     # fractional form is expanded here so downstream code sees MW only.
-    if "reserve_frac" in raw:
-        if "reserve_lo" in raw or "reserve_hi" in raw:
+    if "reserve_frac" in kw:
+        if "reserve_lo" in kw or "reserve_hi" in kw:
             raise ScenarioError(f"{where}: reserve_frac excludes reserve_lo/reserve_hi")
-        frac = _as_float(raw["reserve_frac"], f"{where}.reserve_frac")
-        lo = hi = frac * demand
-    else:
-        if "reserve_lo" in raw or "reserve_hi" in raw:
-            lo = _as_float(raw.get("reserve_lo", 0.0), f"{where}.reserve_lo")
-            hi = _as_float(raw.get("reserve_hi", 0.0), f"{where}.reserve_hi")
-        elif default_frac is not None:
-            lo = hi = default_frac * demand
-        else:
-            lo = hi = 0.0
-    return PeriodExogenous(demand=demand, dg_max=dg_max, dr_max=dr_max,
-                           reserve_lo=lo, reserve_hi=hi)
+        kw["reserve_lo"] = kw["reserve_hi"] = kw.pop("reserve_frac") * kw["demand"]
+    elif "reserve_lo" not in kw and "reserve_hi" not in kw and default_frac is not None:
+        kw["reserve_lo"] = kw["reserve_hi"] = default_frac * kw["demand"]
+    return PeriodExogenous(**kw)
 
 
 def parse_scenario(source) -> Scenario:
@@ -247,23 +205,18 @@ def parse_scenario(source) -> Scenario:
         raise ScenarioError(f"{loc}malformed scenario document: {exc}") from exc
     if doc is None:
         raise ScenarioError("empty scenario document")
-    doc = _as_mapping(doc, "document")
-
-    known = {"name", "units", "dg", "dr", "cet", "periods", "initial", "options"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ScenarioError(f"document: unknown section(s) {sorted(unknown)}")
+    doc = _as_mapping(doc, "document", ("name", "units", "dg", "dr", "cet", "periods",
+                                        "initial", "options"), noun="section")
 
     raw_units = doc.get("units")
     if not isinstance(raw_units, list) or not raw_units:
         raise ScenarioError("units: must contain at least one unit")
-    units = tuple(_parse_unit(u, f"units[{i}]") for i, u in enumerate(raw_units))
+    units = tuple(ThermalUnitParams(**_record(ThermalUnitParams, u, f"units[{i}]"))
+                  for i, u in enumerate(raw_units))
     n = len(units)
 
-    options = _as_mapping(doc.get("options", {}) or {}, "options")
-    unknown = set(options) - {"eta_max", "ramp_enforced", "reserve_frac"}
-    if unknown:
-        raise ScenarioError(f"options: unknown field(s) {sorted(unknown)}")
+    options = _as_mapping(doc.get("options", {}) or {}, "options",
+                          ("eta_max", "ramp_enforced", "reserve_frac"))
     eta_max = _as_float(options.get("eta_max", 1.0), "options.eta_max")
     ramp_enforced = options.get("ramp_enforced", False)
     if not isinstance(ramp_enforced, bool):
@@ -279,20 +232,11 @@ def parse_scenario(source) -> Scenario:
         _parse_period(p, f"periods[{j}]", default_frac) for j, p in enumerate(raw_periods)
     )
 
-    cet_raw = doc.get("cet")
-    if cet_raw is None:
-        cet = CetParams(price=0.0)
-    else:
-        cet_raw = _as_mapping(cet_raw, "cet")
-        unknown = set(cet_raw) - {"price"}
-        if unknown:
-            raise ScenarioError(f"cet: unknown field(s) {sorted(unknown)}")
-        cet = CetParams(price=_as_float(cet_raw.get("price", 0.0), "cet.price"))
+    cet = CetParams()
+    if doc.get("cet") is not None:
+        cet = CetParams(**_record(CetParams, doc["cet"], "cet"))
 
-    initial = _as_mapping(doc.get("initial", {}) or {}, "initial")
-    unknown = set(initial) - {"commitment", "dispatch"}
-    if unknown:
-        raise ScenarioError(f"initial: unknown field(s) {sorted(unknown)}")
+    initial = _as_mapping(doc.get("initial", {}) or {}, "initial", ("commitment", "dispatch"))
     raw_commit = initial.get("commitment")
     if not isinstance(raw_commit, list):
         raise ScenarioError("initial.commitment: missing or not a list")
@@ -314,10 +258,13 @@ def parse_scenario(source) -> Scenario:
         )
     dispatch = tuple(_as_float(v, f"initial.dispatch[{i}]") for i, v in enumerate(raw_disp))
 
+    dg, dr = (VirtualResourceParams(1.0, 0.0, 0.0) if doc.get(key) is None
+              else VirtualResourceParams(**_record(VirtualResourceParams, doc[key], key))
+              for key in ("dg", "dr"))
     s = Scenario(
         units=units,
-        dg=_parse_virtual(doc.get("dg"), "dg", "dg"),
-        dr=_parse_virtual(doc.get("dr"), "dr", "dr"),
+        dg=dg,
+        dr=dr,
         cet=cet,
         eta_max=eta_max,
         periods=periods,
@@ -386,13 +333,26 @@ def validate_scenario(s: Scenario) -> list[str]:
 # ---------------------------------------------------------------------------
 # serialization
 
+# fields written as floats even when integral
+_FLOAT_FIELDS = {"a", "b", "c", "alpha", "beta", "gamma", "quota", "reserve_lo", "reserve_hi"}
+
+
 def _float_repr(x: float):
     # ints stay ints for readability; floats use repr (lossless round-trip)
-    if x is None:
-        return None
     if float(x).is_integer() and abs(x) < 1e15:
         return int(x)
     return float(x)
+
+
+def _row(rec) -> dict:
+    """A record's fields in declaration order: a field without a default
+    always, any other only when it differs from its default."""
+    row = {}
+    for f in fields(rec):
+        v = getattr(rec, f.name)
+        if f.default is MISSING or v != f.default:
+            row[f.name] = float(v) if f.name in _FLOAT_FIELDS else _float_repr(v)
+    return row
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -400,37 +360,11 @@ def serialize_scenario(s: Scenario) -> str:
     doc = {}
     if s.name:
         doc["name"] = s.name
-    doc["units"] = []
-    for u in s.units:
-        row = {
-            "a": float(u.a), "b": float(u.b), "c": float(u.c),
-            "p_min": _float_repr(u.p_min), "p_max": _float_repr(u.p_max),
-        }
-        for nm in ("c_bank", "c_fix", "c_shut"):
-            if getattr(u, nm) != 0.0:
-                row[nm] = _float_repr(getattr(u, nm))
-        for nm in ("ramp_down", "ramp_up"):
-            if getattr(u, nm) is not None:
-                row[nm] = _float_repr(getattr(u, nm))
-        for nm in ("alpha", "beta", "gamma", "quota"):
-            if getattr(u, nm) != 0.0:
-                row[nm] = float(getattr(u, nm))
-        doc["units"].append(row)
-    doc["dg"] = {"a": float(s.dg.a), "b": float(s.dg.b), "c": float(s.dg.c)}
-    doc["dr"] = {"a": float(s.dr.a), "b": float(s.dr.b), "c": float(s.dr.c)}
-    doc["cet"] = {"price": _float_repr(s.cet.price)}
-    doc["periods"] = []
-    for p in s.periods:
-        row = {"demand": _float_repr(p.demand)}
-        if p.dg_max != 0.0:
-            row["dg_max"] = _float_repr(p.dg_max)
-        if p.dr_max != 0.0:
-            row["dr_max"] = _float_repr(p.dr_max)
-        if p.reserve_lo != 0.0:
-            row["reserve_lo"] = float(p.reserve_lo)
-        if p.reserve_hi != 0.0:
-            row["reserve_hi"] = float(p.reserve_hi)
-        doc["periods"].append(row)
+    doc["units"] = [_row(u) for u in s.units]
+    doc["dg"] = _row(s.dg)
+    doc["dr"] = _row(s.dr)
+    doc["cet"] = _row(s.cet) or {"price": 0}    # written at the default price too
+    doc["periods"] = [_row(p) for p in s.periods]
     doc["initial"] = {
         "commitment": [int(b) for b in s.initial_commitment],
         "dispatch": [_float_repr(v) for v in s.initial_dispatch],

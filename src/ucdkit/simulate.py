@@ -59,6 +59,8 @@ class DisturbanceScript:
         seen = -1
         norm = []
         for t, values in self.overrides:
+            if t != int(t):
+                raise UcdError(f"disturbance period {t!r} is not an integer")
             t = int(t)
             if t <= seen:
                 raise UcdError("disturbance periods must be strictly increasing")

@@ -309,6 +309,23 @@ def test_loaded_model_solves_a_period_once(e1c1, model_e1c1, tmp_path, monkeypat
         assert _same_decision(got, decide(model, Stages(e1c1), 3, i_prev, p_prev))
 
 
+def test_non_binary_previous_modes_are_rejected(e1c1, model_e1c1):
+    # int() would read (1.9, 0.2) as (1, 0), and (2, 0) would index past
+    # the switching table; both entry points check the entries first
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    for bad in [(1.9, 0.2), (2, 0), (1, -1), (0.5, 1)]:
+        with pytest.raises(ValueError, match="0 or 1"):
+            enumerate_tail(e1c1, 3, bad, p_prev)
+        with pytest.raises(ValueError, match="0 or 1"):
+            schedule_step(model_e1c1, e1c1, 3, bad, p_prev)
+    # booleans and integral floats are binary entries, as in `assemble`
+    want = enumerate_tail(e1c1, 3, (1, 0), p_prev)
+    for ok in [(True, False), (1.0, 0.0), np.array([1, 0])]:
+        assert enumerate_tail(e1c1, 3, ok, p_prev) == want
+        assert _same_decision(schedule_step(model_e1c1, e1c1, 3, ok, p_prev),
+                              schedule_step(model_e1c1, e1c1, 3, (1, 0), p_prev))
+
+
 def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkeypatch):
     s = _ramped_e1c1(e1c1)
     model = train(s, TrainConfig(samples=5, seed=3))

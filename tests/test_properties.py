@@ -61,8 +61,8 @@ def fleets(draw, n_min=1, n_max=3):
 def _one_period_scenario(units, demand):
     return Scenario(
         units=units,
-        dg=VirtualResourceParams(1.0, 0.0, 0.0, "dg"),
-        dr=VirtualResourceParams(1.0, 0.0, 0.0, "dr"),
+        dg=VirtualResourceParams(1.0, 0.0, 0.0),
+        dr=VirtualResourceParams(1.0, 0.0, 0.0),
         cet=CetParams(0.0),
         eta_max=1.0,
         periods=(PeriodExogenous(demand=demand),),
@@ -275,8 +275,8 @@ def resource_scenarios(draw):
     return Scenario(
         units=units,
         # cheap generation so the penetration ceiling binds often
-        dg=VirtualResourceParams(0.01, 0.5, 0.0, "dg"),
-        dr=VirtualResourceParams(0.02, 2.0, 0.0, "dr"),
+        dg=VirtualResourceParams(0.01, 0.5, 0.0),
+        dr=VirtualResourceParams(0.02, 2.0, 0.0),
         cet=CetParams(0.0),
         eta_max=eta,
         periods=(PeriodExogenous(demand=demand, dg_max=dg_cap, dr_max=dr_cap),),
@@ -333,8 +333,8 @@ def emitting_scenarios(draw):
         demands.append(units[k].p_min + f * (units[k].p_max - units[k].p_min))
     return Scenario(
         units=units,
-        dg=VirtualResourceParams(1.0, 0.0, 0.0, "dg"),
-        dr=VirtualResourceParams(1.0, 0.0, 0.0, "dr"),
+        dg=VirtualResourceParams(1.0, 0.0, 0.0),
+        dr=VirtualResourceParams(1.0, 0.0, 0.0),
         cet=CetParams(0.0),
         eta_max=1.0,
         periods=tuple(PeriodExogenous(demand=d) for d in demands),

@@ -312,7 +312,7 @@ def test_kernel_and_solve_leave_their_inputs_alone(e2c1, t, mode, ramped):
     b = _frozen(np.concatenate([[q.beq], -q.h]))
     args = (q.hdiag, q.glin, C, b)
     before = [a.tobytes() for a in args]
-    status, *_ = _kernels.qp_core(*args, 1, 1e-9, PIVOT_TOL, 1000)
+    status, *_ = _kernels.qp_core(*args, 1e-9, PIVOT_TOL, 1000)
     assert [a.tobytes() for a in args] == before
     assert (status, sol.status) in ((_kernels.OPTIMAL, "optimal"), (_kernels.INFEASIBLE, "infeasible"))
     assert any(label.startswith("ramp") for label in q.labels) == ramped

@@ -40,6 +40,14 @@ def test_disturbance_periods_strictly_increasing():
         DisturbanceScript(overrides=((3, (1.0, 2.0)), (3, (1.0, 2.0))))
 
 
+def test_disturbance_periods_must_be_integral():
+    for bad in (2.5, np.float64(3.9)):
+        with pytest.raises(UcdError, match="not an integer"):
+            DisturbanceScript(overrides=((bad, (1.0, 2.0)),))
+    script = DisturbanceScript(overrides=((2.0, (1.0, 2.0)), (np.int64(3), (1.0, 2.0))))
+    assert [t for t, _ in script.overrides] == [2, 3]
+
+
 def test_disturbance_rejects_negative_values():
     with pytest.raises(UcdError, match="finite"):
         DisturbanceScript.parse(["t=2:-5,0"])

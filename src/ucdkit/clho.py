@@ -12,7 +12,8 @@ states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
 across decisions; with ramps enforced the relaxed rows it holds screen
-each decision's candidates.
+each decision's candidates and stand in for those whose ramp rows they
+already meet.
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
@@ -187,10 +188,10 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     for t in range(1, s.horizon + 1):
         if not stages.candidates(t):
             raise UcdError(f"no feasible commitment at period t={t}; cannot train")
-    # relaxed targets read rows of the full switching matrix, which is
-    # dropped after training; caching all 2^N rows in the table would
-    # more than double what every model keeps
-    K = None if s.ramp_enforced else switching_matrix(s)
+    # targets read rows of the full switching matrix, which is dropped
+    # after training; caching all 2^N rows in the table would more than
+    # double what every model keeps
+    K = switching_matrix(s)
 
     discarded = {}
     rank_deficient = []
@@ -217,7 +218,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
                 ys[:] = (relaxed + K[ip]).min()
             else:
                 for k in range(cfg.samples):
-                    _, values = step_values(model, stages, t, ip_bits, states[k])
+                    _, values = _step(model, stages, t, K[ip], states[k])
                     if len(values):
                         ys[k] = values.min()
                     else:
@@ -283,8 +284,13 @@ def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     """One Bellman step from state (i_prev, p_prev) entering period t: the
     feasible candidates (mode int, mode, dispatch, Q), ascending mode int,
     and their values Q + kappa + Jhat_{t+1}."""
+    return _step(model, stages, t, stages.kappa_row(mode_to_int(i_prev, stages.s.n_units)),
+                 p_prev)
+
+
+def _step(model, stages, t, kappa, p_prev):
+    """`step_values` given `kappa`, row i_prev of the switching matrix."""
     cands = stages.candidates(t, p_prev)
-    kappa = stages.kappa_row(mode_to_int(i_prev))
     values = np.array([q + kappa[mi] + tail
                        for (mi, _, _, q), tail in zip(cands, _tail_values(model, t + 1, cands))])
     return cands, values

@@ -33,10 +33,14 @@ __all__ = [
 ]
 
 
-def mode_to_int(bits) -> int:
+def mode_to_int(bits, n_units=None) -> int:
     """Commitment vector as a binary integer, unit 1 in the most
     significant position ([0,1] -> 1, [1,0] -> 2, [1,1] -> 3). An entry
-    other than 0 or 1 raises ValueError; int() alone would read 1.9 as 1."""
+    other than 0 or 1 raises ValueError; int() alone would read 1.9 as 1.
+    Given n_units, so does a vector of another length, which would
+    otherwise read as some other mode."""
+    if n_units is not None and len(bits) != n_units:
+        raise ValueError(f"commitment must have {n_units} entries, got {bits!r}")
     v = 0
     for b in bits:
         if b not in (0, 1):

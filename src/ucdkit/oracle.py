@@ -12,10 +12,12 @@ each layer one vectorised min over K + Q + V (K the switching matrix).
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
 through one `Stages`. With ramps enforced, a period's candidate set from
 a given dispatch is solved only for the modes of its relaxed row once
-the table holds that row, by the same admissibility argument; the
-walk's bound caches the rows it screens with. An exact tail from any
-state is `enumerate_tail`, on the caller's table or a new one; with
-ramps relaxed, `Stages.values()` holds every tail at once. Every
+the table holds that row, by the same admissibility argument, and a
+relaxed candidate that already meets its ramp rows is returned as it
+is: each dispatch QP is strictly convex, so that candidate is the ramped
+optimum too. The walk's bound caches the rows it screens with. An exact
+tail from any state is `enumerate_tail`, on the caller's table or a new
+one; with ramps relaxed, `Stages.values()` holds every tail at once. Every
 argmin in the package goes through `tie_band`, which breaks ties toward
 the smallest mode read as a binary integer, so sequences tie-break to
 the lexicographically smallest one.
@@ -92,11 +94,14 @@ class Stages:
     A period's ramp-relaxed row is solved on first use and cached. When
     ramps couple a period to the previous dispatch (ramps enforced and
     p_prev given) its candidates are solved per call; once the table
-    holds the period's relaxed row, only for that row's modes. Ramp rows
+    holds the period's relaxed row, only for that row's modes, and a
+    relaxed candidate whose dispatch meets its ramp rows from p_prev is
+    returned untouched, the table's own tuple, with no solve. Ramp rows
     only add constraints, so a mode infeasible with them relaxed stays
-    infeasible with them enforced. A ramped call does not solve the
-    relaxed row itself: for one decision per period that costs more
-    than it screens out.
+    infeasible with them enforced, and a relaxed optimum that meets them
+    is the ramped optimum (the minimizer is unique). A ramped call does
+    not solve the relaxed row itself: for one decision per period that
+    costs more than it screens out.
     """
 
     def __init__(self, s: Scenario):
@@ -108,8 +113,18 @@ class Stages:
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
         if self.s.ramp_enforced and p_prev is not None:
             row = self._rows.get(t)
-            modes = None if row is None else [c[0] for c in row]
-            return _tagged(mode_candidates(self.s, t, p_prev, modes))
+            if row is None:
+                return _tagged(mode_candidates(self.s, t, p_prev))
+            twins, redo = [], []
+            for c in row:
+                if _meets_ramps(self.s, c[1], c[2], p_prev):
+                    twins.append(c)
+                else:
+                    redo.append(c[0])
+            if not redo:
+                return twins
+            solved = _tagged(mode_candidates(self.s, t, p_prev, redo))
+            return sorted(twins + solved, key=lambda c: c[0])
         if t not in self._rows:
             self._rows[t] = _tagged(mode_candidates(self.s, t, None))
         return self._rows[t]
@@ -147,6 +162,35 @@ class Stages:
 
 def _tagged(cands):
     return [(mode_to_int(m), m, d, q) for m, d, q in cands]
+
+
+def _meets_ramps(s, mode, dispatch, p_prev):
+    """True when `dispatch`, mode's ramp-relaxed optimum, meets every ramp
+    row `assemble` adds for mode from p_prev: the same float bounds,
+    compared with no tolerance.
+
+    The ramped QP then has the same unique minimizer, and the kernel
+    returns it with the same bits when each ramp row is one the unit's
+    box implies (p_prev + ramp_up >= p_max, ramp_down - p_prev >= -p_min).
+    Such a row follows its cap row and shares its normal, so its slack is
+    never below the cap row's (rounding b - x is monotone in b), and
+    while the cap row is in the working set x sits on it to rounding,
+    far inside the feasibility tolerance. The kernel enforces the most
+    violated row and its `argmin` sends ties to the lower index, so the
+    ramp row never enters the working set, and every step, the polish
+    and the result match the relaxed solve. A ramp row that could bind
+    but is slack at the optimum may enter and leave the working set on
+    the way; that the bits still match then is measured (every reused
+    twin of ramped example2_case1 training, and the screen suite in
+    tests/test_branch_bound.py), not proven.
+    """
+    for n, u in enumerate(s.units):
+        if mode[n] and p_prev[n] > 0.0:
+            if u.ramp_up is not None and not dispatch[n] <= float(p_prev[n]) + u.ramp_up:
+                return False
+            if u.ramp_down is not None and not -dispatch[n] <= u.ramp_down - float(p_prev[n]):
+                return False
+    return True
 
 
 class _Bound:
@@ -248,7 +292,7 @@ def _tail(stages, t, i_prev, p_prev, budget):
     enforced it is bounded by rows t+1..T of the ramp-relaxed table and
     starts from the relaxed path's incumbent, which caches row t too."""
     s = stages.s
-    i_prev = int_to_mode(mode_to_int(i_prev), len(i_prev))
+    i_prev = int_to_mode(mode_to_int(i_prev, s.n_units), s.n_units)
     p_prev = np.asarray(p_prev, dtype=float)
     bound = None
     if s.ramp_enforced:

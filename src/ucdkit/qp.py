@@ -23,6 +23,7 @@ to pure feasibility checks, which the kernel handles as zero-normal rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -292,14 +293,22 @@ def mode_dynamics(s: Scenario, t: int, commitment, p_prev=None) -> np.ndarray:
     return sol.dispatch
 
 
+@cache
+def _commitments(n):
+    """Every commitment of n units as a tuple, indexed by its binary
+    integer (unit 1 = MSB); built once per n, so every candidate of every
+    period and stage table holds one of the same 2^n tuples."""
+    return [tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in range(1 << n)]
+
+
 def mode_candidates(s: Scenario, t: int, p_prev=None, modes=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
     ordered by the commitment read as a binary integer (unit 1 = MSB).
     `modes`, ascending mode ints, limits the solves to those commitments."""
-    n = s.n_units
+    commitments = _commitments(s.n_units)
     out = []
-    for v in range(1 << n) if modes is None else modes:
-        bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+    for v in range(len(commitments)) if modes is None else modes:
+        bits = commitments[v]
         sol = solve(assemble(s, t, bits, p_prev))
         if sol.status == "optimal":
             out.append((bits, sol.dispatch, running_cost(s, bits, sol.dispatch)))

@@ -215,7 +215,9 @@ def parse_scenario(source) -> Scenario:
                   for i, u in enumerate(raw_units))
     n = len(units)
 
-    options = _as_mapping(doc.get("options", {}) or {}, "options",
+    # only a missing or null section is empty; false, 0 or [] is refused
+    options = doc.get("options")
+    options = _as_mapping({} if options is None else options, "options",
                           ("eta_max", "ramp_enforced", "reserve_frac"))
     eta_max = _as_float(options.get("eta_max", 1.0), "options.eta_max")
     ramp_enforced = options.get("ramp_enforced", False)
@@ -236,7 +238,9 @@ def parse_scenario(source) -> Scenario:
     if doc.get("cet") is not None:
         cet = CetParams(**_record(CetParams, doc["cet"], "cet"))
 
-    initial = _as_mapping(doc.get("initial", {}) or {}, "initial", ("commitment", "dispatch"))
+    initial = doc.get("initial")
+    initial = _as_mapping({} if initial is None else initial, "initial",
+                          ("commitment", "dispatch"))
     raw_commit = initial.get("commitment")
     if not isinstance(raw_commit, list):
         raise ScenarioError("initial.commitment: missing or not a list")

@@ -190,15 +190,16 @@ def simulate(s: Scenario, model: ValueModel,
     p_prev = np.asarray(s.initial_dispatch, dtype=float)
     for t in range(1, s.horizon + 1):
         mode, planned = decide(model, stages, t, i_prev, p_prev)
+        # a copy: the planned dispatch may be the stage table's own array
+        planned = np.array(planned, dtype=float)
         forced = script.lookup(t)
         realized = _pad_override(forced, s.n_units) if forced is not None else planned
         run = running_cost(s, mode, realized)
         sw = switching_cost(s, i_prev, mode)
         tons = sum(emission(u, realized[n]) for n, u in enumerate(s.units) if mode[n])
         report.rows.append({
-            "t": t, "mode": tuple(mode), "planned": np.asarray(planned, dtype=float),
-            "realized": np.asarray(realized, dtype=float), "running": float(run),
-            "switching": float(sw), "emissions_ton": float(tons),
+            "t": t, "mode": tuple(mode), "planned": planned, "realized": realized,
+            "running": float(run), "switching": float(sw), "emissions_ton": float(tons),
             "diverged": forced is not None,
         })
         report.running_total += float(run)

@@ -159,7 +159,7 @@ def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
     s = _with_ramps(load_bundled_scenario(name), frac)
     stages = Stages(s)
     stages.values()     # caches every relaxed row, so each call below screens
-    feasible = 0
+    feasible = reused = resolved = 0
     for t, _, p_prev in drawn_states(s, 1) + _random_states(s, 40, seed=17):
         got = stages.candidates(t, p_prev)
         want = mode_candidates(s, t, p_prev)
@@ -169,4 +169,10 @@ def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
             assert dispatch.tobytes() == want_dispatch.tobytes()
             assert q == want_q
         feasible += bool(want)
+        # a relaxed twin returned as is is the table's own tuple; a mode
+        # of the row that is not was solved again, a ramp row binding it
+        twins = [any(c is r for c in got) for r in stages.candidates(t)]
+        reused += sum(twins)
+        resolved += twins.count(False)
     assert feasible, "every state was infeasible; nothing was compared"
+    assert reused and resolved, (reused, resolved)

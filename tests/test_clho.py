@@ -277,8 +277,8 @@ def _count_rows(monkeypatch, relaxed_only=False):
     return calls
 
 
-def _ramped_e1c1(e1c1):
-    ramped = dataclasses.replace(e1c1.units[0], ramp_up=400.0, ramp_down=400.0)
+def _ramped_e1c1(e1c1, limit=400.0):
+    ramped = dataclasses.replace(e1c1.units[0], ramp_up=limit, ramp_down=limit)
     return dataclasses.replace(e1c1, units=(ramped, e1c1.units[1]),
                                ramp_enforced=True, name="e1_ramped")
 
@@ -326,14 +326,39 @@ def test_non_binary_previous_modes_are_rejected(e1c1, model_e1c1):
                               schedule_step(model_e1c1, e1c1, 3, (1, 0), p_prev))
 
 
+def test_wrong_length_previous_modes_are_rejected(e1c1, model_e1c1):
+    # (1, 0, 1) would read as mode 5 and (1,) as (0, 1): both entry points
+    # check the length before a mode int is formed
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    for bad in [(1,), (1, 0, 1)]:
+        with pytest.raises(ValueError, match="2 entries"):
+            enumerate_tail(e1c1, 3, bad, p_prev)
+        with pytest.raises(ValueError, match="2 entries"):
+            schedule_step(model_e1c1, e1c1, 3, bad, p_prev)
+
+
 def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkeypatch):
+    # 400 MW ramps from this state add only rows the unit's box implies,
+    # so every relaxed twin is the ramped candidate and nothing is solved
     s = _ramped_e1c1(e1c1)
     model = train(s, TrainConfig(samples=5, seed=3))
     calls = _count_rows(monkeypatch)
     p_prev = np.array([300.0, 200.0, 0.0, 0.0])
     for t in (2, 2, 4):
         schedule_step(model, s, t, (1, 1), p_prev)
-    assert calls == [2, 2, 4]
+    assert calls == []
+    # at 100 MW the twin of mode 11 at t=4 runs unit 1 at 500.9 MW, past
+    # 300 + 100: that mode is solved under ramps again on every call
+    s = _ramped_e1c1(e1c1, limit=100.0)
+    model = train(s, TrainConfig(samples=5, seed=3))
+    (twin,) = model.stages_for(s).candidates(4)
+    assert twin[1] == (1, 1) and twin[2][0] > 400.0
+    want = decide(model, Stages(s), 4, (1, 1), p_prev)
+    calls.clear()
+    for _ in range(2):
+        assert _same_decision(schedule_step(model, s, 4, (1, 1), p_prev), want)
+    assert calls == [4, 4]
+    assert want[1][0] == 400.0
 
 
 def _count_solves(monkeypatch):
@@ -357,7 +382,8 @@ def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch
     solves = _count_solves(monkeypatch)
     p_prev = np.array([300.0, 200.0, 0.0, 0.0])
     warm = schedule_step(model, s, 2, (1, 1), p_prev)
-    assert solves == [2] * len(row)
+    # every twin in the row meets its ramp rows (see the test above)
+    assert solves == []
     # a loaded model's table is empty: its decision at t solves the ramped
     # set in full and no relaxed row, and screens once the table holds row t
     path = tmp_path / "m.json"
@@ -371,8 +397,30 @@ def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch
     cold.stages_for(s).candidates(2)
     solves.clear()
     assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
-    assert solves == [2] * len(row)
+    assert solves == []
     assert relaxed == [2]
+
+
+def test_report_rows_are_the_callers_to_change(e1c1):
+    # every ramped decision here returns a relaxed twin, the table's own
+    # array; a report row that held it would let an edit reach the model
+    s = _ramped_e1c1(e1c1)
+    model = train(s, TrainConfig(samples=5, seed=3))
+    first = simulate(s, model)
+
+    def rows(report):
+        return [(r["mode"], r["planned"].tobytes(), r["realized"].tobytes())
+                for r in report.rows]
+
+    want_rows = rows(first)
+    row = first.rows[1]
+    state = (row["mode"], row["realized"].copy())
+    want = schedule_step(model, s, 3, *state)
+    for r in first.rows:
+        r["planned"][:] = -1.0
+        r["realized"][:] = -1.0
+    assert _same_decision(schedule_step(model, s, 3, *state), want)
+    assert rows(simulate(s, model)) == want_rows
 
 
 def test_scored_ramped_override_solves_no_relaxed_row_twice(e1c1, tmp_path,

@@ -131,6 +131,17 @@ REJECTED = [
      "options: expected a mapping"),
     ("initial-not-a-mapping", ("initial",), [1],
      "initial: expected a mapping"),
+    # a falsy value is not a missing section; only null is
+    ("options-false", ("options",), False,
+     "options: expected a mapping"),
+    ("options-zero", ("options",), 0,
+     "options: expected a mapping"),
+    ("options-empty-list", ("options",), [],
+     "options: expected a mapping"),
+    ("initial-zero", ("initial",), 0,
+     "initial: expected a mapping"),
+    ("initial-null", ("initial",), None,
+     "initial.commitment: missing or not a list"),
     ("units-missing-a", ("units", 0, "a"), DROP,
      "units[0].a: missing required field"),
     ("units-missing-p_max", ("units", 0, "p_max"), DROP,
@@ -220,6 +231,8 @@ ACCEPTED = [
      "c73dce5629ea4563cd32b68981859ecba8fc71b59aef3ac2bcb09a400eb57dfc"),
     ("periods-default-frac", ("periods", 0), {"demand": 50},
      "7bcfd9511ad331e8ee0b4b2e11a33ce15548f8e36d897970fcfe858bdf408012"),
+    ("options-null", ("options",), None,
+     "c86bef565acd3a63673197d70e9d30c4b6c3876cf8e891ee5e6804785770498e"),
 ]
 
 

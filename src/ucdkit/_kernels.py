@@ -14,12 +14,22 @@ Kernel convention: rows are C[i] . x >= b[i], except row 0, the balance,
 an equality (sign-flipped as needed, never dropped, multiplier free).
 Returned multipliers w satisfy H x + g - C^T w = 0 with w >= 0 on
 inequality rows.
+
+Working-set systems of one or two rows, two thirds of the linear solves
+on an 8-unit fleet's (t, mode) grid, are solved inline on Python floats.
+Larger ones, and the polish, keep `solve_pivoted`, whose
+back-substitution leaves every row but the last two to numpy's dot.
+That dot goes through BLAS, which may fuse a multiply and an add and
+picks its order of addition by length and stride: with numpy 2.4 on
+OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
+`a*c + b*d` on 30,751 of 200,000 random pairs. So no Python sum
+reproduces its bits, and only numpy itself does.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import copysign
+from math import copysign, inf
 from operator import mul
 
 import numpy as np
@@ -80,6 +90,44 @@ def solve_pivoted(A, rhs, tol_piv):
     return y
 
 
+def _solve_list(A, rhs, tol_piv):
+    """solve_pivoted(A, rhs, tol_piv) as a list of Python floats, or None.
+
+    One and two rows, most working-set systems, are solved inline: the
+    same pivot choice, tolerance test, elimination and back-substitution
+    as solve_pivoted, whose back-substitution at these sizes uses no
+    numpy dot, so the result has the same bits without building the
+    augmented matrix or an array.
+    """
+    if len(rhs) == 1:
+        a = A[0][0]
+        if abs(a) <= tol_piv * max(1.0, abs(a)):
+            return None
+        return [rhs[0] / a]
+    if len(rhs) > 2:
+        y = solve_pivoted(A, rhs, tol_piv)
+        return None if y is None else y.tolist()
+    (a, b), (c, d) = A
+    r0, r1 = rhs
+    tol = tol_piv * max(1.0, max(abs(a), abs(b), abs(c), abs(d)))
+    if abs(c) > abs(a):                     # first largest wins
+        a, b, r0, c, d, r1 = c, d, r1, a, b, r0
+    if abs(a) <= tol:
+        return None
+    f = c / a
+    if f:
+        d, r1 = d - f * b, r1 - f * r0
+    else:                                   # only a -0.0 can change
+        if not d and copysign(1.0, d) < 0.0:
+            d -= f * b
+        if not r1 and copysign(1.0, r1) < 0.0:
+            r1 -= f * r0
+    if abs(d) <= tol:
+        return None
+    y1 = r1 / d
+    return [(r0 - (b * y1 + 0.0)) / a, y1]
+
+
 def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
     """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec, row 0 an equality.
 
@@ -92,17 +140,20 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
     hinv = 1.0 / hdiag
     x = (-glin * hinv).tolist()
     hinv = hinv.tolist()
+    bl = bvec.tolist()
     W, u = [], []               # active rows (W[0] is the balance once added), multipliers
     sign = 1.0                  # on the balance row's normal
     N, G = [], []               # signed normals of W, and their Gram matrix N Hinv N'
-    blocked = np.zeros(m)       # +inf on the rows of W
+    lim = bvec.copy()           # bvec with -inf on the rows of W, so C x - lim skips them
+    slack = np.empty(m)
     iters = 0
 
     while True:
         # next row to enforce: the balance first, then the most violated
         # inequality (ties go to the lowest row index)
         if W:
-            slack = C @ x - bvec + blocked
+            C.dot(x, out=slack)
+            slack -= lim
             p = int(slack.argmin())
             if slack[p] >= -tol_feas:
                 break  # all rows satisfied, multipliers nonnegative: done
@@ -110,10 +161,10 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
             p = 0
 
         npvec = C[p].tolist()       # the row's normal, the balance's flipped when x lies above it
-        if p == 0 and sum(map(mul, npvec, x)) - bvec[0] > 0.0:
+        if p == 0 and sum(map(mul, npvec, x)) - bl[0] > 0.0:
             sign, npvec = -1.0, [-v for v in npvec]
         hnp = list(map(mul, hinv, npvec))
-        bp, up = sign * bvec[0] if p == 0 else bvec[p], 0.0
+        bp, up = sign * bl[0] if p == 0 else bl[p], 0.0
         g = [sum(map(mul, a, hnp)) for a in N]      # N Hinv npvec
 
         while True:
@@ -125,26 +176,31 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
             # r solves (N Hinv N') r = N Hinv npvec, z = Hinv(npvec - N' r)
             r, z = [], hnp
             if W:
-                r = solve_pivoted(G, g, tol_piv)
+                r = _solve_list(G, g, tol_piv)
                 if r is None:
                     return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
-                r = r.tolist()
                 z = npvec
-                for ra, a in zip(r, N):
+                for ra, a in zip(r[:-1], N):
                     z = [zj - ra * aj for zj, aj in zip(z, a)]
-                z = list(map(mul, hinv, z))
+                ra = r[-1]
+                z = [h * (zj - ra * aj) for h, zj, aj in zip(hinv, z, N[-1])]
 
-            # dual step bound: first active inequality whose multiplier hits 0
-            t1, l1 = min(((u[a] / r[a], a) for a in range(1, len(W))
-                          if r[a] > tol_piv), default=(np.inf, -1))
+            # dual step bound: first active inequality whose multiplier
+            # hits 0 (the lowest index among equal ratios)
+            t1, l1 = inf, -1
+            for a in range(1, len(W)):
+                if r[a] > tol_piv:
+                    ta = u[a] / r[a]
+                    if l1 < 0 or ta < t1:
+                        t1, l1 = ta, a
 
             # primal step to reach the new row
-            t2 = np.inf
+            t2 = inf
             zn = sum(map(mul, npvec, z))
             if max(map(abs, z)) > tol_piv and zn > tol_piv:
                 t2 = max(0.0, -(sum(map(mul, npvec, x)) - bp) / zn)
 
-            if t1 == np.inf and t2 == np.inf:
+            if t1 == inf and t2 == inf:
                 # the row's normal lies in span(W) with a nonnegative dual
                 # ray: Farkas certificate, the constraint set is empty
                 return INFEASIBLE, np.array(x), np.zeros(m), iters, p
@@ -152,7 +208,7 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
             # a full primal step adds row p; otherwise relax the blocking
             # row (without moving x when no primal step exists) and retry
             t = min(t1, t2)
-            if t2 < np.inf:
+            if t2 < inf:
                 x = [xj + t * zj for xj, zj in zip(x, z)]
             u = [ua - t * ra for ua, ra in zip(u, r)]
             up += t
@@ -162,12 +218,12 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
                 W.append(p)
                 u.append(up)
                 N.append(npvec)
-                blocked[p] = np.inf
+                lim[p] = -inf
                 for Ga, ga in zip(G, g):
                     Ga.append(ga)
                 G.append(g + [sum(map(mul, npvec, hnp))])
                 break
-            blocked[W[l1]] = 0.0
+            lim[W[l1]] = bl[W[l1]]
             del W[l1], u[l1], N[l1], G[l1], g[l1]
             for Ga in G:
                 del Ga[l1]
@@ -179,14 +235,14 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
     for j, h in enumerate(hdiag.tolist()):
         K[j][j] = h
     sol = solve_pivoted(K + [a + [0.0] * k for a in N],
-                        [-v for v in glin.tolist()] + [sign * bvec[0]] + bvec[W[1:]].tolist(),
+                        [-v for v in glin.tolist()] + [sign * bl[0]] + [bl[a] for a in W[1:]],
                         tol_piv)
     # accept the polished point only if it kept the active multipliers
     # nonnegative and the inactive rows feasible
     if sol is not None:
         ys = sol.tolist()
         if (all(ys[n + a] >= -tol_feas for a in range(1, k))
-                and (C @ sol[:n] - bvec + blocked).min() >= -tol_feas):
+                and (C @ sol[:n] - lim).min() >= -tol_feas):
             x, u = sol[:n], ys[n:]
     w_out = np.zeros(m)
     w_out[W] = u

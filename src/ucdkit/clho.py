@@ -30,7 +30,7 @@ import numpy as np
 
 from .costs import switching_matrix
 from .errors import InfeasibleModeError, ModelMismatchError, UcdError
-from .hybrid import int_to_mode, mode_to_int
+from .hybrid import _check_dispatch, int_to_mode, mode_to_int
 from .oracle import Stages, tie_band
 from .scenario import Scenario, scenario_fingerprint
 
@@ -310,8 +310,10 @@ def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
 def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
     """One closed-loop decision: `decide` on the model's stage table
     (`ValueModel.stages_for`). The dispatch is a copy, so a caller may
-    change it without touching the table.
+    change it without touching the table. A previous dispatch other than
+    N or N+2 finite entries >= 0 raises ValueError.
     """
+    _check_dispatch(p_prev, s.n_units)
     mode, dispatch = decide(model, model.stages_for(s), t, i_prev, p_prev)
     return mode, dispatch.copy()
 

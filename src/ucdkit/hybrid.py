@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -47,6 +48,22 @@ def mode_to_int(bits, n_units=None) -> int:
             raise ValueError(f"commitment entries must be 0 or 1, got {bits!r}")
         v = (v << 1) | int(b)
     return v
+
+
+def _check_dispatch(p, n_units: int) -> None:
+    """Raise ValueError unless p, the dispatch entering a period, has
+    n_units or n_units + 2 entries, each finite and >= 0. A negative entry
+    would silently drop its unit's ramp rows, and a short vector would
+    fail later with an IndexError."""
+    try:
+        vals = p.tolist()           # an array; a list or a tuple has no tolist
+    except AttributeError:
+        vals = [float(v) for v in p]
+    # min catches a negative entry, and a nan in first place; isfinite the rest
+    if not (len(vals) in (n_units, n_units + 2) and min(vals) >= 0.0
+            and all(map(isfinite, vals))):
+        raise ValueError(f"previous dispatch must be {n_units} or {n_units + 2} "
+                         f"finite entries >= 0, got {p!r}")
 
 
 def int_to_mode(v: int, n: int) -> tuple[int, ...]:

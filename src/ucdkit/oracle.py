@@ -32,7 +32,7 @@ import numpy as np
 from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix,
                     switching_row)
 from .errors import BudgetExceededError, InfeasibleModeError, UcdError
-from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
+from .hybrid import Schedule, _check_dispatch, int_to_mode, mode_to_int, schedule_text
 from .qp import mode_candidates, mode_dynamics
 from .scenario import Scenario
 
@@ -282,7 +282,10 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     budget. Tail costs carry no rebate (it is a horizon constant,
     charged once by whoever assembles the full objective). `stages`, a
     table the caller already holds, spares re-solving its rows; when it
-    is given the walk reads the table's scenario, which should be `s`."""
+    is given the walk reads the table's scenario, which should be `s`.
+    A previous dispatch other than N or N+2 finite entries >= 0 raises
+    ValueError."""
+    _check_dispatch(p_prev, s.n_units)
     return _tail(Stages(s) if stages is None else stages, t, i_prev, p_prev,
                  _Budget(budget))
 

@@ -96,80 +96,87 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     n_units = s.n_units
     entries = tuple(commitment)
     # checked before int(), which would read 1.9 as 1
-    if len(entries) != n_units or any(b not in (0, 1) for b in entries):
+    if len(entries) != n_units or not all(map((0, 1).__contains__, entries)):
         raise ValueError(f"commitment must be {n_units} binary entries, got {commitment!r}")
-    bits = tuple(int(b) for b in entries)
+    bits = tuple(map(int, entries))
     p_e = s.cet.price
-
-    committed = [n for n in range(n_units) if bits[n]]
-    free = list(committed)
+    on = [(n, s.units[n]) for n in range(n_units) if bits[n]]
+    nc = len(on)
     dg_on = per.dg_max > 0.0
     dr_on = per.dr_max > 0.0
-    dg_col = dr_col = -1
-    if dg_on:
-        dg_col = len(free)
-        free.append(n_units)
-    if dr_on:
-        dr_col = len(free)
-        free.append(n_units + 1)
+    free = [n for n, _ in on] + [n_units] * dg_on + [n_units + 1] * dr_on
     nf = len(free)
 
-    hdiag = []
-    glin = []
-    for n in free:
-        if n < n_units:
-            u = s.units[n]
-            hdiag.append(2.0 * (u.a + p_e * u.alpha))
-            glin.append(u.b + p_e * u.beta)
-        elif n == n_units:
-            hdiag.append(2.0 * s.dg.a)
-            glin.append(s.dg.b)
-        else:
-            hdiag.append(2.0 * s.dr.a)
-            glin.append(s.dr.b)
-    const = sum(s.units[n].c + p_e * s.units[n].gamma for n in committed)
+    hdiag = [2.0 * (u.a + p_e * u.alpha) for _, u in on]
+    glin = [u.b + p_e * u.beta for _, u in on]
+    if dg_on:
+        hdiag.append(2.0 * s.dg.a)
+        glin.append(s.dg.b)
+    if dr_on:
+        hdiag.append(2.0 * s.dr.a)
+        glin.append(s.dr.b)
+    const = sum(u.c + p_e * u.gamma for _, u in on)
     const += s.dg.c + s.dr.c
 
-    pmin_sum = sum(s.units[n].p_min for n in committed)
-    pmax_sum = sum(s.units[n].p_max for n in committed)
+    pmin_sum = sum(u.p_min for _, u in on)
+    pmax_sum = sum(u.p_max for _, u in on)
 
-    rows = []       # (coefficients as (col, value) pairs, bound, label)
-    virt_cols = [c for c in (dg_col, dr_col) if c >= 0]
-    rows.append(([(c, 1.0) for c in virt_cols], per.demand - per.reserve_lo - pmin_sum, "reserve_lo"))
-    rows.append(([(c, -1.0) for c in virt_cols], pmax_sum - per.demand - per.reserve_hi, "reserve_hi"))
-
-    for col, n in enumerate(committed):
-        u = s.units[n]
-        rows.append(([(col, 1.0)], u.p_max, f"cap_hi[{n}]"))
-        rows.append(([(col, -1.0)], -u.p_min, f"cap_lo[{n}]"))
-        if s.ramp_enforced and p_prev is not None and p_prev[n] > 0.0:
+    # rows in order, G x <= h; G is +1 at the flat indices in `plus`, -1
+    # at those in `minus`, 0 elsewhere save for the penetration row
+    labels = ["reserve_lo", "reserve_hi"]
+    h = [per.demand - per.reserve_lo - pmin_sum, pmax_sum - per.demand - per.reserve_hi]
+    plus = list(range(nc, nf))
+    minus = list(range(nf + nc, 2 * nf))
+    ramped = s.ramp_enforced and p_prev is not None
+    names = _unit_labels(n_units)
+    for col, (n, u) in enumerate(on):
+        at = len(h) * nf + col
+        plus.append(at)
+        minus.append(at + nf)
+        h += (u.p_max, -u.p_min)
+        hi, lo, up, dn = names[n]
+        labels += (hi, lo)
+        if ramped and p_prev[n] > 0.0:
             if u.ramp_up is not None:
-                rows.append(([(col, 1.0)], float(p_prev[n]) + u.ramp_up, f"ramp_up[{n}]"))
+                plus.append(len(h) * nf + col)
+                h.append(float(p_prev[n]) + u.ramp_up)
+                labels.append(up)
             if u.ramp_down is not None:
-                rows.append(([(col, -1.0)], u.ramp_down - float(p_prev[n]), f"ramp_dn[{n}]"))
-
+                minus.append(len(h) * nf + col)
+                h.append(u.ramp_down - float(p_prev[n]))
+                labels.append(dn)
     if dg_on:
-        rows.append(([(dg_col, 1.0)], per.dg_max, "dg_hi"))
-        rows.append(([(dg_col, -1.0)], 0.0, "dg_lo"))
-        pen = [(dg_col, 1.0 - s.eta_max)] + [(col, -s.eta_max) for col in range(len(committed))]
-        rows.append((pen, 0.0, "penetration"))
+        pen = len(h) + 2
+        plus.append(len(h) * nf + nc)
+        minus.append(len(h) * nf + nf + nc)
+        h += (per.dg_max, 0.0, 0.0)
+        labels += ("dg_hi", "dg_lo", "penetration")
     if dr_on:
-        rows.append(([(dr_col, 1.0)], per.dr_max, "dr_hi"))
-        rows.append(([(dr_col, -1.0)], 0.0, "dr_lo"))
+        plus.append(len(h) * nf + nf - 1)
+        minus.append(len(h) * nf + 2 * nf - 1)
+        h += (per.dr_max, 0.0)
+        labels += ("dr_hi", "dr_lo")
 
-    flat = [0.0] * (len(rows) * nf)
-    for i, (coeffs, _, _) in enumerate(rows):
-        for col, v in coeffs:
-            flat[i * nf + col] = v
-    G = np.array(flat, dtype=float).reshape(len(rows), nf)
-    h = np.array([bound for _, bound, _ in rows], dtype=float)
-    labels = [label for _, _, label in rows]
+    G = np.zeros(len(h) * nf)
+    G.put(plus, 1.0)
+    G.put(minus, -1.0)
+    G = G.reshape(len(h), nf)
+    if dg_on:
+        G[pen, :nc] = -s.eta_max
+        G[pen, nc] = 1.0 - s.eta_max
     return QpProblem(
         t=t, commitment=bits, free=tuple(free),
         hdiag=np.array(hdiag, dtype=float), glin=np.array(glin, dtype=float),
-        const=float(const), beq=float(per.demand), G=G, h=h,
+        const=float(const), beq=float(per.demand), G=G, h=np.array(h, dtype=float),
         labels=tuple(labels), n_units=n_units,
     )
+
+
+@cache
+def _unit_labels(n_units):
+    """Per unit, the labels of its cap_hi, cap_lo, ramp_up and ramp_dn rows."""
+    return [tuple(f"{row}[{n}]" for row in ("cap_hi", "cap_lo", "ramp_up", "ramp_dn"))
+            for n in range(n_units)]
 
 
 def _expand(q: QpProblem, x: np.ndarray) -> np.ndarray:
@@ -214,10 +221,10 @@ def solve(q: QpProblem) -> QpSolution:
     # kernel convention: C x >= b with the balance equality first
     C = np.empty((m + 1, nf))
     b = np.empty(m + 1)
-    C[0, :] = 1.0
+    C[0] = 1.0
     b[0] = q.beq
-    C[1:, :] = -q.G
-    b[1:] = -q.h
+    np.negative(q.G, out=C[1:])
+    np.negative(q.h, out=b[1:])
     max_iter = 100 + 50 * (m + 1)
     status, x, w, iters, bad = _kernels.qp_core(
         q.hdiag, q.glin, C, b, FEAS_TOL, PIVOT_TOL, max_iter,
@@ -240,21 +247,20 @@ def solve(q: QpProblem) -> QpSolution:
     lam = -float(w[0])
     mu = w[1:].copy()
     obj = float(0.5 * np.dot(q.hdiag * x, x) + np.dot(q.glin, x) + q.const)
-    active = tuple(label for label, mi, si in zip(q.labels, mu.tolist(), (q.G @ x - q.h).tolist())
+    slack = q.G @ x - q.h
+    active = tuple(label for label, mi, si in zip(q.labels, mu.tolist(), slack.tolist())
                    if mi > 0.0 or si > -1e-7)
-    sol = QpSolution(
-        status="optimal", dispatch=_expand(q, x), objective_value=obj,
-        eq_multiplier=lam, ineq_multipliers=mu, active_set=active,
-        iterations=iters,
-    )
-    resid = kkt_residual(q, sol)
+    resid = _residual(q, x, lam, mu, slack)
     if resid > KKT_TOL:
         raise QpNumericalError(
             f"KKT residual {resid:.3e} exceeds {KKT_TOL:.0e} at t={q.t}, "
             f"commitment {''.join(map(str, q.commitment))}"
         )
-    object.__setattr__(sol, "kkt", float(resid))
-    return sol
+    return QpSolution(
+        status="optimal", dispatch=_expand(q, x), objective_value=obj,
+        eq_multiplier=lam, ineq_multipliers=mu, active_set=active,
+        kkt=float(resid), iterations=iters,
+    )
 
 
 def kkt_residual(q: QpProblem, sol: QpSolution) -> float:
@@ -266,13 +272,15 @@ def kkt_residual(q: QpProblem, sol: QpSolution) -> float:
     if q.n_free == 0:
         return abs(q.beq)
     x = sol.dispatch[list(q.free)]
-    lam = sol.eq_multiplier
-    mu = sol.ineq_multipliers
+    return _residual(q, x, sol.eq_multiplier, sol.ineq_multipliers, q.G @ x - q.h)
+
+
+def _residual(q, x, lam, mu, slack):
+    """kkt_residual on the free coordinates x, given slack = G x - h."""
     stat = q.hdiag * x + q.glin + lam + (q.G.T @ mu if len(mu) else 0.0)
     r = float(np.abs(stat).max())
     r = max(r, abs(float(x.sum()) - q.beq))
     if len(mu):
-        slack = q.G @ x - q.h
         r = max(r, float(slack.max(initial=0.0)))
         r = max(r, float((-mu).max(initial=0.0)))
         r = max(r, float(np.abs(mu * slack).max(initial=0.0)))

@@ -17,6 +17,7 @@ from ucdkit import (
     graph_dp_optimal,
     load_bundled_scenario,
     run_schedule,
+    schedule_step,
     schedule_text,
     simulate,
     train,
@@ -97,6 +98,29 @@ def test_tail_from_midhorizon_state(e1c1):
     assert [m for m in modes] == [(1, 1), (1, 1)]
     # two periods at 700 MW, no switching
     assert cost == pytest.approx(2 * 6422.597321428572, abs=1e-6)
+
+
+@pytest.mark.parametrize("p_prev", [
+    [-300.0, 200.0, 0.0, 0.0],          # would drop unit 1's ramp rows
+    np.array([300.0, -1e-9]),
+    [300.0],
+    [300.0, 200.0, 0.0],
+    [300.0, 200.0, 0.0, 0.0, 0.0],
+    [float("nan"), 200.0],
+    [300.0, float("inf"), 0.0, 0.0],
+], ids=["negative", "negative-array", "short", "n-plus-1", "long", "nan", "inf"])
+def test_previous_dispatch_is_checked(e1c1, model_e1c1, p_prev):
+    ramped = dataclasses.replace(
+        e1c1, units=(dataclasses.replace(e1c1.units[0], ramp_up=100.0), e1c1.units[1]),
+        ramp_enforced=True)
+    for s in (e1c1, ramped):
+        with pytest.raises(ValueError, match="previous dispatch"):
+            enumerate_tail(s, 4, (1, 1), p_prev)
+    with pytest.raises(ValueError, match="previous dispatch"):
+        schedule_step(model_e1c1, e1c1, 4, (1, 1), p_prev)
+    # N or N+2 entries, as a list or an array, are accepted alike
+    for good in ([300.0, 200.0], [300, 200, 0, 0], np.array([300.0, 200.0, 0.0, 0.0])):
+        assert enumerate_tail(ramped, 4, (1, 1), good)[0] == pytest.approx(19301.99732142857)
 
 
 def test_tail_beyond_horizon_is_zero(e1c1):

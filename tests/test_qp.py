@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -226,6 +228,37 @@ def test_solve_pivoted_fails_at_the_pivot_tolerance():
     assert y == pytest.approx([0.25, 200.0])
 
 
+def test_small_solve_is_solve_pivoted_to_the_bit():
+    # the kernel solves 1- and 2-row working-set systems inline; every
+    # outcome, None included, must be solve_pivoted's to the bit
+    tol = PIVOT_TOL
+    above = float(np.nextafter(tol, 1.0))
+    # max |A| <= 1 keeps the tolerance at tol, so pivots land on it and
+    # just above it; 1 and -1 tie for the pivot
+    edge = [0.0, -0.0, 1.0, -1.0, 0.5, -0.25, tol, -tol, above, -above]
+    cases = [([[a, b], [c, d]], [r0, r1])
+             for a, b, c, d in itertools.product(edge, repeat=4)
+             for r0, r1 in ((1.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (3.0, -2.0))]
+    cases += [([[a]], [r]) for a in edge for r in (1.0, 0.0, -0.0)]
+    rng = np.random.default_rng(5)
+    for _ in range(4000):
+        k = int(rng.integers(1, 3))
+        scale = 10.0 ** rng.integers(-12, 13, size=(k, k)) if rng.random() < 0.5 else 1.0
+        cases.append(((rng.normal(size=(k, k)) * scale).tolist(), rng.normal(size=k).tolist()))
+    outcomes = Counter()
+    for A, rhs in cases:
+        want = _kernels.solve_pivoted(A, rhs, tol)
+        got = _kernels._solve_list(A, rhs, tol)
+        assert (got is None) == (want is None), (A, rhs)
+        if want is None:
+            outcomes["none"] += 1
+            continue
+        assert np.array(got).tobytes() == want.tobytes(), (A, rhs, got, want)
+        outcomes["negative zero"] += any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in got)
+        outcomes["solved"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
 def test_kernel_failure_raises_numerical_error(e1c1, monkeypatch):
     real = _kernels.qp_core
 
@@ -385,3 +418,22 @@ def test_solve_pivoted_is_dense_elimination_to_the_bit():
             solved += 1
             assert got.tobytes() == want.tobytes() and got.strides == want.strides
     assert solved > 100
+
+
+# sha256 over every golden problem's assembled data: labels, free
+# columns, const and beq by repr, and the dtype, shape, strides and bytes of
+# hdiag, glin, G and h. Recorded before assembly was rewritten, so any
+# change to what `assemble` hands the kernel shows here.
+ASSEMBLE_GOLDEN = (7376, "66d26fdb9b50d24071e83f9540492342d97e258e35119f84316f7e9d9d84c606")
+
+
+def test_assemble_golden_digest(drawn_states):
+    h = hashlib.sha256()
+    count = 0
+    for q in _golden_problems(drawn_states):
+        count += 1
+        h.update(repr((q.t, q.commitment, q.labels, q.free, q.const, q.beq, q.n_units)).encode())
+        for a in (q.hdiag, q.glin, q.G, q.h):
+            h.update(repr((a.dtype.str, a.shape, a.strides)).encode())
+            h.update(a.tobytes())
+    assert (count, h.hexdigest()) == ASSEMBLE_GOLDEN

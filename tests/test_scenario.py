@@ -2,6 +2,7 @@
 
 import copy
 import io
+from importlib import resources
 
 import pytest
 import yaml
@@ -250,6 +251,37 @@ def test_one_fault_document_is_accepted(path, value, fingerprint):
     s = parse_scenario(_edited(path, value))
     assert scenario_fingerprint(s) == fingerprint
     assert parse_scenario(serialize_scenario(s)) == s
+
+
+def _outcome(text):
+    """The parsed scenario, or the message it is refused with."""
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    docs = ([(resources.files("ucdkit") / "scenarios" / f"{key}.ucd").read_text("utf-8")
+             for key in BUNDLED_SCENARIOS]
+            + [_edited(path, value) for _, path, value, _ in REJECTED + ACCEPTED]
+            + [MINIMAL, "units:\n  - {a: 0.01, b: 1\n", "units: [\n", "a: b: c\n", "\t- 1\n", "\n"])
+    made = []
+
+    class Counting(yaml.CSafeLoader):
+        def __init__(self, stream):
+            made.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Counting)
+    fast = [_outcome(doc) for doc in docs]
+    assert len(made) == len(docs)       # libyaml reads every document first
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    pure = [_outcome(doc) for doc in docs]
+    assert fast == pure
+    assert sum(isinstance(o, str) for o in pure) == len(REJECTED) + 5
 
 
 @pytest.mark.parametrize("key", ["dg", "dr", "cet"])

@@ -24,6 +24,14 @@ picks its order of addition by length and stride: with numpy 2.4 on
 OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
 `a*c + b*d` on 30,751 of 200,000 random pairs. So no Python sum
 reproduces its bits, and only numpy itself does.
+
+What a call computes from the rows, H and the linear term alone (H^-1,
+the unconstrained minimizer, each row's normal and its H^-1 scaled copy,
+and the Gram entries of pairs of rows) is kept in a `Rows`, which a
+caller may pass for C and reuse: the dispatch QP's template keeps one
+per mode for every period of a scenario. Its caches fill as rows enter a
+working set, and each entry is the expression an uncached call
+evaluates, so a call returns the same bits either way.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from operator import mul
 
 import numpy as np
 
-__all__ = ["qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL"]
+__all__ = ["Rows", "qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL"]
 
 # status codes returned by the kernel
 OPTIMAL = 0
@@ -128,18 +136,72 @@ def _solve_list(A, rhs, tol_piv):
     return [(r0 - (b * y1 + 0.0)) / a, y1]
 
 
+class Rows:
+    """A QP's constraint rows with the kernel's constants for them.
+
+    `C` is the (m, n) array of rows (`shape` is its shape, so a `Rows`
+    reads like the array it stands for); `hdiag` and `glin` are the
+    Hessian diagonal and linear term it goes with. H^-1 and the
+    unconstrained minimizer are kept as Python floats. Each row's normal
+    and the Gram entry `N[a] . H^-1 N[p]` of a pair of rows are filled on
+    first use, under int keys: a row is converted when it first enters a
+    working set, and a pair's entry when one row enters with the other
+    in the set. A row's H^-1 scaled copy is kept for the balance row
+    alone, the only row whose copy a step reads; the others are made
+    only to fill a Gram entry. The balance row flipped to the other side
+    of its equality is never cached: its product sums differ from the
+    unflipped ones in the sign of a zero. `normals` may be shared by
+    every `Rows` of one C, and `pool` by any number of them: it holds one
+    float object per value kept. A `Rows` never writes its arrays.
+    """
+
+    __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "pool", "first",
+                 "gram")
+
+    def __init__(self, hdiag, glin, C, normals=None, pool=None):
+        self.C, self.shape, self.hdiag, self.glin = C, C.shape, hdiag, glin
+        self.normals = {} if normals is None else normals   # row -> normal, a list
+        self.pool = {} if pool is None else pool
+        hinv = 1.0 / hdiag
+        pool = self.pool
+        self.x0, self.hinv = ([pool.setdefault(v, v) if v else _kept(v, pool) for v in a.tolist()]
+                              for a in (-glin * hinv, hinv))
+        self.first = None   # the balance row's H^-1 scaled copy and Gram entry
+        self.gram = {}      # a * m + p -> normal(a) . H^-1 normal(p)
+
+    def normal(self, p):
+        """The normal of row p, as a list of Python floats."""
+        npvec = self.normals.get(p)
+        if npvec is None:
+            npvec = self.normals[p] = self.C[p].tolist()
+        return npvec
+
+
+def _kept(v, pool):
+    """The pool's float object of v's value. Nonzero floats that compare
+    equal have equal bits; a zero keeps its sign."""
+    if v:
+        return pool.setdefault(v, v)
+    return _NEG_ZERO if copysign(1.0, v) < 0.0 else _ZERO
+
+
+_ZERO, _NEG_ZERO = 0.0, -0.0
+
+
 def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
     """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec, row 0 an equality.
 
+    C is the array of rows, or a `Rows` made from it with hdiag and glin
+    (whose constants then serve this call and fill for the next).
     Returns (status, x, w, iterations, bad_row). w are row multipliers in
     the >= convention described in the module docstring; bad_row is the
     row certifying infeasibility (-1 otherwise). The iterations run on
     Python floats, which cost far less than numpy calls at these sizes.
     """
-    n, m = hdiag.shape[0], C.shape[0]
-    hinv = 1.0 / hdiag
-    x = (-glin * hinv).tolist()
-    hinv = hinv.tolist()
+    R = C if isinstance(C, Rows) else Rows(hdiag, glin, C)
+    C = R.C
+    m, n = R.shape
+    x, hinv, gram = R.x0, R.hinv, R.gram
     bl = bvec.tolist()
     W, u = [], []               # active rows (W[0] is the balance once added), multipliers
     sign = 1.0                  # on the balance row's normal
@@ -160,12 +222,35 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
         else:
             p = 0
 
-        npvec = C[p].tolist()       # the row's normal, the balance's flipped when x lies above it
+        # the row's normal, the balance's flipped when x lies above it;
+        # then N Hinv npvec and npvec Hinv npvec. The balance enters
+        # first and is never dropped, so only its step reads Hinv npvec
+        npvec = R.normal(p)
+        hnp, g = None, []
         if p == 0 and sum(map(mul, npvec, x)) - bl[0] > 0.0:
             sign, npvec = -1.0, [-v for v in npvec]
-        hnp = list(map(mul, hinv, npvec))
+            hnp = list(map(mul, hinv, npvec))
+            gpp = sum(map(mul, npvec, hnp))
+        elif p == 0:
+            if R.first is None:
+                hnp = [_kept(v, R.pool) for v in map(mul, hinv, npvec)]
+                R.first = hnp, _kept(sum(map(mul, npvec, hnp)), R.pool)
+            hnp, gpp = R.first
+        else:
+            for a, na in zip(W, N):
+                cached = a > 0 or sign > 0.0
+                ga = gram.get(a * m + p) if cached else None
+                if ga is None:
+                    hnp = hnp or list(map(mul, hinv, npvec))
+                    ga = sum(map(mul, na, hnp))
+                    if cached:
+                        ga = gram[a * m + p] = _kept(ga, R.pool)
+                g.append(ga)
+            gpp = gram.get(p * m + p)
+            if gpp is None:
+                hnp = hnp or list(map(mul, hinv, npvec))
+                gpp = gram[p * m + p] = _kept(sum(map(mul, npvec, hnp)), R.pool)
         bp, up = sign * bl[0] if p == 0 else bl[p], 0.0
-        g = [sum(map(mul, a, hnp)) for a in N]      # N Hinv npvec
 
         while True:
             iters += 1
@@ -221,7 +306,7 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
                 lim[p] = -inf
                 for Ga, ga in zip(G, g):
                     Ga.append(ga)
-                G.append(g + [sum(map(mul, npvec, hnp))])
+                G.append(g + [gpp])
                 break
             lim[W[l1]] = bl[W[l1]]
             del W[l1], u[l1], N[l1], G[l1], g[l1]
@@ -232,10 +317,10 @@ def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
     # the top-right block carries -N so u keeps the convention H x + g - N u = 0
     k = len(W)
     K = [[0.0] * n + [-a[j] for a in N] for j in range(n)]
-    for j, h in enumerate(hdiag.tolist()):
+    for j, h in enumerate(R.hdiag.tolist()):
         K[j][j] = h
     sol = solve_pivoted(K + [a + [0.0] * k for a in N],
-                        [-v for v in glin.tolist()] + [sign * bl[0]] + [bl[a] for a in W[1:]],
+                        [-v for v in R.glin.tolist()] + [sign * bl[0]] + [bl[a] for a in W[1:]],
                         tol_piv)
     # accept the polished point only if it kept the active multipliers
     # nonnegative and the inactive rows feasible

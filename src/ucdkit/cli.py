@@ -18,7 +18,7 @@ from . import __version__
 from .clho import TrainConfig, load_model, save_model, schedule_step, train
 from .costs import running_cost, switching_cost
 from .errors import ScenarioError, UcdError
-from .hybrid import run_schedule, schedule_text, trajectory_csv
+from .hybrid import _check_dispatch, mode_to_int, run_schedule, schedule_text, trajectory_csv
 from .oracle import DEFAULT_BUDGET, enumerate_optimal, enumerate_schedule_costs, graph_dp_optimal
 from .qp import assemble, solve
 from .scenario import BUNDLED_SCENARIOS, load_bundled_scenario, parse_scenario
@@ -39,10 +39,12 @@ def _load_scenario(arg: str):
 
 
 def _parse_mode(text: str, n_units: int):
-    bits = text.strip()
-    if len(bits) != n_units or any(c not in "01" for c in bits):
-        raise UcdError(f"mode {text!r} is not {n_units} binary digits")
-    return tuple(int(c) for c in bits)
+    try:
+        bits = tuple(map("01".index, text.strip()))
+        mode_to_int(bits, n_units)
+    except ValueError:
+        raise UcdError(f"mode {text!r} is not {n_units} binary digits") from None
+    return bits
 
 
 def _parse_state(text: str, n_units: int) -> np.ndarray:
@@ -50,15 +52,15 @@ def _parse_state(text: str, n_units: int) -> np.ndarray:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise UcdError(f"bad state vector {text!r}: {exc}") from exc
-    if len(vals) == n_units:
-        vals = vals + [0.0, 0.0]
-    if len(vals) != n_units + 2:
+    try:
+        _check_dispatch(vals, n_units)
+    except ValueError:
+        if len(vals) in (n_units, n_units + 2):
+            raise UcdError(f"state vector {text!r}: values must be finite and >= 0") from None
         raise UcdError(
             f"state vector has {len(vals)} entries; expected {n_units} or {n_units + 2}"
-        )
-    if any(not np.isfinite(v) or v < 0.0 for v in vals):
-        raise UcdError(f"state vector {text!r}: values must be finite and >= 0")
-    return np.asarray(vals)
+        ) from None
+    return np.asarray(vals + [0.0, 0.0] if len(vals) == n_units else vals)
 
 
 def _positive_int(text: str) -> int:
@@ -87,7 +89,7 @@ def cmd_validate(args) -> int:
 def cmd_dispatch(args) -> int:
     s = _load_scenario(args.scenario)
     mode = _parse_mode(args.mode, s.n_units)
-    p_prev = _parse_state(args.prev, s.n_units) if args.prev else None
+    p_prev = _parse_state(args.prev, s.n_units) if args.prev is not None else None
     sol = solve(assemble(s, args.t, mode, p_prev))
     if sol.status != "optimal":
         cert = sol.certificate or {}

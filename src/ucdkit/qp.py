@@ -18,10 +18,27 @@ rows, in order:
 The reserve rows only carry coefficients on the dg/dr coordinates; their
 thermal part is a constant, so with neither resource present they degenerate
 to pure feasibility checks, which the kernel handles as zero-normal rows.
+
+Templates. Most of a problem depends on its mode alone: the free columns,
+the cost terms, the labels, the committed p_min and p_max sums, `G` and
+the kernel's form of it. `assemble` builds these once per scenario
+object, commitment, DG and DR presence and set of units with ramp rows,
+and afterwards fills only the period's `h` and `beq`; `solve` builds
+only the kernel's right-hand side. The template also carries the
+kernel's per-mode constants (`_kernels.Rows`), filled as rows enter a
+working set. Each is the expression an uncached solve evaluates, so
+every result keeps its bits. Templates are keyed on the scenario
+object's identity and dropped when it is collected; an equal but
+distinct scenario (a re-parse, a `dataclasses.replace`) gets its own.
+`hdiag`, `glin` and `G` of an assembled problem are shared with every
+problem of its template and read-only; `h` is its own. A problem not
+made by `assemble` (built by hand, or changed with `dataclasses.replace`)
+has no template and gets new kernel constants on each solve.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -67,6 +84,9 @@ class QpProblem:
     h: np.ndarray
     labels: tuple[str, ...]
     n_units: int
+    # the kernel's form of the rows, shared with every problem of the same
+    # template; replace() leaves it None, so a changed problem gets its own
+    rows: _kernels.Rows | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_free(self) -> int:
@@ -91,6 +111,8 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
 
     p_prev supplies the previous dispatch for ramp coupling; passing None
     assembles the ramp-relaxed subproblem regardless of the scenario flag.
+    Everything but the period's bounds `h` and `beq` comes from the mode's
+    template (see the module docstring).
     """
     per = s.period(t)
     n_units = s.n_units
@@ -99,77 +121,169 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     if len(entries) != n_units or not all(map((0, 1).__contains__, entries)):
         raise ValueError(f"commitment must be {n_units} binary entries, got {commitment!r}")
     bits = tuple(map(int, entries))
-    p_e = s.cet.price
-    on = [(n, s.units[n]) for n in range(n_units) if bits[n]]
-    nc = len(on)
     dg_on = per.dg_max > 0.0
     dr_on = per.dr_max > 0.0
-    free = [n for n, _ in on] + [n_units] * dg_on + [n_units + 1] * dr_on
-    nf = len(free)
-
-    hdiag = [2.0 * (u.a + p_e * u.alpha) for _, u in on]
-    glin = [u.b + p_e * u.beta for _, u in on]
+    # the committed units that ran in the previous period carry ramp rows
+    ramped = ()
+    if s.ramp_enforced and p_prev is not None:
+        ramped = tuple(n for n in range(n_units) if bits[n] and p_prev[n] > 0.0)
+    tpl = _template(s, bits, dg_on, dr_on, ramped)
+    h = tpl.h.copy()
+    h[0] = per.demand - per.reserve_lo - tpl.pmin_sum
+    h[1] = tpl.pmax_sum - per.demand - per.reserve_hi
+    for i, n, ramp in tpl.ups:
+        h[i] = float(p_prev[n]) + ramp
+    for i, n, ramp in tpl.downs:
+        h[i] = ramp - float(p_prev[n])
     if dg_on:
-        hdiag.append(2.0 * s.dg.a)
-        glin.append(s.dg.b)
+        h[tpl.dg_row] = per.dg_max
     if dr_on:
-        hdiag.append(2.0 * s.dr.a)
-        glin.append(s.dr.b)
-    const = sum(u.c + p_e * u.gamma for _, u in on)
-    const += s.dg.c + s.dr.c
-
-    pmin_sum = sum(u.p_min for _, u in on)
-    pmax_sum = sum(u.p_max for _, u in on)
-
-    # rows in order, G x <= h; G is +1 at the flat indices in `plus`, -1
-    # at those in `minus`, 0 elsewhere save for the penetration row
-    labels = ["reserve_lo", "reserve_hi"]
-    h = [per.demand - per.reserve_lo - pmin_sum, pmax_sum - per.demand - per.reserve_hi]
-    plus = list(range(nc, nf))
-    minus = list(range(nf + nc, 2 * nf))
-    ramped = s.ramp_enforced and p_prev is not None
-    names = _unit_labels(n_units)
-    for col, (n, u) in enumerate(on):
-        at = len(h) * nf + col
-        plus.append(at)
-        minus.append(at + nf)
-        h += (u.p_max, -u.p_min)
-        hi, lo, up, dn = names[n]
-        labels += (hi, lo)
-        if ramped and p_prev[n] > 0.0:
-            if u.ramp_up is not None:
-                plus.append(len(h) * nf + col)
-                h.append(float(p_prev[n]) + u.ramp_up)
-                labels.append(up)
-            if u.ramp_down is not None:
-                minus.append(len(h) * nf + col)
-                h.append(u.ramp_down - float(p_prev[n]))
-                labels.append(dn)
-    if dg_on:
-        pen = len(h) + 2
-        plus.append(len(h) * nf + nc)
-        minus.append(len(h) * nf + nf + nc)
-        h += (per.dg_max, 0.0, 0.0)
-        labels += ("dg_hi", "dg_lo", "penetration")
-    if dr_on:
-        plus.append(len(h) * nf + nf - 1)
-        minus.append(len(h) * nf + 2 * nf - 1)
-        h += (per.dr_max, 0.0)
-        labels += ("dr_hi", "dr_lo")
-
-    G = np.zeros(len(h) * nf)
-    G.put(plus, 1.0)
-    G.put(minus, -1.0)
-    G = G.reshape(len(h), nf)
-    if dg_on:
-        G[pen, :nc] = -s.eta_max
-        G[pen, nc] = 1.0 - s.eta_max
-    return QpProblem(
-        t=t, commitment=bits, free=tuple(free),
-        hdiag=np.array(hdiag, dtype=float), glin=np.array(glin, dtype=float),
-        const=float(const), beq=float(per.demand), G=G, h=np.array(h, dtype=float),
-        labels=tuple(labels), n_units=n_units,
+        h[tpl.dr_row] = per.dr_max
+    q = QpProblem(
+        t=t, commitment=tpl.bits, free=tpl.free, hdiag=tpl.hdiag, glin=tpl.glin,
+        const=tpl.const, beq=float(per.demand), G=tpl.G, h=np.array(h, dtype=float),
+        labels=tpl.labels, n_units=n_units,
     )
+    object.__setattr__(q, "rows", tpl.rows)
+    return q
+
+
+# id(scenario) -> _Store; an entry lives as long as its scenario object,
+# which is never hashed by value
+_TEMPLATES = {}
+
+
+class _Store:
+    """A scenario object's templates, and what they share: G holds no
+    unit data, so every mode with as many committed units, the same DG
+    and DR rows and the same ramp rows shares one G, one kernel form C
+    and one set of row normals, and every Rows keeps its floats in one
+    pool."""
+
+    __slots__ = ("templates", "rows", "floats")
+
+    def __init__(self):
+        self.templates = {}     # (bits, dg on, dr on, ramped units) -> _Template
+        self.rows = {}          # layout of G's rows -> (G, C, row normals)
+        self.floats = {}        # the Rows' float pool
+
+
+def _template(s, *key):
+    """The template of key = (bits, dg on, dr on, ramped units) for the
+    scenario object s, built on first use."""
+    store = _TEMPLATES.get(id(s))
+    if store is None:
+        store = _TEMPLATES[id(s)] = _Store()
+        weakref.finalize(s, _TEMPLATES.pop, id(s), None)
+    tpl = store.templates.get(key)
+    if tpl is None:
+        tpl = store.templates[key] = _Template(s, *key, store)
+    return tpl
+
+
+class _Template:
+    """What a dispatch QP takes from its mode alone: the free columns,
+    cost terms, row labels, `G`, the kernel's `Rows`, and `h` with its
+    period entries left at 0.0 and their positions."""
+
+    __slots__ = ("bits", "free", "hdiag", "glin", "const", "pmin_sum", "pmax_sum",
+                 "G", "labels", "h", "ups", "downs", "dg_row", "dr_row", "rows")
+
+    def __init__(self, s, bits, dg_on, dr_on, ramped, store):
+        n_units = s.n_units
+        p_e = s.cet.price
+        on = [(n, s.units[n]) for n in range(n_units) if bits[n]]
+        nc = len(on)
+        free = [n for n, _ in on] + [n_units] * dg_on + [n_units + 1] * dr_on
+        nf = len(free)
+
+        hdiag = [2.0 * (u.a + p_e * u.alpha) for _, u in on]
+        glin = [u.b + p_e * u.beta for _, u in on]
+        if dg_on:
+            hdiag.append(2.0 * s.dg.a)
+            glin.append(s.dg.b)
+        if dr_on:
+            hdiag.append(2.0 * s.dr.a)
+            glin.append(s.dr.b)
+        const = sum(u.c + p_e * u.gamma for _, u in on)
+        const += s.dg.c + s.dr.c
+
+        # rows in order, G x <= h; G is +1 at the flat indices in `plus`, -1
+        # at those in `minus`, 0 elsewhere save for the penetration row
+        labels = ["reserve_lo", "reserve_hi"]
+        h = [0.0, 0.0]
+        plus = list(range(nc, nf))
+        minus = list(range(nf + nc, 2 * nf))
+        ups, downs = [], []
+        layout = [nc, dg_on, dr_on]     # what G depends on: the rows of each column
+        names = _unit_labels(n_units)
+        for col, (n, u) in enumerate(on):
+            at = len(h) * nf + col
+            plus.append(at)
+            minus.append(at + nf)
+            h += (u.p_max, -u.p_min)
+            hi, lo, up, dn = names[n]
+            labels += (hi, lo)
+            if n in ramped:
+                if u.ramp_up is not None:
+                    plus.append(len(h) * nf + col)
+                    ups.append((len(h), n, u.ramp_up))
+                    h.append(0.0)
+                    labels.append(up)
+                if u.ramp_down is not None:
+                    minus.append(len(h) * nf + col)
+                    downs.append((len(h), n, u.ramp_down))
+                    h.append(0.0)
+                    labels.append(dn)
+                layout.append((col, u.ramp_up is not None, u.ramp_down is not None))
+        self.dg_row = self.dr_row = None
+        if dg_on:
+            pen = len(h) + 2
+            self.dg_row = len(h)
+            plus.append(len(h) * nf + nc)
+            minus.append(len(h) * nf + nf + nc)
+            h += (0.0, 0.0, 0.0)
+            labels += ("dg_hi", "dg_lo", "penetration")
+        if dr_on:
+            self.dr_row = len(h)
+            plus.append(len(h) * nf + nf - 1)
+            minus.append(len(h) * nf + 2 * nf - 1)
+            h += (0.0, 0.0)
+            labels += ("dr_hi", "dr_lo")
+
+        layout = tuple(layout)
+        if layout not in store.rows:
+            G = np.zeros(len(h) * nf)
+            G.put(plus, 1.0)
+            G.put(minus, -1.0)
+            G = G.reshape(len(h), nf)
+            if dg_on:
+                G[pen, :nc] = -s.eta_max
+                G[pen, nc] = 1.0 - s.eta_max
+            store.rows[layout] = (_read_only(G), _kernel_form(G), {})
+        self.G, C, normals = store.rows[layout]
+        self.bits, self.free, self.labels = bits, tuple(free), tuple(labels)
+        self.hdiag = _read_only(np.array(hdiag, dtype=float))
+        self.glin = _read_only(np.array(glin, dtype=float))
+        self.const = float(const)
+        self.pmin_sum = sum(u.p_min for _, u in on)
+        self.pmax_sum = sum(u.p_max for _, u in on)
+        self.h, self.ups, self.downs = h, tuple(ups), tuple(downs)
+        self.rows = _kernels.Rows(self.hdiag, self.glin, C, normals, store.floats)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _kernel_form(G):
+    """The kernel's form of G x <= h: C x >= b with the balance equality
+    first, C = [1; -G], read-only."""
+    C = np.empty((len(G) + 1, G.shape[1]))
+    C[0] = 1.0
+    np.negative(G, out=C[1:])
+    return _read_only(C)
 
 
 @cache
@@ -218,20 +332,20 @@ def solve(q: QpProblem) -> QpSolution:
             ineq_multipliers=np.zeros(m), active_set=(), kkt=0.0,
         )
 
-    # kernel convention: C x >= b with the balance equality first
-    C = np.empty((m + 1, nf))
+    # kernel convention: C x >= b with the balance equality first; a
+    # problem that is not assemble's own (built by hand or replaced)
+    # gets a new kernel form
+    rows = q.rows or _kernels.Rows(q.hdiag, q.glin, _kernel_form(q.G))
     b = np.empty(m + 1)
-    C[0] = 1.0
     b[0] = q.beq
-    np.negative(q.G, out=C[1:])
     np.negative(q.h, out=b[1:])
     max_iter = 100 + 50 * (m + 1)
     status, x, w, iters, bad = _kernels.qp_core(
-        q.hdiag, q.glin, C, b, FEAS_TOL, PIVOT_TOL, max_iter,
+        q.hdiag, q.glin, rows, b, FEAS_TOL, PIVOT_TOL, max_iter,
     )
     if status == _kernels.INFEASIBLE:
         label = "balance" if bad == 0 else q.labels[bad - 1]
-        slack = float(np.dot(C[bad], x) - b[bad])
+        slack = float(np.dot(rows.C[bad], x) - b[bad])
         return QpSolution(
             status="infeasible", dispatch=None, objective_value=None,
             eq_multiplier=None, ineq_multipliers=None,

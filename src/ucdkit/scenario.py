@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
 import yaml
@@ -41,6 +41,12 @@ BUNDLED_SCENARIOS = (
 )
 
 
+def _rule(rule, default=MISSING):
+    """A record field and its sign rule, a key of _RULES, which
+    `validate_scenario` checks; "any" takes every finite value."""
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass(frozen=True)
 class ThermalUnitParams:
     """One dispatchable thermal unit.
@@ -51,47 +57,47 @@ class ThermalUnitParams:
     allowance over the horizon (ton).
     """
 
-    a: float
-    b: float
-    c: float
-    p_min: float
-    p_max: float
-    c_bank: float = 0.0
-    c_fix: float = 0.0
-    c_shut: float = 0.0
-    ramp_down: float | None = None  # MW per period; None = unbounded
-    ramp_up: float | None = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    quota: float = 0.0
+    a: float = _rule("> 0")
+    b: float = _rule("any")
+    c: float = _rule("any")
+    p_min: float = _rule("in [0, p_max]")
+    p_max: float = _rule("any")
+    c_bank: float = _rule(">= 0", 0.0)
+    c_fix: float = _rule(">= 0", 0.0)
+    c_shut: float = _rule(">= 0", 0.0)
+    ramp_down: float | None = _rule(">= 0", None)  # MW per period; None = unbounded
+    ramp_up: float | None = _rule(">= 0", None)
+    alpha: float = _rule(">= 0", 0.0)
+    beta: float = _rule("any", 0.0)
+    gamma: float = _rule("any", 0.0)
+    quota: float = _rule(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
 class VirtualResourceParams:
     """Aggregated DG or DR cost model: a*p^2 + b*p + c with a > 0."""
 
-    a: float
-    b: float
-    c: float
+    a: float = _rule("> 0")
+    b: float = _rule("any")
+    c: float = _rule("any")
 
 
 @dataclass(frozen=True)
 class CetParams:
     """Carbon emission trading terms: market price in $/ton."""
 
-    price: float = 0.0
+    price: float = _rule(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
 class PeriodExogenous:
     """Exogenous data for one period: load, resource caps, reserves (MW)."""
 
-    demand: float
-    dg_max: float = 0.0
-    dr_max: float = 0.0
-    reserve_lo: float = 0.0
-    reserve_hi: float = 0.0
+    demand: float = _rule(">= 0")
+    dg_max: float = _rule(">= 0", 0.0)
+    dr_max: float = _rule(">= 0", 0.0)
+    reserve_lo: float = _rule(">= 0", 0.0)
+    reserve_hi: float = _rule(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
@@ -299,40 +305,42 @@ def parse_scenario(source) -> Scenario:
 # ---------------------------------------------------------------------------
 # validation
 
+# sign rules of record fields, by the name a field's metadata gives:
+# (test of the value in its record, message); a field whose default is
+# None may also hold None
+_RULES = {
+    "> 0": (lambda v, rec: v > 0.0, "must be > 0 (strict convexity)"),
+    ">= 0": (lambda v, rec: v >= 0.0, "must be ≥ 0"),
+    "in [0, p_max]": (lambda v, rec: 0.0 <= v <= rec.p_max, "must satisfy 0 ≤ p_min ≤ p_max"),
+    "any": (lambda v, rec: True, ""),
+}
+
+
+def _violations(rec, where):
+    """The sign-rule violations of one record, in field order."""
+    out = []
+    for f in fields(rec):
+        v = getattr(rec, f.name)
+        test, message = _RULES[f.metadata["rule"]]
+        if not (v is None and f.default is None or test(v, rec)):
+            out.append(f"{where}.{f.name}: {message}")
+    return out
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """Return the list of invariant violations (empty when valid)."""
     out = []
     if s.n_units < 1:
         out.append("units: must contain at least one unit")
     for i, u in enumerate(s.units):
-        w = f"units[{i}]"
-        if not u.a > 0.0:
-            out.append(f"{w}.a: must be > 0 (strict convexity)")
-        if not (0.0 <= u.p_min <= u.p_max):
-            out.append(f"{w}.p_min: must satisfy 0 ≤ p_min ≤ p_max")
-        for nm in ("ramp_down", "ramp_up"):
-            v = getattr(u, nm)
-            if v is not None and not v >= 0.0:
-                out.append(f"{w}.{nm}: must be ≥ 0")
-        for nm in ("c_bank", "c_fix", "c_shut", "quota"):
-            if not getattr(u, nm) >= 0.0:
-                out.append(f"{w}.{nm}: must be ≥ 0")
-        if not u.alpha >= 0.0:
-            out.append(f"{w}.alpha: must be ≥ 0")
-    for label, vr in (("dg", s.dg), ("dr", s.dr)):
-        if not vr.a > 0.0:
-            out.append(f"{label}.a: must be > 0 (strict convexity)")
-    if not s.cet.price >= 0.0:
-        out.append("cet.price: must be ≥ 0")
+        out += _violations(u, f"units[{i}]")
+    out += _violations(s.dg, "dg") + _violations(s.dr, "dr") + _violations(s.cet, "cet")
     if not (0.0 < s.eta_max <= 1.0):
         out.append("eta_max: must lie in (0,1]")
     if s.horizon < 1:
         out.append("horizon must be ≥ 1")
     for j, p in enumerate(s.periods):
-        w = f"periods[{j}]"
-        for nm in ("demand", "dg_max", "dr_max", "reserve_lo", "reserve_hi"):
-            if not getattr(p, nm) >= 0.0:
-                out.append(f"{w}.{nm}: must be ≥ 0")
+        out += _violations(p, f"periods[{j}]")
     if len(s.initial_commitment) != s.n_units:
         out.append("initial.commitment: length must equal unit count")
     if any(b not in (0, 1) for b in s.initial_commitment):

@@ -27,7 +27,7 @@ import numpy as np
 from .clho import ValueModel, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
-from .hybrid import Schedule, mode_to_int, schedule_text
+from .hybrid import Schedule, _check_dispatch, mode_to_int, schedule_text
 from .oracle import (DEFAULT_BUDGET, Stages, enumerate_schedule_costs, enumerate_tail,
                      tie_band)
 from .scenario import Scenario, scenario_fingerprint
@@ -96,14 +96,14 @@ class DisturbanceScript:
 
 
 def _pad_override(values, n_units: int):
-    if len(values) == n_units + 2:
-        return np.asarray(values, dtype=float)
-    if len(values) == n_units:
-        return np.concatenate([np.asarray(values, dtype=float), [0.0, 0.0]])
-    raise UcdError(
-        f"disturbance vector has {len(values)} entries; expected "
-        f"{n_units} (thermal) or {n_units + 2} (full dispatch)"
-    )
+    try:
+        _check_dispatch(values, n_units)
+    except ValueError:
+        raise UcdError(
+            f"disturbance vector has {len(values)} entries; expected "
+            f"{n_units} (thermal) or {n_units + 2} (full dispatch)"
+        ) from None
+    return np.asarray(values + (0.0, 0.0) if len(values) == n_units else values, dtype=float)
 
 
 @dataclass

@@ -6,7 +6,9 @@ arrays, dominance uses externally constructed feasible points, and the
 carbon-price monotonicity argument never looks at multipliers at all.
 """
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -15,18 +17,24 @@ from hypothesis import strategies as st
 
 from ucdkit import (
     CetParams,
+    DisturbanceScript,
     PeriodExogenous,
     Scenario,
     Schedule,
     ThermalUnitParams,
+    UcdError,
     VirtualResourceParams,
     assemble,
     enumerate_tail,
     graph_dp_optimal,
     kappa,
     run_schedule,
+    save_model,
+    schedule_step,
+    simulate,
     solve,
 )
+from ucdkit.cli import main
 from ucdkit.costs import running_cost, switching_cost
 from ucdkit.qp import KKT_TOL, mode_candidates
 
@@ -385,3 +393,71 @@ def test_quota_shifts_cost_never_schedule(e1c4_module, q1, q2):
     assert a.schedule == b.schedule
     rebate = (q1 + q2) * 2.5
     assert a.total_cost == pytest.approx(b.total_cost - rebate, abs=1e-6)
+
+
+# --- a malformed previous state is refused at every public entry point -----
+
+BAD_BITS = [2, -1, 0.5, 1.9, float("nan"), float("inf")]
+BAD_DISPATCH = [-1e-9, -5.0, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def malformed_states(draw, n):
+    """(previous mode, previous dispatch, which is malformed): a mode of
+    another length or with a non-binary entry, and a dispatch of a length
+    other than n or n + 2 or with a negative or non-finite entry."""
+    mode = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    dispatch = draw(st.lists(st.floats(0.0, 1000.0), min_size=n + 2, max_size=n + 2))
+    which = draw(st.sampled_from(["mode", "dispatch", "both"]))
+    if which != "dispatch":
+        if draw(st.booleans()):
+            mode = draw(st.lists(st.sampled_from([0, 1]), max_size=n + 3)
+                        .filter(lambda v: len(v) != n))
+        else:
+            mode[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_BITS))
+    if which != "mode":
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n + 5).filter(lambda k: k not in (n, n + 2)))
+            dispatch = draw(st.lists(st.floats(0.0, 1000.0), min_size=k, max_size=k))
+        else:
+            dispatch[draw(st.integers(0, n + 1))] = draw(st.sampled_from(BAD_DISPATCH))
+    return mode, dispatch, which
+
+
+@pytest.fixture(scope="module")
+def e1c1_model_file(tmp_path_factory, model_e1c1):
+    path = tmp_path_factory.mktemp("model") / "e1c1.json"
+    save_model(model_e1c1, path)
+    return str(path)
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(malformed_states(2), st.integers(2, 5))
+def test_malformed_states_are_refused(e1c1, model_e1c1, e1c1_model_file, state, t):
+    # library calls raise UcdError or ValueError; the CLI exits 1 with an
+    # error and prints no answer
+    mode, dispatch, which = state
+    with pytest.raises((UcdError, ValueError)):
+        enumerate_tail(e1c1, t, mode, dispatch)
+    with pytest.raises((UcdError, ValueError)):
+        schedule_step(model_e1c1, e1c1, t, mode, dispatch)
+    mode_text = "".join(map(str, mode))
+    state_text = ",".join(map(repr, dispatch))
+    if which != "mode":
+        with pytest.raises(UcdError):
+            simulate(e1c1, model_e1c1, DisturbanceScript(((t, dispatch),)))
+        rc, out, err = _cli(["dispatch", "example1_case1", "--t", str(t), "--mode", "11",
+                             f"--prev={state_text}"])
+        assert (rc, out) == (1, "") and err.startswith("error: ")
+    rc, out, err = _cli(["schedule", "example1_case1", "--model", e1c1_model_file,
+                         "--from-t", str(t), f"--state={state_text}",
+                         f"--prev-mode={mode_text}"])
+    assert (rc, out) == (1, "") and err.startswith("error: ")

@@ -437,3 +437,160 @@ def test_assemble_golden_digest(drawn_states):
             h.update(repr((a.dtype.str, a.shape, a.strides)).encode())
             h.update(a.tobytes())
     assert (count, h.hexdigest()) == ASSEMBLE_GOLDEN
+
+
+# --- per-mode templates ----------------------------------------------------
+
+def _solve_bytes(q):
+    """Every field of solve(q) that the golden digest reads, as bytes."""
+    sol = solve(q)
+    out = repr((sol.status, sol.iterations, sol.certificate.get("row"))).encode()
+    if sol.status == "optimal":
+        out += sol.dispatch.tobytes() + sol.ineq_multipliers.tobytes()
+        out += repr((sol.objective_value, sol.eq_multiplier, sol.active_set, sol.kkt)).encode()
+    return out
+
+
+def _template_cases(s):
+    """(t, mode, p_prev) over every mode at four periods, from previous
+    dispatches that give each unit ramp rows, none, or some of them."""
+    n = s.n_units
+    full = np.array([u.p_max * 0.6 for u in s.units] + [10.0, 5.0])
+    patterns = [None, full, np.zeros(n + 2), np.where(np.arange(n + 2) % 2 == 0, full, 0.0),
+                np.where(np.arange(n + 2) % 3 == 1, full, 0.0)]
+    for t in (3, 9, 12, 20):
+        for p_prev in patterns:
+            for v in range(1 << n):
+                yield t, int_to_mode(v, n), p_prev
+
+
+@pytest.mark.parametrize("ramps", [False, True], ids=["relaxed", "ramped"])
+def test_templates_give_the_bytes_of_a_fresh_scenario(e2c1, ramps):
+    # a template's kernel constants fill as rows enter working sets, so a
+    # warm template, a cold one (a re-parsed, equal scenario) and no
+    # template at all (a replaced problem) must all give the same bytes
+    from ucdkit import parse_scenario, serialize_scenario
+
+    s = _with_ramps(e2c1, 0.2) if ramps else e2c1
+    cases = list(_template_cases(s))
+    first = [_solve_bytes(assemble(s, *c)) for c in cases]
+    warm = [_solve_bytes(assemble(s, *c)) for c in cases]
+    fresh_s = parse_scenario(serialize_scenario(s))
+    assert fresh_s == s and fresh_s is not s
+    fresh = [_solve_bytes(assemble(fresh_s, *c)) for c in reversed(cases)][::-1]
+    bare = [_solve_bytes(dataclasses.replace(assemble(s, *c), t=c[0])) for c in cases]
+    assert warm == first == fresh == bare
+    ramp_rows = {any(lbl.startswith("ramp") for lbl in assemble(s, *c).labels) for c in cases}
+    assert ramp_rows == ({False, True} if ramps else {False})
+
+
+def test_templates_serve_a_flipped_balance_row(e1c1):
+    # with a negative linear cost the unconstrained minimizer (300 and
+    # 500 MW here) can lie above demand, and the kernel flips the balance
+    # row's sign. One template serves periods on both sides of it, 700
+    # and 900 MW, where unit 2's cap row enters after the balance, so
+    # neither side may read the other's constants
+    b = (-600.0, -1000.0)
+    units = tuple(dataclasses.replace(u, b=k * u.a) for u, k in zip(e1c1.units, b))
+    periods = tuple(dataclasses.replace(p, demand=700.0 + 200.0 * (t % 2), reserve_lo=0.0,
+                                        reserve_hi=0.0) for t, p in enumerate(e1c1.periods))
+    s = dataclasses.replace(e1c1, units=units, periods=periods)
+    flipped = set()
+    for t in (1, 2, 3, 4):
+        q = assemble(s, t, (1, 1))
+        sol = solve(q)
+        assert _solve_bytes(q) == _solve_bytes(dataclasses.replace(q, t=t))
+        assert sol.status == "optimal" and "cap_hi[1]" in sol.active_set
+        flipped.add(float(np.sum(q.rows.x0)) > q.beq)
+    assert flipped == {False, True}
+    # the polish hides a wrong-signed step here, so read the cache itself:
+    # every Gram entry is that of the unflipped rows
+    R = q.rows
+    m = R.shape[0]
+    assert len(R.gram) >= 2
+    for key, v in R.gram.items():
+        a, p = divmod(key, m)
+        scaled = [h * c for h, c in zip(R.hinv, R.C[p].tolist())]
+        assert v == sum(x * y for x, y in zip(R.C[a].tolist(), scaled))
+
+
+def test_a_replaced_scenario_gets_its_own_templates(e2c1):
+    u = e2c1.units[0]
+    other = dataclasses.replace(e2c1, units=(dataclasses.replace(u, a=2.0 * u.a),)
+                                + e2c1.units[1:])
+    mode = (1, 1, 1, 1, 1)
+    q, q_other = assemble(e2c1, 12, mode), assemble(other, 12, mode)
+    assert q.hdiag is assemble(e2c1, 15, mode).hdiag       # one template, two periods
+    assert q_other.hdiag is not q.hdiag
+    assert q_other.hdiag[0] > q.hdiag[0] and np.array_equal(q_other.hdiag[1:], q.hdiag[1:])
+    assert solve(q_other).objective_value != solve(q).objective_value
+    assert solve(q).objective_value == solve(assemble(e2c1, 12, mode)).objective_value
+
+
+def test_shared_arrays_are_read_only(e2c1):
+    q = assemble(e2c1, 12, (1, 1, 1, 1, 1))
+    for a in (q.hdiag, q.glin, q.G, q.rows.C):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    q.h[0] = 0.0            # the period's bounds are the problem's own
+    assert assemble(e2c1, 12, (1, 1, 1, 1, 1)).h[0] != 0.0
+
+
+def test_templates_go_with_their_scenario():
+    import gc
+    import weakref
+
+    from ucdkit import qp
+
+    s = load_bundled_scenario("example2_case1")
+    for t in (1, 12):
+        for v in range(1 << s.n_units):
+            solve(assemble(s, t, int_to_mode(v, s.n_units)))
+    key, ref = id(s), weakref.ref(s)
+    assert key in qp._TEMPLATES
+    del s
+    gc.collect()
+    assert ref() is None
+    assert key not in qp._TEMPLATES
+
+
+def _tiled_fleet(n_units):
+    """example2_case1's units tiled to n_units, demand and reserves scaled
+    by the fleet's p_max, so it stays as tight as the example."""
+    base = load_bundled_scenario("example2_case1")
+    k = base.n_units
+    units = tuple(base.units[i % k] for i in range(n_units))
+    scale = sum(u.p_max for u in units) / sum(u.p_max for u in base.units)
+    periods = tuple(dataclasses.replace(p, demand=p.demand * scale, reserve_lo=p.reserve_lo * scale,
+                                        reserve_hi=p.reserve_hi * scale) for p in base.periods)
+    return dataclasses.replace(
+        base, units=units, periods=periods,
+        initial_commitment=tuple(base.initial_commitment[i % k] for i in range(n_units)),
+        initial_dispatch=tuple(base.initial_dispatch[i % k] for i in range(n_units))
+        + base.initial_dispatch[k:])
+
+
+def test_template_memory_of_an_8_unit_grid():
+    # every template and kernel constant of the full ramp-relaxed grid of
+    # an 8-unit fleet (24 periods x 256 modes, 512 templates) stays under
+    # 2.5 MB; the solutions are dropped as they come
+    import gc
+    import tracemalloc
+
+    s = _tiled_fleet(8)
+    modes = [int_to_mode(v, 8) for v in range(256)]
+    solve(assemble(load_bundled_scenario("example1_case1"), 1, (1, 1)))  # warm module caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        optimal = 0
+        for t in range(1, s.horizon + 1):
+            for mode in modes:
+                optimal += solve(assemble(s, t, mode)).status == "optimal"
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert optimal > 0
+    assert retained <= 2.5e6, retained

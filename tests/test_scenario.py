@@ -377,3 +377,41 @@ def test_case3_quotas_are_90pct_of_case1_tons(e2c1, e2c3):
         (u.a, u.b, u.c, u.p_min, u.p_max, u.c_bank, u.c_fix, u.c_shut)
         for u in e2c1.units
     ]
+
+
+def test_every_record_field_declares_its_sign_rule():
+    # validate_scenario reads the rules from the dataclasses, so a new
+    # field must say what it accepts ("any" for every finite value)
+    from dataclasses import fields
+
+    from ucdkit.scenario import _RULES, PeriodExogenous, ThermalUnitParams
+
+    for cls in (ThermalUnitParams, VirtualResourceParams, CetParams, PeriodExogenous):
+        for f in fields(cls):
+            assert "float" in str(f.type), (cls.__name__, f.name)
+            assert f.metadata.get("rule") in _RULES, (cls.__name__, f.name)
+
+
+def test_violations_follow_field_order():
+    import dataclasses
+
+    from ucdkit import validate_scenario
+
+    s = parse_scenario(MINIMAL)
+    unit = dataclasses.replace(s.units[0], quota=-1.0, ramp_up=-2.0, c_fix=-3.0, p_min=200.0,
+                               a=0.0, alpha=-1.0, b=-5.0, beta=-1.0)
+    period = dataclasses.replace(s.periods[0], reserve_hi=-1.0, demand=-1.0)
+    bad = dataclasses.replace(s, units=(unit,), periods=(period,),
+                              dr=VirtualResourceParams(-1.0, -1.0, -1.0), cet=CetParams(-1.0))
+    assert validate_scenario(bad) == [
+        "units[0].a: must be > 0 (strict convexity)",
+        "units[0].p_min: must satisfy 0 ≤ p_min ≤ p_max",
+        "units[0].c_fix: must be ≥ 0",
+        "units[0].ramp_up: must be ≥ 0",
+        "units[0].alpha: must be ≥ 0",
+        "units[0].quota: must be ≥ 0",
+        "dr.a: must be > 0 (strict convexity)",
+        "cet.price: must be ≥ 0",
+        "periods[0].demand: must be ≥ 0",
+        "periods[0].reserve_hi: must be ≥ 0",
+    ]

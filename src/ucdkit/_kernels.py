@@ -26,8 +26,8 @@ OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
 reproduces its bits, and only numpy itself does.
 
 What a call computes from the rows, H and the linear term alone (H^-1,
-the unconstrained minimizer, each row's normal and its H^-1 scaled copy,
-and the Gram entries of pairs of rows) is kept in a `Rows`, which a
+the unconstrained minimizer, row normals, the balance row's H^-1 scaled
+copy and the Gram entries of pairs of rows) is kept in a `Rows`, which a
 caller may pass for C and reuse: the dispatch QP's template keeps one
 per mode for every period of a scenario. Its caches fill as rows enter a
 working set, and each entry is the expression an uncached call

@@ -13,7 +13,6 @@ from .clho import (
     BasisSpec,
     TrainConfig,
     ValueModel,
-    basis_vector,
     default_basis,
     load_model,
     save_model,
@@ -110,8 +109,8 @@ __all__ = [
     "OracleResult", "enumerate_optimal", "enumerate_tail",
     "enumerate_schedule_costs", "graph_dp_optimal", "DEFAULT_BUDGET",
     # clho
-    "BasisSpec", "TrainConfig", "ValueModel", "default_basis", "basis_vector",
-    "train", "schedule_step", "save_model", "load_model",
+    "BasisSpec", "TrainConfig", "ValueModel", "default_basis", "train",
+    "schedule_step", "save_model", "load_model",
     # simulate
     "DisturbanceScript", "RunReport", "ComparisonReport", "simulate",
     "compare_with_oracle",

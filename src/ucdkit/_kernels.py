@@ -28,7 +28,7 @@ reproduces its bits, and only numpy itself does.
 What a call computes from the rows, H and the linear term alone (H^-1,
 the unconstrained minimizer, row normals, the balance row's H^-1 scaled
 copy and the Gram entries of pairs of rows) is kept in a `Rows`, which a
-caller may pass for C and reuse: the dispatch QP's template keeps one
+caller passes for C and may reuse: the dispatch QP's template keeps one
 per mode for every period of a scenario. Its caches fill as rows enter a
 working set, and each entry is the expression an uncached call
 evaluates, so a call returns the same bits either way.
@@ -188,18 +188,18 @@ def _kept(v, pool):
 _ZERO, _NEG_ZERO = 0.0, -0.0
 
 
-def qp_core(hdiag, glin, C, bvec, tol_feas, tol_piv, max_iter):
+def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
     """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec, row 0 an equality.
 
-    C is the array of rows, or a `Rows` made from it with hdiag and glin
-    (whose constants then serve this call and fill for the next).
-    Returns (status, x, w, iterations, bad_row). w are row multipliers in
-    the >= convention described in the module docstring; bad_row is the
-    row certifying infeasibility (-1 otherwise). The iterations run on
-    Python floats, which cost far less than numpy calls at these sizes.
+    `rows` is the `Rows` of C made with hdiag and glin (both stay
+    arguments: perfbench's tracer reads `rows` third); its constants
+    serve this call and fill for the next. Returns (status, x, w,
+    iterations, bad_row). w are row multipliers in the >= convention
+    described in the module docstring; bad_row is the row certifying
+    infeasibility (-1 otherwise). The iterations run on Python floats,
+    which cost far less than numpy calls at these sizes.
     """
-    R = C if isinstance(C, Rows) else Rows(hdiag, glin, C)
-    C = R.C
+    R, C = rows, rows.C
     m, n = R.shape
     x, hinv, gram = R.x0, R.hinv, R.gram
     bl = bvec.tolist()

@@ -11,9 +11,9 @@ one-step argmin per period against the trained tail values; new initial
 states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
-across decisions; with ramps enforced the relaxed rows it holds screen
-each decision's candidates and stand in for those whose ramp rows they
-already meet.
+across decisions; with ramps enforced each decision's candidates are
+read off the period's relaxed row, which stands in for every candidate
+whose ramp rows it already meets.
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
@@ -30,8 +30,9 @@ import numpy as np
 
 from .costs import switching_matrix
 from .errors import InfeasibleModeError, ModelMismatchError, UcdError
-from .hybrid import _check_dispatch, int_to_mode, mode_to_int
+from .hybrid import int_to_mode, mode_to_int
 from .oracle import Stages, tie_band
+from .qp import _check_dispatch
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "TrainConfig",
     "ValueModel",
     "default_basis",
-    "basis_vector",
     "train",
     "step_values",
     "decide",
@@ -63,7 +63,6 @@ class BasisSpec:
     the list.
     """
 
-    family: str = "quad"
     coords: tuple[int, ...] = ()
 
     @property
@@ -79,14 +78,12 @@ def default_basis(s: Scenario) -> BasisSpec:
         coords.append(s.n_units)
     if s.has_dr():
         coords.append(s.n_units + 1)
-    return BasisSpec(family="quad", coords=tuple(coords))
+    return BasisSpec(coords=tuple(coords))
 
 
 def basis_matrix(spec: BasisSpec, states) -> np.ndarray:
     """Feature rows of a batch of dispatch states, C-contiguous: the
     squares of the basis coordinates, the coordinates, then 1."""
-    if spec.family != "quad":
-        raise UcdError(f"unknown basis family {spec.family!r}")
     P = np.asarray(states, dtype=float)[:, list(spec.coords)]
     k = P.shape[1]
     X = np.empty((len(P), 2 * k + 1))
@@ -94,11 +91,6 @@ def basis_matrix(spec: BasisSpec, states) -> np.ndarray:
     X[:, k:2 * k] = P
     X[:, 2 * k] = 1.0
     return X
-
-
-def basis_vector(spec: BasisSpec, dispatch) -> np.ndarray:
-    """The features of one dispatch state: row 0 of `basis_matrix`."""
-    return basis_matrix(spec, [dispatch])[0]
 
 
 @dataclass(frozen=True)
@@ -275,11 +267,6 @@ def _tail_values(model, t, cands):
     return [float(np.dot(w, x)) for w, x in zip(ws, X)]
 
 
-def _tail_value(model, t, mode, dispatch):
-    """Jhat_t at one dispatch state entering t from `mode`."""
-    return _tail_values(model, t, [(mode_to_int(mode), mode, dispatch)])[0]
-
-
 def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     """One Bellman step from state (i_prev, p_prev) entering period t: the
     feasible candidates (mode int, mode, dispatch, Q), ascending mode int,
@@ -329,7 +316,7 @@ def save_model(model: ValueModel, path) -> None:
         "seed": model.seed,
         "samples": model.samples,
         "regularization": model.regularization,
-        "basis": {"family": model.basis.family, "coords": list(model.basis.coords)},
+        "basis": {"family": "quad", "coords": list(model.basis.coords)},
         "weights": {
             f"{t}:{ip}": [float(v) for v in w]
             for (t, ip), w in sorted(model.weights.items())
@@ -390,7 +377,7 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
     if (_field(spec, "family", str) != "quad"
             or not all(type(c) is int and 0 <= c < n_units + 2 for c in coords)):
         raise ModelMismatchError(f"unsupported basis {spec!r}")
-    basis = BasisSpec(family="quad", coords=tuple(coords))
+    basis = BasisSpec(coords=tuple(coords))
     weights = {}
     for key, vals in _field(doc, "weights", dict).items():
         t_ip = re.fullmatch(r"([0-9]+):([0-9]+)", key)

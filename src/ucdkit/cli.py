@@ -18,9 +18,9 @@ from . import __version__
 from .clho import TrainConfig, load_model, save_model, schedule_step, train
 from .costs import running_cost, switching_cost
 from .errors import ScenarioError, UcdError
-from .hybrid import _check_dispatch, mode_to_int, run_schedule, schedule_text, trajectory_csv
+from .hybrid import mode_to_int, run_schedule, schedule_text, trajectory_csv
 from .oracle import DEFAULT_BUDGET, enumerate_optimal, enumerate_schedule_costs, graph_dp_optimal
-from .qp import assemble, solve
+from .qp import _check_dispatch, assemble, solve
 from .scenario import BUNDLED_SCENARIOS, load_bundled_scenario, parse_scenario
 from .simulate import DisturbanceScript, compare_with_oracle, simulate
 

@@ -11,11 +11,11 @@ only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
 each layer one vectorised min over K + Q + V (K the switching matrix).
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
 through one `Stages`. With ramps enforced, a period's candidate set from
-a given dispatch is solved only for the modes of its relaxed row once
-the table holds that row, by the same admissibility argument, and a
-relaxed candidate that already meets its ramp rows is returned as it
-is: each dispatch QP is strictly convex, so that candidate is the ramped
-optimum too. The walk's bound caches the rows it screens with. An exact
+a given dispatch is read off its relaxed row, by the same admissibility
+argument: only the row's modes can be feasible, and a relaxed candidate
+that already meets its ramp rows is returned as it is, since each
+dispatch QP is strictly convex and that candidate is the ramped optimum
+too. Only the row's other modes are solved under ramps. An exact
 tail from any state is `enumerate_tail`, on the caller's table or a new
 one; with ramps relaxed, `Stages.values()` holds every tail at once. Every
 argmin in the package goes through `tie_band`, which breaks ties toward
@@ -32,8 +32,8 @@ import numpy as np
 from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix,
                     switching_row)
 from .errors import BudgetExceededError, InfeasibleModeError, UcdError
-from .hybrid import Schedule, _check_dispatch, int_to_mode, mode_to_int, schedule_text
-from .qp import mode_candidates, mode_dynamics
+from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
+from .qp import _check_dispatch, _meets_ramps, mode_candidates, mode_dynamics
 from .scenario import Scenario
 
 __all__ = [
@@ -91,17 +91,11 @@ class Stages:
     """Per-period stage data of one scenario, for one top-level call or,
     as a model's table, across closed-loop decisions.
 
-    A period's ramp-relaxed row is solved on first use and cached. When
-    ramps couple a period to the previous dispatch (ramps enforced and
-    p_prev given) its candidates are solved per call; once the table
-    holds the period's relaxed row, only for that row's modes, and a
-    relaxed candidate whose dispatch meets its ramp rows from p_prev is
-    returned untouched, the table's own tuple, with no solve. Ramp rows
-    only add constraints, so a mode infeasible with them relaxed stays
-    infeasible with them enforced, and a relaxed optimum that meets them
-    is the ramped optimum (the minimizer is unique). A ramped call does
-    not solve the relaxed row itself: for one decision per period that
-    costs more than it screens out.
+    A period's ramp-relaxed row is solved on first use and cached. With
+    ramps enforced and p_prev given, the candidates are read off that row
+    (see the module docstring): a relaxed candidate that meets its ramp
+    rows from p_prev is returned untouched, the table's own tuple, and
+    only the row's other modes are solved under ramps.
     """
 
     def __init__(self, s: Scenario):
@@ -111,23 +105,22 @@ class Stages:
 
     def candidates(self, t: int, p_prev=None):
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
-        if self.s.ramp_enforced and p_prev is not None:
-            row = self._rows.get(t)
-            if row is None:
-                return _tagged(mode_candidates(self.s, t, p_prev))
-            twins, redo = [], []
-            for c in row:
-                if _meets_ramps(self.s, c[1], c[2], p_prev):
-                    twins.append(c)
-                else:
-                    redo.append(c[0])
-            if not redo:
-                return twins
-            solved = _tagged(mode_candidates(self.s, t, p_prev, redo))
-            return sorted(twins + solved, key=lambda c: c[0])
-        if t not in self._rows:
-            self._rows[t] = _tagged(mode_candidates(self.s, t, None))
-        return self._rows[t]
+        row = self._rows.get(t)
+        if row is None:
+            row = self._rows[t] = _tagged(mode_candidates(self.s, t, None))
+        if not self.s.ramp_enforced or p_prev is None:
+            return row
+        prev = _check_dispatch(p_prev, self.s.n_units)
+        twins, redo = [], []
+        for c in row:
+            if _meets_ramps(self.s, c[1], c[2], prev):
+                twins.append(c)
+            else:
+                redo.append(c[0])
+        if not redo:
+            return twins
+        solved = _tagged(mode_candidates(self.s, t, prev, redo))
+        return sorted(twins + solved, key=lambda c: c[0])
 
     def q(self, t: int) -> np.ndarray:
         """Ramp-relaxed Q at t over all 2^N modes, inf where infeasible."""
@@ -162,35 +155,6 @@ class Stages:
 
 def _tagged(cands):
     return [(mode_to_int(m), m, d, q) for m, d, q in cands]
-
-
-def _meets_ramps(s, mode, dispatch, p_prev):
-    """True when `dispatch`, mode's ramp-relaxed optimum, meets every ramp
-    row `assemble` adds for mode from p_prev: the same float bounds,
-    compared with no tolerance.
-
-    The ramped QP then has the same unique minimizer, and the kernel
-    returns it with the same bits when each ramp row is one the unit's
-    box implies (p_prev + ramp_up >= p_max, ramp_down - p_prev >= -p_min).
-    Such a row follows its cap row and shares its normal, so its slack is
-    never below the cap row's (rounding b - x is monotone in b), and
-    while the cap row is in the working set x sits on it to rounding,
-    far inside the feasibility tolerance. The kernel enforces the most
-    violated row and its `argmin` sends ties to the lower index, so the
-    ramp row never enters the working set, and every step, the polish
-    and the result match the relaxed solve. A ramp row that could bind
-    but is slack at the optimum may enter and leave the working set on
-    the way; that the bits still match then is measured (every reused
-    twin of ramped example2_case1 training, and the screen suite in
-    tests/test_branch_bound.py), not proven.
-    """
-    for n, u in enumerate(s.units):
-        if mode[n] and p_prev[n] > 0.0:
-            if u.ramp_up is not None and not dispatch[n] <= float(p_prev[n]) + u.ramp_up:
-                return False
-            if u.ramp_down is not None and not -dispatch[n] <= u.ramp_down - float(p_prev[n]):
-                return False
-    return True
 
 
 class _Bound:
@@ -296,7 +260,6 @@ def _tail(stages, t, i_prev, p_prev, budget):
     starts from the relaxed path's incumbent, which caches row t too."""
     s = stages.s
     i_prev = int_to_mode(mode_to_int(i_prev, s.n_units), s.n_units)
-    p_prev = np.asarray(p_prev, dtype=float)
     bound = None
     if s.ramp_enforced:
         value = stages.values(first=t + 1)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cache
+from math import isfinite
 
 import numpy as np
 
@@ -112,29 +113,93 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     p_prev supplies the previous dispatch for ramp coupling; passing None
     assembles the ramp-relaxed subproblem regardless of the scenario flag.
     Everything but the period's bounds `h` and `beq` comes from the mode's
-    template (see the module docstring).
+    template (see the module docstring). A commitment other than N binary
+    entries raises ValueError, and so does a p_prev that ramp rows are
+    built from other than N or N+2 finite entries >= 0.
     """
-    per = s.period(t)
     n_units = s.n_units
     entries = tuple(commitment)
     # checked before int(), which would read 1.9 as 1
     if len(entries) != n_units or not all(map((0, 1).__contains__, entries)):
         raise ValueError(f"commitment must be {n_units} binary entries, got {commitment!r}")
-    bits = tuple(map(int, entries))
+    return _assemble(s, t, tuple(map(int, entries)), _ramp_source(s, p_prev))
+
+
+def _check_dispatch(p, n_units: int) -> list:
+    """p, the dispatch entering a period, as a list of floats. Raise
+    ValueError unless it has n_units or n_units + 2 entries, each finite
+    and >= 0. A negative entry would silently drop its unit's ramp rows,
+    and a short vector would fail later with an IndexError."""
+    try:
+        vals = p.tolist()           # an array; a list or a tuple has no tolist
+    except AttributeError:
+        vals = [float(v) for v in p]
+    # min catches a negative entry, and a nan in first place; isfinite the rest
+    if not (len(vals) in (n_units, n_units + 2) and min(vals) >= 0.0
+            and all(map(isfinite, vals))):
+        raise ValueError(f"previous dispatch must be {n_units} or {n_units + 2} "
+                         f"finite entries >= 0, got {p!r}")
+    return vals
+
+
+def _ramp_source(s, p_prev):
+    """p_prev as `_check_dispatch` returns it when ramp rows are built
+    from it (ramps enforced and p_prev given); None otherwise."""
+    if not s.ramp_enforced or p_prev is None:
+        return None
+    return _check_dispatch(p_prev, s.n_units)
+
+
+def _ramp_limits(s, bits, prev):
+    """The ramp rows of mode `bits` from `prev`, a `_ramp_source` list:
+    (n, hi, lo) per committed unit n that ran in the previous period, for
+    x_n <= hi and -x_n <= lo, a bound None where the unit has no limit.
+    `assemble` writes these floats into h; `_meets_ramps` reads them."""
+    return [(n, None if u.ramp_up is None else prev[n] + u.ramp_up,
+             None if u.ramp_down is None else u.ramp_down - prev[n])
+            for n, u in enumerate(s.units) if bits[n] and prev[n] > 0.0]
+
+
+def _meets_ramps(s, mode, dispatch, prev):
+    """True when `dispatch`, mode's ramp-relaxed optimum, meets every ramp
+    row of mode from `prev`, a `_ramp_source` list, with no tolerance.
+
+    The ramped QP then has the same unique minimizer, and the kernel
+    returns it with the same bits when each ramp row is one the unit's
+    box implies (p_prev + ramp_up >= p_max, ramp_down - p_prev >= -p_min):
+    such a row follows its cap row and shares its normal, so its slack is
+    never below the cap row's (rounding b - x is monotone in b), and x
+    sits on the cap row to rounding, far inside the feasibility
+    tolerance, while that row is in the working set. The kernel enforces
+    the most violated row, ties to the lower index, so the ramp row never
+    enters the working set, and every step, the polish and the result
+    match the relaxed solve. A ramp row that could bind but is slack at
+    the optimum may enter and leave the working set on the way; that the
+    bits still match then is measured (every reused twin of ramped
+    example2_case1 training, and the screen suite in
+    tests/test_branch_bound.py), not proven.
+    """
+    for n, hi, lo in _ramp_limits(s, mode, prev):
+        if hi is not None and not dispatch[n] <= hi:
+            return False
+        if lo is not None and not -dispatch[n] <= lo:
+            return False
+    return True
+
+
+def _assemble(s, t, bits, prev):
+    """`assemble` of binary `bits`, with `prev` from `_ramp_source`."""
+    per = s.period(t)
     dg_on = per.dg_max > 0.0
     dr_on = per.dr_max > 0.0
-    # the committed units that ran in the previous period carry ramp rows
-    ramped = ()
-    if s.ramp_enforced and p_prev is not None:
-        ramped = tuple(n for n in range(n_units) if bits[n] and p_prev[n] > 0.0)
-    tpl = _template(s, bits, dg_on, dr_on, ramped)
+    limits = () if prev is None else _ramp_limits(s, bits, prev)
+    tpl = _template(s, bits, dg_on, dr_on, tuple(n for n, _, _ in limits))
     h = tpl.h.copy()
     h[0] = per.demand - per.reserve_lo - tpl.pmin_sum
     h[1] = tpl.pmax_sum - per.demand - per.reserve_hi
-    for i, n, ramp in tpl.ups:
-        h[i] = float(p_prev[n]) + ramp
-    for i, n, ramp in tpl.downs:
-        h[i] = ramp - float(p_prev[n])
+    bounds = [v for _, hi, lo in limits for v in (hi, lo) if v is not None]
+    for i, v in zip(tpl.ramp_at, bounds):
+        h[i] = v
     if dg_on:
         h[tpl.dg_row] = per.dg_max
     if dr_on:
@@ -142,7 +207,7 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     q = QpProblem(
         t=t, commitment=tpl.bits, free=tpl.free, hdiag=tpl.hdiag, glin=tpl.glin,
         const=tpl.const, beq=float(per.demand), G=tpl.G, h=np.array(h, dtype=float),
-        labels=tpl.labels, n_units=n_units,
+        labels=tpl.labels, n_units=s.n_units,
     )
     object.__setattr__(q, "rows", tpl.rows)
     return q
@@ -187,7 +252,7 @@ class _Template:
     period entries left at 0.0 and their positions."""
 
     __slots__ = ("bits", "free", "hdiag", "glin", "const", "pmin_sum", "pmax_sum",
-                 "G", "labels", "h", "ups", "downs", "dg_row", "dr_row", "rows")
+                 "G", "labels", "h", "ramp_at", "dg_row", "dr_row", "rows")
 
     def __init__(self, s, bits, dg_on, dr_on, ramped, store):
         n_units = s.n_units
@@ -214,7 +279,7 @@ class _Template:
         h = [0.0, 0.0]
         plus = list(range(nc, nf))
         minus = list(range(nf + nc, 2 * nf))
-        ups, downs = [], []
+        ramp_at = []            # the ramp rows, in the order of `_ramp_limits`' bounds
         layout = [nc, dg_on, dr_on]     # what G depends on: the rows of each column
         names = _unit_labels(n_units)
         for col, (n, u) in enumerate(on):
@@ -227,12 +292,12 @@ class _Template:
             if n in ramped:
                 if u.ramp_up is not None:
                     plus.append(len(h) * nf + col)
-                    ups.append((len(h), n, u.ramp_up))
+                    ramp_at.append(len(h))
                     h.append(0.0)
                     labels.append(up)
                 if u.ramp_down is not None:
                     minus.append(len(h) * nf + col)
-                    downs.append((len(h), n, u.ramp_down))
+                    ramp_at.append(len(h))
                     h.append(0.0)
                     labels.append(dn)
                 layout.append((col, u.ramp_up is not None, u.ramp_down is not None))
@@ -268,7 +333,7 @@ class _Template:
         self.const = float(const)
         self.pmin_sum = sum(u.p_min for _, u in on)
         self.pmax_sum = sum(u.p_max for _, u in on)
-        self.h, self.ups, self.downs = h, tuple(ups), tuple(downs)
+        self.h, self.ramp_at = h, tuple(ramp_at)
         self.rows = _kernels.Rows(self.hdiag, self.glin, C, normals, store.floats)
 
 
@@ -405,7 +470,8 @@ def mode_dynamics(s: Scenario, t: int, commitment, p_prev=None) -> np.ndarray:
     """Dispatch the mode: f_I(p_prev), the unique cost-minimizing dispatch.
 
     Raises InfeasibleModeError when the commitment admits no feasible
-    dispatch at period t from the given previous state.
+    dispatch at period t from the given previous state, and ValueError
+    on a malformed commitment or previous dispatch, as `assemble` does.
     """
     sol = solve(assemble(s, t, commitment, p_prev))
     if sol.status != "optimal":
@@ -426,12 +492,14 @@ def _commitments(n):
 def mode_candidates(s: Scenario, t: int, p_prev=None, modes=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
     ordered by the commitment read as a binary integer (unit 1 = MSB).
-    `modes`, ascending mode ints, limits the solves to those commitments."""
+    `modes`, ascending mode ints, limits the solves to those commitments.
+    p_prev is checked once per call, as in `assemble`."""
+    prev = _ramp_source(s, p_prev)
     commitments = _commitments(s.n_units)
     out = []
     for v in range(len(commitments)) if modes is None else modes:
         bits = commitments[v]
-        sol = solve(assemble(s, t, bits, p_prev))
+        sol = solve(_assemble(s, t, bits, prev))
         if sol.status == "optimal":
             out.append((bits, sol.dispatch, running_cost(s, bits, sol.dispatch)))
     return out

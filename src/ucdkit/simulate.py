@@ -5,10 +5,8 @@ selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
 no retraining. With ramps relaxed a rollout decides on a stage table of
 its own; with ramps enforced it decides on the model's table, whose
-relaxed rows (all of them after training) screen each period's ramped
-candidates. A loaded model's table starts empty, so its rollout solves
-the ramped candidates in full until a scored tail caches the rows it
-bounds with. Each override is scored
+relaxed rows (all of them after training, each on first use after a
+load) screen each period's ramped candidates. Each override is scored
 against the exact tail from the disturbed state: read from the rollout's
 graph-DP value table when ramps are relaxed (the tail then depends on
 the mode alone), found by a branch and bound over the mode tree, on the
@@ -27,9 +25,10 @@ import numpy as np
 from .clho import ValueModel, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
-from .hybrid import Schedule, _check_dispatch, mode_to_int, schedule_text
+from .hybrid import Schedule, mode_to_int, schedule_text
 from .oracle import (DEFAULT_BUDGET, Stages, enumerate_schedule_costs, enumerate_tail,
                      tie_band)
+from .qp import _check_dispatch
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -179,12 +178,12 @@ def simulate(s: Scenario, model: ValueModel,
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
     # with ramps enforced every decision screens its candidates by the
-    # period's relaxed row when the model's table holds it, as it does
-    # after training. With ramps relaxed the rollout keeps a table of its
-    # own only because the benchmark's traced-count test pins 2304 QP
-    # solves for graph DP + train + simulate on example2_case1, which the
-    # model's table would cut to 1536; when that pin moves, the split goes
-    # and every rollout decides on the model's table
+    # period's relaxed row in the model's table. With ramps relaxed the
+    # rollout keeps a table of its own only because the benchmark's
+    # traced-count test pins 2304 QP solves for graph DP + train +
+    # simulate on example2_case1, which the model's table would cut to
+    # 1536; when that pin moves, the split goes and every rollout decides
+    # on the model's table
     stages = model.stages_for(s) if s.ramp_enforced else Stages(s)
     i_prev = s.initial_commitment
     p_prev = np.asarray(s.initial_dispatch, dtype=float)

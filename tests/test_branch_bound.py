@@ -7,6 +7,7 @@ for bit, and the same sequence, on every state tried.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,14 +16,20 @@ from ucdkit import (
     DisturbanceScript,
     TrainConfig,
     enumerate_optimal,
+    enumerate_schedule_costs,
     enumerate_tail,
     graph_dp_optimal,
     load_bundled_scenario,
+    load_model,
+    quota_rebate,
     run_schedule,
+    save_model,
+    schedule_step,
     simulate,
+    switching_cost,
     train,
 )
-from ucdkit.hybrid import int_to_mode, mode_to_int
+from ucdkit.hybrid import int_to_mode, mode_to_int, schedule_text
 from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
 from ucdkit.qp import mode_candidates
 
@@ -176,3 +183,58 @@ def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
         resolved += twins.count(False)
     assert feasible, "every state was infeasible; nothing was compared"
     assert reused and resolved, (reused, resolved)
+
+
+# --- callers that read ramped candidates off a table they fill themselves --
+
+
+def _walked_schedule_costs(s):
+    """`enumerate_schedule_costs` walked over `mode_candidates`, each
+    ramped candidate set solved in full from its state."""
+    rebate = quota_rebate(s)
+    out = []
+
+    def walk(t, i_prev, p_prev, prefix, acc):
+        if t > s.horizon:
+            out.append((schedule_text(prefix), float(acc - rebate)))
+            return
+        for mode, dispatch, q in mode_candidates(s, t, p_prev):
+            step = q + switching_cost(s, i_prev, mode)
+            prefix.append(mode)
+            walk(t + 1, mode, dispatch, prefix, acc + step)
+            prefix.pop()
+
+    walk(1, s.initial_commitment, np.array(s.initial_dispatch), [], 0.0)
+    return out
+
+
+@pytest.mark.parametrize("s", [s for s, binding in _ramped_example1_fleets() if binding],
+                         ids=lambda s: s.name)
+def test_schedule_table_equals_full_ramped_solves(s):
+    got = enumerate_schedule_costs(s)
+    want = _walked_schedule_costs(s)
+    assert len(want) > 1
+    assert [(text, cost.hex()) for text, cost in got] == [
+        (text, cost.hex()) for text, cost in want]
+
+
+@pytest.mark.parametrize("frac, config", [
+    (0.2, TrainConfig(samples=12, seed=5)),   # the cheapest config found that trains
+    (0.5, TrainConfig(samples=2)),
+])
+def test_loaded_model_decides_like_the_trained_one(e2c1, tmp_path, frac, config):
+    # the trained model's table holds every relaxed row; the loaded one's
+    # starts empty and solves each row on first use, then reads the same
+    # twins and re-solves the same modes
+    s = _with_ramps(e2c1, frac)
+    model = train(s, config)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    want = simulate(s, model)
+    got = simulate(s, load_model(path, scenario=s))
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    cold = load_model(path, scenario=s)
+    for row in want.rows[:-1]:
+        state = (row["t"] + 1, row["mode"], row["realized"])
+        a, b = schedule_step(cold, s, *state), schedule_step(model, s, *state)
+        assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes(), state[0]

@@ -14,7 +14,6 @@ from ucdkit import (
     ModelMismatchError,
     TrainConfig,
     UcdError,
-    basis_vector,
     default_basis,
     enumerate_optimal,
     enumerate_tail,
@@ -25,7 +24,8 @@ from ucdkit import (
     simulate,
     train,
 )
-from ucdkit.clho import _tail_value, basis_matrix, decide
+from ucdkit.clho import _tail_values, basis_matrix, decide
+from ucdkit.hybrid import mode_to_int
 from ucdkit.oracle import Stages
 
 
@@ -39,25 +39,21 @@ def test_default_basis_sizes(e1c1, e2c1):
 
 
 def test_basis_vector_layout():
-    spec = BasisSpec(family="quad", coords=(0, 1))
-    phi = basis_vector(spec, np.array([350.0, 0.0, 0.0, 0.0]))
+    spec = BasisSpec(coords=(0, 1))
+    phi = basis_matrix(spec, [np.array([350.0, 0.0, 0.0, 0.0])])[0]
     assert phi.tolist() == [122500.0, 0.0, 350.0, 0.0, 1.0]
 
 
 def test_basis_matrix_rows_are_basis_vectors():
-    spec = BasisSpec(family="quad", coords=(0, 2))
+    # each row of a batch has the bytes of its state's features alone
+    spec = BasisSpec(coords=(0, 2))
     states = np.array([[350.0, 1.0, 0.5, 9.0], [0.0, 2.0, -0.0, 7.0], [1e-3, 0.0, 30.0, 0.0]])
     X = basis_matrix(spec, states)
     assert X.flags.c_contiguous and X.shape == (3, 5)
     assert X[0].tolist() == [122500.0, 0.25, 350.0, 0.5, 1.0]
     for row, st in zip(X, states):
-        assert row.tobytes() == basis_vector(spec, st).tobytes()
-    assert basis_matrix(BasisSpec(family="quad"), states).tolist() == [[1.0]] * 3
-
-
-def test_unknown_basis_family_rejected():
-    with pytest.raises(UcdError, match="basis family"):
-        basis_vector(BasisSpec(family="cubic", coords=(0,)), np.zeros(3))
+        assert row.tobytes() == basis_matrix(spec, [st])[0].tobytes()
+    assert basis_matrix(BasisSpec(), states).tolist() == [[1.0]] * 3
 
 
 def test_training_is_bitwise_deterministic(e1c4):
@@ -76,6 +72,11 @@ def test_seed_changes_samples_not_quality(e1c1):
         m = train(e1c1, TrainConfig(samples=20, seed=seed))
         rep = simulate(e1c1, m)
         assert schedule_text(rep.schedule) == want
+
+
+def _tail_value(model, t, mode, dispatch):
+    """Jhat_t at one dispatch state entering t from `mode`."""
+    return _tail_values(model, t, [(mode_to_int(mode), mode, dispatch)])[0]
 
 
 def test_value_matches_exact_tails(e1c1, model_e1c1, drawn_states):
@@ -384,8 +385,9 @@ def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch
     warm = schedule_step(model, s, 2, (1, 1), p_prev)
     # every twin in the row meets its ramp rows (see the test above)
     assert solves == []
-    # a loaded model's table is empty: its decision at t solves the ramped
-    # set in full and no relaxed row, and screens once the table holds row t
+    # a loaded model's table is empty: its first decision at t solves
+    # relaxed row t and no ramped QP, since every twin meets its ramp rows,
+    # and the next decision there solves nothing
     path = tmp_path / "m.json"
     save_model(model, path)
     cold = load_model(path, scenario=s)
@@ -393,8 +395,7 @@ def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch
     relaxed = _count_rows(monkeypatch, relaxed_only=True)
     assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
     assert len(solves) == 1 << s.n_units
-    assert relaxed == []
-    cold.stages_for(s).candidates(2)
+    assert relaxed == [2]
     solves.clear()
     assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
     assert solves == []
@@ -435,10 +436,10 @@ def test_scored_ramped_override_solves_no_relaxed_row_twice(e1c1, tmp_path,
     # the trained model's table holds every row already
     warm = simulate(s, model, script)
     assert relaxed == []
-    # a loaded model's rollout solves none; the scored tail from t=3
-    # solves rows 3..T once each for its bound, and its walk screens on them
+    # a loaded model's rollout solves rows 1..T once each as it decides,
+    # and the scored tail from t=3 bounds and screens on those same rows
     cold = simulate(s, load_model(path, scenario=s), script)
-    assert sorted(relaxed) == list(range(3, s.horizon + 1))
+    assert sorted(relaxed) == list(range(1, s.horizon + 1))
     assert cold.oracle_comparison == warm.oracle_comparison
     (scored,) = warm.oracle_comparison
     assert scored["gap"] is not None and scored["gap"] >= -1e-6

@@ -28,6 +28,7 @@ from ucdkit import (
     enumerate_tail,
     graph_dp_optimal,
     kappa,
+    mode_dynamics,
     run_schedule,
     save_model,
     schedule_step,
@@ -443,15 +444,23 @@ def _cli(argv):
 @given(malformed_states(2), st.integers(2, 5))
 def test_malformed_states_are_refused(e1c1, model_e1c1, e1c1_model_file, state, t):
     # library calls raise UcdError or ValueError; the CLI exits 1 with an
-    # error and prints no answer
+    # error and prints no answer. The dispatch builders read a previous
+    # dispatch only to build ramp rows, so they are tried with ramps on
     mode, dispatch, which = state
     with pytest.raises((UcdError, ValueError)):
         enumerate_tail(e1c1, t, mode, dispatch)
     with pytest.raises((UcdError, ValueError)):
         schedule_step(model_e1c1, e1c1, t, mode, dispatch)
+    ramped = dataclasses.replace(e1c1, ramp_enforced=True)
+    with pytest.raises(ValueError):
+        assemble(ramped, t, mode, dispatch)
+    with pytest.raises(ValueError):
+        mode_dynamics(ramped, t, mode, dispatch)
     mode_text = "".join(map(str, mode))
     state_text = ",".join(map(repr, dispatch))
     if which != "mode":
+        with pytest.raises(ValueError):
+            mode_candidates(ramped, t, dispatch)
         with pytest.raises(UcdError):
             simulate(e1c1, model_e1c1, DisturbanceScript(((t, dispatch),)))
         rc, out, err = _cli(["dispatch", "example1_case1", "--t", str(t), "--mode", "11",

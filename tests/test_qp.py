@@ -343,10 +343,11 @@ def test_kernel_and_solve_leave_their_inputs_alone(e2c1, t, mode, ramped):
     assert [a.tobytes() for a in (q.hdiag, q.glin, q.G, q.h)] == before
     C = _frozen(np.vstack([np.ones(q.n_free), -q.G]))
     b = _frozen(np.concatenate([[q.beq], -q.h]))
-    args = (q.hdiag, q.glin, C, b)
-    before = [a.tobytes() for a in args]
-    status, *_ = _kernels.qp_core(*args, 1e-9, PIVOT_TOL, 1000)
-    assert [a.tobytes() for a in args] == before
+    arrays = (q.hdiag, q.glin, C, b)
+    before = [a.tobytes() for a in arrays]
+    status, *_ = _kernels.qp_core(q.hdiag, q.glin, _kernels.Rows(q.hdiag, q.glin, C), b,
+                                  1e-9, PIVOT_TOL, 1000)
+    assert [a.tobytes() for a in arrays] == before
     assert (status, sol.status) in ((_kernels.OPTIMAL, "optimal"), (_kernels.INFEASIBLE, "infeasible"))
     assert any(label.startswith("ramp") for label in q.labels) == ramped
 

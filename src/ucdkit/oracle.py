@@ -33,7 +33,8 @@ from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix
                     switching_row)
 from .errors import BudgetExceededError, InfeasibleModeError, UcdError
 from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
-from .qp import _check_dispatch, _meets_ramps, mode_candidates, mode_dynamics
+from .qp import (_check_dispatch, _meets_ramps, _ramp_source, _solved, mode_candidates,
+                 mode_dynamics)
 from .scenario import Scenario
 
 __all__ = [
@@ -108,19 +109,14 @@ class Stages:
         row = self._rows.get(t)
         if row is None:
             row = self._rows[t] = _tagged(mode_candidates(self.s, t, None))
-        if not self.s.ramp_enforced or p_prev is None:
+        prev = _ramp_source(self.s, p_prev)
+        if prev is None:
             return row
-        prev = _check_dispatch(p_prev, self.s.n_units)
-        twins, redo = [], []
-        for c in row:
-            if _meets_ramps(self.s, c[1], c[2], prev):
-                twins.append(c)
-            else:
-                redo.append(c[0])
-        if not redo:
-            return twins
-        solved = _tagged(mode_candidates(self.s, t, prev, redo))
-        return sorted(twins + solved, key=lambda c: c[0])
+        met = [_meets_ramps(self.s, c[1], c[2], prev) for c in row]
+        if all(met):
+            return row
+        solved = _tagged(_solved(self.s, t, prev, [c[0] for c, ok in zip(row, met) if not ok]))
+        return sorted([c for c, ok in zip(row, met) if ok] + solved, key=lambda c: c[0])
 
     def q(self, t: int) -> np.ndarray:
         """Ramp-relaxed Q at t over all 2^N modes, inf where infeasible."""

@@ -175,9 +175,9 @@ def _meets_ramps(s, mode, dispatch, prev):
     enters the working set, and every step, the polish and the result
     match the relaxed solve. A ramp row that could bind but is slack at
     the optimum may enter and leave the working set on the way; that the
-    bits still match then is measured (every reused twin of ramped
-    example2_case1 training, and the screen suite in
-    tests/test_branch_bound.py), not proven.
+    bits still match then is measured, not proven: the tests hold ramped
+    candidate sets, tails and schedule tables to references that solve
+    every ramped candidate set in full.
     """
     for n, hi, lo in _ramp_limits(s, mode, prev):
         if hi is not None and not dispatch[n] <= hi:
@@ -489,15 +489,19 @@ def _commitments(n):
     return [tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in range(1 << n)]
 
 
-def mode_candidates(s: Scenario, t: int, p_prev=None, modes=None):
+def mode_candidates(s: Scenario, t: int, p_prev=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
     ordered by the commitment read as a binary integer (unit 1 = MSB).
-    `modes`, ascending mode ints, limits the solves to those commitments.
     p_prev is checked once per call, as in `assemble`."""
-    prev = _ramp_source(s, p_prev)
+    return _solved(s, t, _ramp_source(s, p_prev), range(1 << s.n_units))
+
+
+def _solved(s, t, prev, modes):
+    """The triples of `mode_candidates` for `modes`, ascending mode ints,
+    from `prev` as `_ramp_source` returns it."""
     commitments = _commitments(s.n_units)
     out = []
-    for v in range(len(commitments)) if modes is None else modes:
+    for v in modes:
         bits = commitments[v]
         sol = solve(_assemble(s, t, bits, prev))
         if sol.status == "optimal":

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ucdkit import load_bundled_scenario, train
+from ucdkit import load_bundled_scenario, quota_rebate, switching_cost, train
 from ucdkit.clho import _sample_states
+from ucdkit.hybrid import schedule_text
 from ucdkit.oracle import Stages
+from ucdkit.qp import mode_candidates
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +52,33 @@ def _drawn_states(s, first_t, count=1, seed=0):
 def drawn_states():
     """drawn_states(s, first_t, count=1, seed=0) -> [(t, i_prev, p_prev)]"""
     return _drawn_states
+
+
+def _walked_schedule_costs(s):
+    """`enumerate_schedule_costs` walked over `mode_candidates`, each
+    candidate set solved in full from its state: with ramps enforced, a
+    reference that reads no ramp-relaxed row."""
+    rebate = quota_rebate(s)
+    out = []
+
+    def walk(t, i_prev, p_prev, prefix, acc):
+        if t > s.horizon:
+            out.append((schedule_text(prefix), float(acc - rebate)))
+            return
+        for mode, dispatch, q in mode_candidates(s, t, p_prev):
+            step = q + switching_cost(s, i_prev, mode)
+            prefix.append(mode)
+            walk(t + 1, mode, dispatch, prefix, acc + step)
+            prefix.pop()
+
+    walk(1, s.initial_commitment, np.array(s.initial_dispatch), [], 0.0)
+    return out
+
+
+@pytest.fixture(scope="session")
+def walked_schedule_costs():
+    """walked_schedule_costs(s) -> [(schedule text, total cost)]"""
+    return _walked_schedule_costs
 
 
 # training is deterministic and fast; share one model per scenario

@@ -21,15 +21,13 @@ from ucdkit import (
     graph_dp_optimal,
     load_bundled_scenario,
     load_model,
-    quota_rebate,
     run_schedule,
     save_model,
     schedule_step,
     simulate,
-    switching_cost,
     train,
 )
-from ucdkit.hybrid import int_to_mode, mode_to_int, schedule_text
+from ucdkit.hybrid import int_to_mode, mode_to_int
 from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
 from ucdkit.qp import mode_candidates
 
@@ -49,11 +47,23 @@ def _first_unit_ramped(s, limit):
                                name=f"{s.name}_unit1_ramp{limit:g}")
 
 
+class _FullSolves:
+    """Stands in for `Stages` in the oracle's walk: each candidate set is
+    solved in full by `mode_candidates`, with no ramp-relaxed row read."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def candidates(self, t, p_prev):
+        return [(mode_to_int(m), m, d, q) for m, d, q in mode_candidates(self.s, t, p_prev)]
+
+
 def _exhaustive_tail(s, t, i_prev, p_prev):
-    """The oracle's walk from one state with no bound: every leaf."""
+    """The oracle's walk from one state with no bound: every leaf, each
+    candidate set solved in full."""
     cost, seq = _best_tail(s, t, tuple(int(b) for b in i_prev),
                            np.asarray(p_prev, dtype=float),
-                           _Budget(DEFAULT_BUDGET), Stages(s))
+                           _Budget(DEFAULT_BUDGET), _FullSolves(s))
     return cost, None if seq is None else tuple(int_to_mode(v, s.n_units) for v in seq)
 
 
@@ -188,31 +198,11 @@ def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
 # --- callers that read ramped candidates off a table they fill themselves --
 
 
-def _walked_schedule_costs(s):
-    """`enumerate_schedule_costs` walked over `mode_candidates`, each
-    ramped candidate set solved in full from its state."""
-    rebate = quota_rebate(s)
-    out = []
-
-    def walk(t, i_prev, p_prev, prefix, acc):
-        if t > s.horizon:
-            out.append((schedule_text(prefix), float(acc - rebate)))
-            return
-        for mode, dispatch, q in mode_candidates(s, t, p_prev):
-            step = q + switching_cost(s, i_prev, mode)
-            prefix.append(mode)
-            walk(t + 1, mode, dispatch, prefix, acc + step)
-            prefix.pop()
-
-    walk(1, s.initial_commitment, np.array(s.initial_dispatch), [], 0.0)
-    return out
-
-
 @pytest.mark.parametrize("s", [s for s, binding in _ramped_example1_fleets() if binding],
                          ids=lambda s: s.name)
-def test_schedule_table_equals_full_ramped_solves(s):
+def test_schedule_table_equals_full_ramped_solves(s, walked_schedule_costs):
     got = enumerate_schedule_costs(s)
-    want = _walked_schedule_costs(s)
+    want = walked_schedule_costs(s)
     assert len(want) > 1
     assert [(text, cost.hex()) for text, cost in got] == [
         (text, cost.hex()) for text, cost in want]

@@ -264,17 +264,22 @@ def test_training_with_ramps_samples_per_state(e1c1):
 
 
 def _count_rows(monkeypatch, relaxed_only=False):
-    """Calls of the stage-row solver: one per period row solved, or per
-    ramp-relaxed row with relaxed_only."""
+    """Calls of the stage-row solvers: one per ramp-relaxed row solved
+    and, unless relaxed_only, one per ramped candidate set re-solved."""
     calls = []
-    rows = ucdkit.oracle.mode_candidates
+    rows, resolve = ucdkit.oracle.mode_candidates, ucdkit.oracle._solved
 
-    def counting(s, t, p_prev=None, modes=None):
-        if p_prev is None or not relaxed_only:
+    def counting_rows(s, t, p_prev=None):
+        calls.append(t)
+        return rows(s, t, p_prev)
+
+    def counting_resolve(s, t, prev, modes):
+        if not relaxed_only:
             calls.append(t)
-        return rows(s, t, p_prev, modes)
+        return resolve(s, t, prev, modes)
 
-    monkeypatch.setattr(ucdkit.oracle, "mode_candidates", counting)
+    monkeypatch.setattr(ucdkit.oracle, "mode_candidates", counting_rows)
+    monkeypatch.setattr(ucdkit.oracle, "_solved", counting_resolve)
     return calls
 
 

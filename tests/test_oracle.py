@@ -68,15 +68,16 @@ def test_graph_dp_refuses_ramp_coupling(e1c1):
         graph_dp_optimal(s)
 
 
-def test_enumeration_handles_ramp_coupling(e1c1):
+def test_enumeration_handles_ramp_coupling(e1c1, walked_schedule_costs):
     # tight-ish ramp on unit 1 changes reachable dispatches but leaves a
-    # feasible schedule; enumeration must still find a certified optimum
+    # feasible schedule; enumeration must still find a certified optimum,
+    # held to a table whose every ramped candidate set is solved in full
     ramped = dataclasses.replace(e1c1.units[0], ramp_up=200.0, ramp_down=200.0)
     s = dataclasses.replace(e1c1, units=(ramped, e1c1.units[1]), ramp_enforced=True)
     res = enumerate_optimal(s)
     traj = run_schedule(s, res.schedule)
     assert traj.total_cost == pytest.approx(res.total_cost, abs=1e-9)
-    table = enumerate_schedule_costs(s)
+    table = walked_schedule_costs(s)
     assert res.total_cost == pytest.approx(min(c for _, c in table), abs=1e-9)
 
 

@@ -5,7 +5,8 @@ fleets that tie exactly (a duplicated unit, switching prices zeroed or
 kept) and asks enumeration, graph DP, the closed loop (as one rollout
 and step by step on the model's stage table) and the compare table for
 the same schedule. With binding ramp limits, the branch-and-bound oracle
-must pick the tie-band argmin of the exhaustive schedule table.
+must pick the tie-band argmin of the exhaustive schedule table, each of
+whose ramped candidate sets is solved in full.
 """
 
 import dataclasses
@@ -103,9 +104,14 @@ def tied_ramped_fleets(draw):
 
 
 @TIE_SUITE
-@given(tied_ramped_fleets())
-def test_pruned_ties_agree_with_the_exhaustive_table_under_ramps(s):
-    table = enumerate_schedule_costs(s)
+@given(s=tied_ramped_fleets())
+def test_pruned_ties_agree_with_the_exhaustive_table_under_ramps(walked_schedule_costs, s):
+    # the reference table solves every ramped candidate set in full; the
+    # package's table reads relaxed twins and must match it bit for bit,
+    # since the tie-band argmin of a duplicated fleet rests on exact bits
+    table = walked_schedule_costs(s)
+    assert [(x, c.hex()) for x, c in enumerate_schedule_costs(s)] == [
+        (x, c.hex()) for x, c in table]
     relaxed = enumerate_schedule_costs(dataclasses.replace(s, ramp_enforced=False))
     assert table != relaxed          # the ramps bind
     want = table[tie_band([c for _, c in table])[1]][0]

@@ -27,15 +27,23 @@ reproduces its bits, and only numpy itself does.
 
 What a call computes from the rows, H and the linear term alone (H^-1,
 the unconstrained minimizer, row normals, the balance row's H^-1 scaled
-copy and the Gram entries of pairs of rows) is kept in a `Rows`, which a
-caller passes for C and may reuse: the dispatch QP's template keeps one
-per mode for every period of a scenario. Its caches fill as rows enter a
-working set, and each entry is the expression an uncached call
-evaluates, so a call returns the same bits either way.
+copy, the Gram entries of pairs of rows and the step directions) is kept
+in a `Rows`, which a caller passes for C and may reuse: the dispatch
+QP's template keeps one per mode for every period of a scenario. Its
+caches fill as rows enter a working set, and each entry is the
+expression an uncached call evaluates, so a call returns the same bits
+either way. An inner iteration's step direction (the dual step r, the
+primal step z, the entering row's normal times z, and whether a primal
+step exists) reads the entering row, the working set in entry order,
+the balance row's sign and the pivot tolerance, never x, the multipliers
+or b. So it repeats across periods and calls: on the full ramp-relaxed
+grid of one 8-unit fleet (6,144 problems), 17,162 iterations with a
+nonempty working set meet 2,778 distinct (row, working set) pairs.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from math import copysign, inf
 from operator import mul
@@ -136,6 +144,27 @@ def _solve_list(A, rhs, tol_piv):
     return [(r0 - (b * y1 + 0.0)) / a, y1]
 
 
+def _step(G, g, N, npvec, hinv, tol_piv):
+    """The step direction of entering row `npvec` against a nonempty
+    working set of signed normals N, with Gram matrix G = N Hinv N' and
+    g = N Hinv npvec, as the bytes of C doubles: r, which solves G r = g,
+    then zn = npvec . z for z = Hinv(npvec - N' r), or -inf when z or zn
+    is at most tol_piv (no primal step exists), then z when one does.
+    None when G is singular to tol_piv."""
+    r = _solve_list(G, g, tol_piv)
+    if r is None:
+        return None
+    z = npvec
+    for ra, a in zip(r[:-1], N):
+        z = [zj - ra * aj for zj, aj in zip(z, a)]
+    ra = r[-1]
+    z = [h * (zj - ra * aj) for h, zj, aj in zip(hinv, z, N[-1])]
+    zn = sum(map(mul, npvec, z))
+    if max(map(abs, z)) > tol_piv and zn > tol_piv:
+        return array("d", [*r, zn, *z]).tobytes()
+    return array("d", [*r, -inf]).tobytes()
+
+
 class Rows:
     """A QP's constraint rows with the kernel's constants for them.
 
@@ -148,15 +177,20 @@ class Rows:
     working set, and a pair's entry when one row enters with the other
     in the set. A row's H^-1 scaled copy is kept for the balance row
     alone, the only row whose copy a step reads; the others are made
-    only to fill a Gram entry. The balance row flipped to the other side
-    of its equality is never cached: its product sums differ from the
-    unflipped ones in the sign of a zero. `normals` may be shared by
-    every `Rows` of one C, and `pool` by any number of them: it holds one
-    float object per value kept. A `Rows` never writes its arrays.
+    only to fill a Gram entry. `steps` keeps the step direction (see
+    `_step`) of each entering row p and nonempty working set W met, under
+    the bytes of (p, *W) (a tuple where a row index passes 255), for the
+    one pivot tolerance `step_tol`: a call under another starts them
+    anew. The balance row flipped to the other side of its equality is
+    never cached: its product sums differ from the unflipped ones in the
+    sign of a zero, and a step key does not carry the sign. `normals` may
+    be shared by every `Rows` of one C, and `pool` by any number of them:
+    it holds one float object per value kept. A `Rows` never writes its
+    arrays.
     """
 
     __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "pool", "first",
-                 "gram")
+                 "gram", "steps", "step_tol")
 
     def __init__(self, hdiag, glin, C, normals=None, pool=None):
         self.C, self.shape, self.hdiag, self.glin = C, C.shape, hdiag, glin
@@ -168,6 +202,8 @@ class Rows:
                               for a in (-glin * hinv, hinv))
         self.first = None   # the balance row's H^-1 scaled copy and Gram entry
         self.gram = {}      # a * m + p -> normal(a) . H^-1 normal(p)
+        self.steps = {}     # bytes((p, *W)) -> step direction
+        self.step_tol = None
 
     def normal(self, p):
         """The normal of row p, as a list of Python floats."""
@@ -202,6 +238,10 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
     R, C = rows, rows.C
     m, n = R.shape
     x, hinv, gram = R.x0, R.hinv, R.gram
+    if R.step_tol != tol_piv:       # directions hold for one pivot tolerance
+        R.steps, R.step_tol = {}, tol_piv
+    steps = R.steps
+    key_of = bytes if m <= 256 else tuple   # a byte per row index where they fit
     bl = bvec.tolist()
     W, u = [], []               # active rows (W[0] is the balance once added), multipliers
     sign = 1.0                  # on the balance row's normal
@@ -229,6 +269,7 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
         hnp, g = None, []
         if p == 0 and sum(map(mul, npvec, x)) - bl[0] > 0.0:
             sign, npvec = -1.0, [-v for v in npvec]
+            steps = {}      # directions against the flipped balance are not kept
             hnp = list(map(mul, hinv, npvec))
             gpp = sum(map(mul, npvec, hnp))
         elif p == 0:
@@ -257,18 +298,22 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
             if iters > max_iter:
                 return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
 
-            # step directions: r in the duals of W, z in primal space;
-            # r solves (N Hinv N') r = N Hinv npvec, z = Hinv(npvec - N' r)
-            r, z = [], hnp
+            # step directions: r in the duals of W, z in primal space,
+            # zn = npvec . z, or -inf when no primal step exists. Only p,
+            # W in entry order, the sign and tol_piv enter them, so the
+            # rows keep them; the balance enters first, along Hinv npvec
             if W:
-                r = _solve_list(G, g, tol_piv)
-                if r is None:
-                    return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
-                z = npvec
-                for ra, a in zip(r[:-1], N):
-                    z = [zj - ra * aj for zj, aj in zip(z, a)]
-                ra = r[-1]
-                z = [h * (zj - ra * aj) for h, zj, aj in zip(hinv, z, N[-1])]
+                key = key_of((p, *W))
+                step = steps.get(key)
+                if step is None:
+                    step = _step(G, g, N, npvec, hinv, tol_piv)
+                    if step is None:
+                        return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
+                    steps[key] = step
+                k, d = len(W), memoryview(step).cast("d")
+                r, zn, z = d[:k], d[k], d[k + 1:]
+            else:
+                r, z, zn = [], hnp, gpp if max(map(abs, hnp)) > tol_piv else -inf
 
             # dual step bound: first active inequality whose multiplier
             # hits 0 (the lowest index among equal ratios)
@@ -281,8 +326,7 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
 
             # primal step to reach the new row
             t2 = inf
-            zn = sum(map(mul, npvec, z))
-            if max(map(abs, z)) > tol_piv and zn > tol_piv:
+            if zn > tol_piv:
                 t2 = max(0.0, -(sum(map(mul, npvec, x)) - bp) / zn)
 
             if t1 == inf and t2 == inf:

@@ -119,8 +119,9 @@ class ValueModel:
     def stages_for(self, s: Scenario) -> Stages:
         """The model's stage table, rebuilt when it was made for another
         scenario object. Identity is the key, not the fingerprint: a
-        Scenario is frozen, and fingerprinting would cost more than a
-        decision on cached rows."""
+        Scenario is frozen, and an object's first fingerprint (a YAML
+        dump, kept per object after that) costs more than a decision on
+        cached rows."""
         if self._stages is None or self._stages.s is not s:
             self._stages = Stages(s)
         return self._stages
@@ -181,8 +182,9 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         if not stages.candidates(t):
             raise UcdError(f"no feasible commitment at period t={t}; cannot train")
     # targets read rows of the full switching matrix, which is dropped
-    # after training; caching all 2^N rows in the table would more than
-    # double what every model keeps
+    # after training rather than kept with the scenario object's shared
+    # rows (`Stages.kappa_row`): all 2^N rows take 8 * 4^N bytes, 8 MB
+    # at N = 10
     K = switching_matrix(s)
 
     discarded = {}

@@ -35,7 +35,7 @@ from .errors import BudgetExceededError, InfeasibleModeError, UcdError
 from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
 from .qp import (_check_dispatch, _meets_ramps, _ramp_source, _solved, mode_candidates,
                  mode_dynamics)
-from .scenario import Scenario
+from .scenario import Scenario, _per_object
 
 __all__ = [
     "OracleResult",
@@ -88,11 +88,17 @@ class _Budget:
             raise BudgetExceededError(self.limit)
 
 
+# id(scenario) -> {i_prev: switching row}, by `_per_object`
+_KAPPA_ROWS = {}
+
+
 class Stages:
     """Per-period stage data of one scenario, for one top-level call or,
     as a model's table, across closed-loop decisions.
 
-    A period's ramp-relaxed row is solved on first use and cached. With
+    A period's ramp-relaxed row is solved on first use and cached, and
+    so is a row of the switching matrix, which every table of the same
+    scenario object shares (keyed like the QP templates). With
     ramps enforced and p_prev given, the candidates are read off that row
     (see the module docstring): a relaxed candidate that meets its ramp
     rows from p_prev is returned untouched, the table's own tuple, and
@@ -102,7 +108,7 @@ class Stages:
     def __init__(self, s: Scenario):
         self.s = s
         self._rows = {}
-        self._kappa = {}
+        self._kappa = _per_object(_KAPPA_ROWS, s, dict)
 
     def candidates(self, t: int, p_prev=None):
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
@@ -126,10 +132,13 @@ class Stages:
         return out
 
     def kappa_row(self, i_prev: int) -> np.ndarray:
-        """Row i_prev of the switching matrix, built on first use."""
-        if i_prev not in self._kappa:
-            self._kappa[i_prev] = switching_row(self.s, i_prev)
-        return self._kappa[i_prev]
+        """Row i_prev of the switching matrix, built on first use and
+        shared, read-only, by every table of the scenario object."""
+        row = self._kappa.get(i_prev)
+        if row is None:
+            row = self._kappa[i_prev] = switching_row(self.s, i_prev)
+            row.flags.writeable = False
+        return row
 
     def values(self, first: int = 1) -> np.ndarray:
         """value[t, ip]: optimal ramp-relaxed tail stage cost entering

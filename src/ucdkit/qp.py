@@ -26,10 +26,12 @@ object, commitment, DG and DR presence and set of units with ramp rows,
 and afterwards fills only the period's `h` and `beq`; `solve` builds
 only the kernel's right-hand side. The template also carries the
 kernel's per-mode constants (`_kernels.Rows`), filled as rows enter a
-working set. Each is the expression an uncached solve evaluates, so
-every result keeps its bits. Templates are keyed on the scenario
-object's identity and dropped when it is collected; an equal but
-distinct scenario (a re-parse, a `dataclasses.replace`) gets its own.
+working set, and the step direction of each working set the kernel
+meets, which no period's data enters. Each is the expression an
+uncached solve evaluates, so every result keeps its bits. Templates are
+keyed on the scenario object's identity and dropped when it is
+collected; an equal but distinct scenario (a re-parse, a
+`dataclasses.replace`) gets its own.
 `hdiag`, `glin` and `G` of an assembled problem are shared with every
 problem of its template and read-only; `h` is its own. A problem not
 made by `assemble` (built by hand, or changed with `dataclasses.replace`)
@@ -38,7 +40,6 @@ has no template and gets new kernel constants on each solve.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite
@@ -48,7 +49,7 @@ import numpy as np
 from . import _kernels
 from .costs import running_cost
 from .errors import InfeasibleModeError, QpNumericalError
-from .scenario import Scenario
+from .scenario import Scenario, _per_object
 
 __all__ = [
     "QpProblem",
@@ -213,8 +214,7 @@ def _assemble(s, t, bits, prev):
     return q
 
 
-# id(scenario) -> _Store; an entry lives as long as its scenario object,
-# which is never hashed by value
+# id(scenario) -> _Store, by `_per_object`: a scenario is never hashed by value
 _TEMPLATES = {}
 
 
@@ -236,10 +236,7 @@ class _Store:
 def _template(s, *key):
     """The template of key = (bits, dg on, dr on, ramped units) for the
     scenario object s, built on first use."""
-    store = _TEMPLATES.get(id(s))
-    if store is None:
-        store = _TEMPLATES[id(s)] = _Store()
-        weakref.finalize(s, _TEMPLATES.pop, id(s), None)
+    store = _per_object(_TEMPLATES, s, _Store)
     tpl = store.templates.get(key)
     if tpl is None:
         tpl = store.templates[key] = _Template(s, *key, store)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 
@@ -400,8 +401,26 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 def scenario_fingerprint(s: Scenario) -> str:
-    """Content hash of the canonical serialization (sha256 hex)."""
-    return hashlib.sha256(serialize_scenario(s).encode("utf-8")).hexdigest()
+    """Content hash of the canonical serialization (sha256 hex), computed
+    once per scenario object."""
+    return _per_object(_FINGERPRINTS, s, lambda: hashlib.sha256(
+        serialize_scenario(s).encode("utf-8")).hexdigest())
+
+
+# id(scenario) -> its fingerprint
+_FINGERPRINTS = {}
+
+
+def _per_object(table, s, make):
+    """table[id(s)], made by make() on first use and dropped when the
+    scenario object s is collected, so an id is never read for another
+    object. A Scenario is frozen, so what is made from it holds for as
+    long as it lives; an equal but distinct one gets its own entry."""
+    value = table.get(id(s))
+    if value is None:
+        value = table[id(s)] = make()
+        weakref.finalize(s, table.pop, id(s), None)
+    return value
 
 
 # ---------------------------------------------------------------------------

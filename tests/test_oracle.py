@@ -257,3 +257,26 @@ def test_relaxed_exact_value_table_equals_enumeration(name, drawn_states):
         first = (int_to_mode(stages.best_next(value, t, ip), s.n_units)
                  if t <= s.horizon and np.isfinite(value[t, ip]) else None)
         assert (value[t, ip], first) == (cost, seq[0] if seq else None), (t, i_prev)
+
+
+def test_tables_of_one_scenario_share_read_only_switching_rows():
+    import gc
+    import weakref
+
+    from ucdkit import load_bundled_scenario, oracle
+    from ucdkit.costs import switching_matrix
+
+    s = load_bundled_scenario("example2_case1")
+    a, b = Stages(s), Stages(s)
+    K = switching_matrix(s)
+    for ip in (0, 5, 31):
+        row = a.kappa_row(ip)
+        assert b.kappa_row(ip) is row and row.tobytes() == K[ip].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+    other = Stages(load_bundled_scenario("example2_case1"))    # an equal, distinct object
+    assert other.kappa_row(5) is not a.kappa_row(5)
+    key, ref = id(s), weakref.ref(s)
+    del s, a, b
+    gc.collect()
+    assert ref() is None and key not in oracle._KAPPA_ROWS

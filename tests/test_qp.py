@@ -279,16 +279,23 @@ def _with_ramps(s, frac):
     return dataclasses.replace(s, units=units, ramp_enforced=True)
 
 
-def _golden_problems(drawn_states):
+def _golden_scenarios():
+    """The five bundled scenarios, then example2_case1 with ramps at 0.5
+    p_max, each a new object."""
+    return ([load_bundled_scenario(name) for name in sorted(KERNEL_PATH)]
+            + [_with_ramps(load_bundled_scenario("example2_case1"), 0.5)])
+
+
+def _golden_problems(drawn_states, scenarios=None):
     """Every (t, mode) of the five bundled ramp-relaxed grids, then every
     mode of example2_case1 with ramps at 0.5 p_max from one seeded state
-    per (t, previous ramp-relaxed feasible mode)."""
-    for name in sorted(KERNEL_PATH):
-        s = load_bundled_scenario(name)
-        for t in range(1, s.horizon + 1):
-            for v in range(1 << s.n_units):
-                yield assemble(s, t, int_to_mode(v, s.n_units))
-    s = _with_ramps(load_bundled_scenario("example2_case1"), 0.5)
+    per (t, previous ramp-relaxed feasible mode); of `scenarios`, as
+    `_golden_scenarios` returns them, or of new objects."""
+    *relaxed, s = scenarios or _golden_scenarios()
+    for r in relaxed:
+        for t in range(1, r.horizon + 1):
+            for v in range(1 << r.n_units):
+                yield assemble(r, t, int_to_mode(v, r.n_units))
     for t, _, p_prev in drawn_states(s, 1, count=1, seed=0):
         for v in range(1 << s.n_units):
             yield assemble(s, t, int_to_mode(v, s.n_units), p_prev)
@@ -296,26 +303,59 @@ def _golden_problems(drawn_states):
 
 # sha256 over every golden problem's status, iteration count and
 # certificate row, and for optima the dispatch, objective, multipliers,
-# active set and KKT residual, bytes or repr. The infeasible `violation`
-# is left out: it is read at an iterate, not at a certified point. The
-# digest follows the floating-point behaviour of the numpy/BLAS build
-# the kernel runs on.
+# active set and KKT residual, bytes or repr (`_solve_bytes`). The
+# infeasible `violation` is left out: it is read at an iterate, not at a
+# certified point. The digest follows the floating-point behaviour of
+# the numpy/BLAS build the kernel runs on.
 KERNEL_GOLDEN = (7376, "36771034c5bc3ceea0b43375478ef1cbfc64473175a233a7056af29a8ae7e6cc")
 
 
-def test_kernel_golden_digest(drawn_states):
+def _kernel_digest(problems):
+    """(count, sha256 hex) of KERNEL_GOLDEN over solve(q) for `problems`."""
     h = hashlib.sha256()
     count = 0
-    for q in _golden_problems(drawn_states):
-        sol = solve(q)
+    for q in problems:
+        h.update(_solve_bytes(q))
         count += 1
-        h.update(repr((sol.status, sol.iterations, sol.certificate.get("row"))).encode())
-        if sol.status == "optimal":
-            h.update(sol.dispatch.tobytes())
-            h.update(sol.ineq_multipliers.tobytes())
-            h.update(repr((sol.objective_value, sol.eq_multiplier, sol.active_set,
-                           sol.kkt)).encode())
-    assert (count, h.hexdigest()) == KERNEL_GOLDEN
+    return count, h.hexdigest()
+
+
+def test_kernel_golden_digest(drawn_states):
+    assert _kernel_digest(_golden_problems(drawn_states)) == KERNEL_GOLDEN
+
+
+def test_warm_caches_give_the_golden_bytes(drawn_states):
+    # the first pass fills every template's kernel constants and step
+    # directions; the second reads them, and each of its problems is
+    # solved again with no template, so with new constants and no
+    # directions kept
+    scenarios = _golden_scenarios()
+    assert _kernel_digest(_golden_problems(drawn_states, scenarios)) == KERNEL_GOLDEN
+    warm = list(_golden_problems(drawn_states, scenarios))
+    assert _kernel_digest(warm) == KERNEL_GOLDEN
+    for q in warm:
+        assert _solve_bytes(q) == _solve_bytes(dataclasses.replace(q)), (q.t, q.commitment)
+
+
+def test_step_directions_follow_the_pivot_tolerance(e2c1):
+    # a template's Rows keeps the step directions of one pivot
+    # tolerance: a call under another, here one that changes the
+    # results, must read none of them
+    def run(q, rows, tol):
+        b = np.concatenate([[q.beq], -q.h])
+        status, x, w, iters, bad = _kernels.qp_core(q.hdiag, q.glin, rows, b, 1e-9, tol, 1000)
+        return status, iters, bad, np.asarray(x).tobytes(), w.tobytes()
+
+    moved = 0
+    for t in range(1, e2c1.horizon + 1):
+        for v in range(1, 1 << e2c1.n_units):
+            q = assemble(e2c1, t, int_to_mode(v, e2c1.n_units))
+            got = [run(q, q.rows, tol) for tol in (PIVOT_TOL, 1e-3, 0.1, PIVOT_TOL)]
+            fresh = [run(q, _kernels.Rows(q.hdiag, q.glin, q.rows.C), tol)
+                     for tol in (PIVOT_TOL, 1e-3, 0.1, PIVOT_TOL)]
+            assert got == fresh, (t, v)
+            moved += fresh[2] != fresh[0]
+    assert moved > 100
 
 
 def _frozen(a):
@@ -504,15 +544,25 @@ def test_templates_serve_a_flipped_balance_row(e1c1):
         assert sol.status == "optimal" and "cap_hi[1]" in sol.active_set
         flipped.add(float(np.sum(q.rows.x0)) > q.beq)
     assert flipped == {False, True}
-    # the polish hides a wrong-signed step here, so read the cache itself:
-    # every Gram entry is that of the unflipped rows
+    # the polish hides a wrong-signed step here, so read the caches
+    # themselves: every Gram entry and step direction is that of the
+    # unflipped rows (period 1, solved first, is on the flipped side)
     R = q.rows
     m = R.shape[0]
+
+    def gram(a, p):
+        scaled = [h * c for h, c in zip(R.hinv, R.C[p].tolist())]
+        return sum(x * y for x, y in zip(R.C[a].tolist(), scaled))
+
     assert len(R.gram) >= 2
     for key, v in R.gram.items():
-        a, p = divmod(key, m)
-        scaled = [h * c for h, c in zip(R.hinv, R.C[p].tolist())]
-        assert v == sum(x * y for x, y in zip(R.C[a].tolist(), scaled))
+        assert v == gram(*divmod(key, m))
+    assert R.steps
+    for (p, *W), step in R.steps.items():
+        G = [[gram(min(a, b, key=W.index), max(a, b, key=W.index)) for b in W] for a in W]
+        N = [R.C[a].tolist() for a in W]
+        want = _kernels._step(G, [gram(a, p) for a in W], N, R.C[p].tolist(), R.hinv, PIVOT_TOL)
+        assert step == want, (p, W)
 
 
 def test_a_replaced_scenario_gets_its_own_templates(e2c1):
@@ -595,3 +645,65 @@ def test_template_memory_of_an_8_unit_grid():
         tracemalloc.stop()
     assert optimal > 0
     assert retained <= 2.5e6, retained
+
+
+def test_step_directions_keep_no_period_data():
+    # step directions are keyed on the working set, never on h, b or x.
+    # Periods 25-48 of this 8-unit fleet repeat periods 1-24 with every
+    # quantity scaled by 1 + 2**-20, which leaves each working-set path
+    # as it was, so solving their full grid after that of periods 1-24,
+    # on the same object, finds every direction it needs and keeps
+    # nothing new (a key that read the period's data would add one entry
+    # per problem, and a solve of the same periods again would not show it)
+    import gc
+    import tracemalloc
+
+    base = _tiled_fleet(8)
+    f = 1.0 + 2.0 ** -20
+    scaled = tuple(dataclasses.replace(p, demand=p.demand * f, reserve_lo=p.reserve_lo * f,
+                                       reserve_hi=p.reserve_hi * f, dg_max=p.dg_max * f,
+                                       dr_max=p.dr_max * f) for p in base.periods)
+    s = dataclasses.replace(base, periods=base.periods + scaled)
+    modes = [int_to_mode(v, 8) for v in range(256)]
+
+    def paths(periods):      # a digest of each solve's status and iterations, kept in no list
+        h = hashlib.sha256()
+        for t in periods:
+            for mode in modes:
+                sol = solve(assemble(s, t, mode))
+                h.update(repr((sol.status, sol.iterations)).encode())
+        return h.hexdigest()
+
+    first = paths(range(1, 25))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        second = paths(range(25, 49))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert retained < 4096, retained     # a few hundred bytes of interpreter noise
+
+
+def test_step_directions_past_row_255():
+    # a step key keeps a row index in a byte where every index fits and
+    # falls back to a tuple where not: 300 rows on two columns, x0 <= 300
+    # - i for row i, so the last row binds and enters the working set
+    m = 300
+    C = np.zeros((m, 2))
+    C[0] = 1.0
+    C[1:, 0] = -1.0
+    b = np.concatenate([[500.0], -(300.0 - np.arange(1, m))])
+    hdiag, glin = np.array([1.0, 1.0]), np.array([-400.0, 0.0])
+    shared = _kernels.Rows(hdiag, glin, C)
+    runs = [_kernels.qp_core(hdiag, glin, rows, b, 1e-9, PIVOT_TOL, 1000)
+            for rows in (shared, shared, _kernels.Rows(hdiag, glin, C))]
+    status, x, w, iters, bad = runs[0]
+    assert status == _kernels.OPTIMAL and x.tolist() == [1.0, 499.0] and w[m - 1] > 0.0
+    assert any(max(key) > 255 for key in shared.steps)
+    for other in runs[1:]:
+        assert (other[0], other[3], other[4]) == (status, iters, bad)
+        assert other[1].tobytes() == x.tobytes() and other[2].tobytes() == w.tobytes()

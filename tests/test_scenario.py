@@ -72,6 +72,46 @@ def test_bundled_fingerprints_are_pinned(key):
     assert scenario_fingerprint(load_bundled_scenario(key)) == BUNDLED_FINGERPRINTS[key]
 
 
+def _count_serializations(monkeypatch):
+    """A list that gets the id of each scenario serialized from now on."""
+    from ucdkit import scenario
+
+    real, ids = scenario.serialize_scenario, []
+    monkeypatch.setattr(scenario, "serialize_scenario", lambda s: ids.append(id(s)) or real(s))
+    return ids
+
+
+def test_fingerprint_is_computed_once_per_object(monkeypatch):
+    import gc
+    import weakref
+
+    from ucdkit import scenario
+
+    text = serialize_scenario(load_bundled_scenario("example2_case1"))
+    s, twin = parse_scenario(text), parse_scenario(text)
+    ids = _count_serializations(monkeypatch)
+    want = BUNDLED_FINGERPRINTS["example2_case1"]
+    assert scenario_fingerprint(s) == scenario_fingerprint(s) == want
+    assert ids == [id(s)]
+    assert scenario_fingerprint(twin) == want and ids == [id(s), id(twin)]
+    key, ref = id(s), weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None and key not in scenario._FINGERPRINTS
+    assert id(twin) in scenario._FINGERPRINTS
+
+
+def test_load_model_and_simulate_hash_their_scenario_once(tmp_path, monkeypatch, model_e1c1):
+    from ucdkit import load_model, save_model, simulate
+
+    path = tmp_path / "m.json"
+    save_model(model_e1c1, path)
+    s = parse_scenario(serialize_scenario(load_bundled_scenario("example1_case1")))
+    ids = _count_serializations(monkeypatch)
+    simulate(s, load_model(path, s))
+    assert ids == [id(s)]
+
+
 # Every record type with every optional field set; each case below edits
 # one entry (DROP deletes it) and pins the outcome: the exact message of
 # a rejected document, the fingerprint of an accepted one.

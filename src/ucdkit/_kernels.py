@@ -25,20 +25,9 @@ OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
 `a*c + b*d` on 30,751 of 200,000 random pairs. So no Python sum
 reproduces its bits, and only numpy itself does.
 
-What a call computes from the rows, H and the linear term alone (H^-1,
-the unconstrained minimizer, row normals, the balance row's H^-1 scaled
-copy, the Gram entries of pairs of rows and the step directions) is kept
-in a `Rows`, which a caller passes for C and may reuse: the dispatch
-QP's template keeps one per mode for every period of a scenario. Its
-caches fill as rows enter a working set, and each entry is the
-expression an uncached call evaluates, so a call returns the same bits
-either way. An inner iteration's step direction (the dual step r, the
-primal step z, the entering row's normal times z, and whether a primal
-step exists) reads the entering row, the working set in entry order,
-the balance row's sign and the pivot tolerance, never x, the multipliers
-or b. So it repeats across periods and calls: on the full ramp-relaxed
-grid of one 8-unit fleet (6,144 problems), 17,162 iterations with a
-nonempty working set meet 2,778 distinct (row, working set) pairs.
+What a call computes from the rows and H alone, the step directions
+included, is kept in a `Rows` (see there), which a caller passes for C
+and may reuse.
 """
 
 from __future__ import annotations
@@ -50,12 +39,16 @@ from operator import mul
 
 import numpy as np
 
-__all__ = ["Rows", "qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL"]
+__all__ = ["Rows", "qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL",
+           "FEAS_TOL", "PIVOT_TOL"]
 
 # status codes returned by the kernel
 OPTIMAL = 0
 INFEASIBLE = 1
 NUMERIC_FAIL = 2
+
+FEAS_TOL = 1e-9      # a row holds when its slack is >= -FEAS_TOL
+PIVOT_TOL = 1e-10    # relative pivot and step threshold
 
 
 def solve_pivoted(A, rhs, tol_piv):
@@ -174,23 +167,23 @@ class Rows:
     unconstrained minimizer are kept as Python floats. Each row's normal
     and the Gram entry `N[a] . H^-1 N[p]` of a pair of rows are filled on
     first use, under int keys: a row is converted when it first enters a
-    working set, and a pair's entry when one row enters with the other
-    in the set. A row's H^-1 scaled copy is kept for the balance row
-    alone, the only row whose copy a step reads; the others are made
-    only to fill a Gram entry. `steps` keeps the step direction (see
-    `_step`) of each entering row p and nonempty working set W met, under
-    the bytes of (p, *W) (a tuple where a row index passes 255), for the
-    one pivot tolerance `step_tol`: a call under another starts them
-    anew. The balance row flipped to the other side of its equality is
-    never cached: its product sums differ from the unflipped ones in the
-    sign of a zero, and a step key does not carry the sign. `normals` may
-    be shared by every `Rows` of one C, and `pool` by any number of them:
-    it holds one float object per value kept. A `Rows` never writes its
-    arrays.
+    working set, and a pair's entry when one row enters with the other in
+    the set. A row's H^-1 scaled copy is kept for the balance row alone,
+    the only row whose copy a step reads; the others are made only to fill
+    a Gram entry. `steps` keeps the step direction (see `_step`) of each
+    entering row p and nonempty working set W met, under the bytes of
+    (p, *W) (a tuple where a row index passes 255): it reads p, W in
+    entry order and the balance row's sign, never x, the multipliers or
+    b, so it holds for every period. The balance row flipped to the other side of
+    its equality is never cached: its product sums differ from the
+    unflipped ones in the sign of a zero, and a step key does not carry
+    the sign. `normals` may be shared by every `Rows` of one C, and `pool`
+    by any number of them: it holds one float object per value kept. A
+    `Rows` never writes its arrays.
     """
 
     __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "pool", "first",
-                 "gram", "steps", "step_tol")
+                 "gram", "steps")
 
     def __init__(self, hdiag, glin, C, normals=None, pool=None):
         self.C, self.shape, self.hdiag, self.glin = C, C.shape, hdiag, glin
@@ -203,7 +196,6 @@ class Rows:
         self.first = None   # the balance row's H^-1 scaled copy and Gram entry
         self.gram = {}      # a * m + p -> normal(a) . H^-1 normal(p)
         self.steps = {}     # bytes((p, *W)) -> step direction
-        self.step_tol = None
 
     def normal(self, p):
         """The normal of row p, as a list of Python floats."""
@@ -224,7 +216,7 @@ def _kept(v, pool):
 _ZERO, _NEG_ZERO = 0.0, -0.0
 
 
-def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
+def qp_core(hdiag, glin, rows, bvec, max_iter):
     """Solve min 1/2 x'diag(hdiag)x + glin'x s.t. C x >= bvec, row 0 an equality.
 
     `rows` is the `Rows` of C made with hdiag and glin (both stay
@@ -237,10 +229,7 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
     """
     R, C = rows, rows.C
     m, n = R.shape
-    x, hinv, gram = R.x0, R.hinv, R.gram
-    if R.step_tol != tol_piv:       # directions hold for one pivot tolerance
-        R.steps, R.step_tol = {}, tol_piv
-    steps = R.steps
+    x, hinv, gram, steps = R.x0, R.hinv, R.gram, R.steps
     key_of = bytes if m <= 256 else tuple   # a byte per row index where they fit
     bl = bvec.tolist()
     W, u = [], []               # active rows (W[0] is the balance once added), multipliers
@@ -257,7 +246,7 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
             C.dot(x, out=slack)
             slack -= lim
             p = int(slack.argmin())
-            if slack[p] >= -tol_feas:
+            if slack[p] >= -FEAS_TOL:
                 break  # all rows satisfied, multipliers nonnegative: done
         else:
             p = 0
@@ -299,34 +288,33 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
                 return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
 
             # step directions: r in the duals of W, z in primal space,
-            # zn = npvec . z, or -inf when no primal step exists. Only p,
-            # W in entry order, the sign and tol_piv enter them, so the
-            # rows keep them; the balance enters first, along Hinv npvec
+            # zn = npvec . z, or -inf when no primal step exists, kept in
+            # the rows (see `Rows`); the balance enters first, along Hinv npvec
             if W:
                 key = key_of((p, *W))
                 step = steps.get(key)
                 if step is None:
-                    step = _step(G, g, N, npvec, hinv, tol_piv)
+                    step = _step(G, g, N, npvec, hinv, PIVOT_TOL)
                     if step is None:
                         return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
                     steps[key] = step
                 k, d = len(W), memoryview(step).cast("d")
                 r, zn, z = d[:k], d[k], d[k + 1:]
             else:
-                r, z, zn = [], hnp, gpp if max(map(abs, hnp)) > tol_piv else -inf
+                r, z, zn = [], hnp, gpp if max(map(abs, hnp)) > PIVOT_TOL else -inf
 
             # dual step bound: first active inequality whose multiplier
             # hits 0 (the lowest index among equal ratios)
             t1, l1 = inf, -1
             for a in range(1, len(W)):
-                if r[a] > tol_piv:
+                if r[a] > PIVOT_TOL:
                     ta = u[a] / r[a]
                     if l1 < 0 or ta < t1:
                         t1, l1 = ta, a
 
             # primal step to reach the new row
             t2 = inf
-            if zn > tol_piv:
+            if zn > PIVOT_TOL:
                 t2 = max(0.0, -(sum(map(mul, npvec, x)) - bp) / zn)
 
             if t1 == inf and t2 == inf:
@@ -365,13 +353,13 @@ def qp_core(hdiag, glin, rows, bvec, tol_feas, tol_piv, max_iter):
         K[j][j] = h
     sol = solve_pivoted(K + [a + [0.0] * k for a in N],
                         [-v for v in R.glin.tolist()] + [sign * bl[0]] + [bl[a] for a in W[1:]],
-                        tol_piv)
+                        PIVOT_TOL)
     # accept the polished point only if it kept the active multipliers
     # nonnegative and the inactive rows feasible
     if sol is not None:
         ys = sol.tolist()
-        if (all(ys[n + a] >= -tol_feas for a in range(1, k))
-                and (C @ sol[:n] - lim).min() >= -tol_feas):
+        if (all(ys[n + a] >= -FEAS_TOL for a in range(1, k))
+                and (C @ sol[:n] - lim).min() >= -FEAS_TOL):
             x, u = sol[:n], ys[n:]
     w_out = np.zeros(m)
     w_out[W] = u

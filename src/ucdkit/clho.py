@@ -12,8 +12,7 @@ states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
 across decisions; with ramps enforced each decision's candidates are
-read off the period's relaxed row, which stands in for every candidate
-whose ramp rows it already meets.
+read off the period's relaxed row (`oracle.Stages.candidates`).
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.

@@ -61,7 +61,7 @@ def running_cost(s: Scenario, commitment, dispatch) -> float:
             total += fuel_cost(u, p) + p_e * emission(u, p)
     total += resource_cost(s.dg, dispatch[s.n_units])
     total += resource_cost(s.dr, dispatch[s.n_units + 1])
-    return total
+    return float(total)
 
 
 def kappa(unit: ThermalUnitParams, i_prev: int, i_now: int) -> float:

@@ -10,17 +10,12 @@ DP's independent reference. Without ramp rows the stage cost depends
 only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
 each layer one vectorised min over K + Q + V (K the switching matrix).
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
-through one `Stages`. With ramps enforced, a period's candidate set from
-a given dispatch is read off its relaxed row, by the same admissibility
-argument: only the row's modes can be feasible, and a relaxed candidate
-that already meets its ramp rows is returned as it is, since each
-dispatch QP is strictly convex and that candidate is the ramped optimum
-too. Only the row's other modes are solved under ramps. An exact
-tail from any state is `enumerate_tail`, on the caller's table or a new
-one; with ramps relaxed, `Stages.values()` holds every tail at once. Every
-argmin in the package goes through `tie_band`, which breaks ties toward
-the smallest mode read as a binary integer, so sequences tie-break to
-the lexicographically smallest one.
+through one `Stages`, which reads ramped candidate sets off those rows.
+An exact tail from any state is `enumerate_tail`, on the caller's table
+or a new one; with ramps relaxed, `Stages.values()` holds every tail at
+once. Every argmin in the package goes through `tie_band`, which breaks
+ties toward the smallest mode read as a binary integer, so sequences
+tie-break to the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -33,8 +28,7 @@ from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix
                     switching_row)
 from .errors import BudgetExceededError, InfeasibleModeError, UcdError
 from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
-from .qp import (_check_dispatch, _meets_ramps, _ramp_source, _solved, mode_candidates,
-                 mode_dynamics)
+from .qp import _check_dispatch, _meets_ramps, _ramp_source, _solved, mode_dynamics
 from .scenario import Scenario, _per_object
 
 __all__ = [
@@ -98,10 +92,10 @@ class Stages:
 
     A period's ramp-relaxed row is solved on first use and cached, and
     so is a row of the switching matrix, which every table of the same
-    scenario object shares (keyed like the QP templates). With
-    ramps enforced and p_prev given, the candidates are read off that row
-    (see the module docstring): a relaxed candidate that meets its ramp
-    rows from p_prev is returned untouched, the table's own tuple, and
+    scenario object shares (keyed like the QP templates). With ramps
+    enforced and p_prev given, only the row's modes can be feasible; a
+    relaxed candidate that meets its ramp rows from p_prev is returned
+    untouched, the table's own tuple (`qp._meets_ramps` says why), and
     only the row's other modes are solved under ramps.
     """
 
@@ -114,14 +108,14 @@ class Stages:
         """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
         row = self._rows.get(t)
         if row is None:
-            row = self._rows[t] = _tagged(mode_candidates(self.s, t, None))
+            row = self._rows[t] = _solved(self.s, t, None, range(1 << self.s.n_units))
         prev = _ramp_source(self.s, p_prev)
         if prev is None:
             return row
         met = [_meets_ramps(self.s, c[1], c[2], prev) for c in row]
         if all(met):
             return row
-        solved = _tagged(_solved(self.s, t, prev, [c[0] for c, ok in zip(row, met) if not ok]))
+        solved = _solved(self.s, t, prev, [c[0] for c, ok in zip(row, met) if not ok])
         return sorted([c for c, ok in zip(row, met) if ok] + solved, key=lambda c: c[0])
 
     def q(self, t: int) -> np.ndarray:
@@ -158,10 +152,6 @@ class Stages:
         return tie_band(self.kappa_row(i_prev) + self.q(t) + value[t + 1])[1]
 
 
-def _tagged(cands):
-    return [(mode_to_int(m), m, d, q) for m, d, q in cands]
-
-
 class _Bound:
     """Branch-and-bound state of one tail search: `value`, a lower bound
     on every tail (the ramp-relaxed table), and `incumbent`, the cost
@@ -182,11 +172,11 @@ class _Bound:
         return spent + self.value[t, mi] > inc + TIE_RTOL * max(1.0, abs(inc))
 
 
-def _incumbent(s, t, i_prev, p_prev, stages, value):
-    """Cost of the ramp-relaxed optimal path from (i_prev, p_prev)
+def _incumbent(s, t, ip, p_prev, stages, value):
+    """Cost of the ramp-relaxed optimal path from (mode int ip, p_prev)
     entering t, re-dispatched under ramps; inf when a step of it has no
     feasible dispatch under them."""
-    ip, cost = mode_to_int(i_prev), 0.0
+    cost = 0.0
     for tt in range(t, s.horizon + 1):
         mi = stages.best_next(value, tt, ip)
         mode = int_to_mode(mi, s.n_units)
@@ -194,31 +184,30 @@ def _incumbent(s, t, i_prev, p_prev, stages, value):
             p_prev = mode_dynamics(s, tt, mode, p_prev)
         except InfeasibleModeError:
             return np.inf
-        cost += running_cost(s, mode, p_prev) + stages.kappa_row(ip)[mi]
+        cost += running_cost(s, mode, p_prev) + stages.kappa_row(ip).item(mi)
         ip = mi
     return cost
 
 
-def _best_tail(s, t, i_prev, p_prev, budget, stages, spent=0.0, bound=None):
-    """Exact optimal continuation from state (i_prev, p_prev) entering
-    period t, having spent `spent` since the tail's start. Returns (stage
-    cost sum, mode int sequence). With a `_Bound`, a child the bound cuts
-    is skipped and each leaf offers its cost as the incumbent; without
-    one the walk is exhaustive. A leaf or a cut child charges one
-    evaluation."""
+def _best_tail(s, t, ip, p_prev, budget, stages, spent=0.0, bound=None):
+    """Exact optimal continuation from state (mode int ip, p_prev)
+    entering period t, having spent `spent` since the tail's start.
+    Returns (stage cost sum, mode int sequence). With a `_Bound`, a child
+    the bound cuts is skipped and each leaf offers its cost as the
+    incumbent; without one the walk is exhaustive. A leaf or a cut child
+    charges one evaluation."""
     if t > s.horizon:
         budget.charge()
         if bound is not None and spent < bound.incumbent:
             bound.incumbent = spent
         return 0.0, ()
-    found = []
-    for mi, mode, dispatch, q in stages.candidates(t, p_prev):
-        step = q + switching_cost(s, i_prev, mode)
+    found, kappa = [], stages.kappa_row(ip)
+    for mi, _, dispatch, q in stages.candidates(t, p_prev):
+        step = q + kappa.item(mi)
         if bound is not None and bound.cuts(spent + step, t + 1, mi):
             budget.charge()
             continue
-        sub, seq = _best_tail(s, t + 1, mode, dispatch, budget, stages,
-                              spent + step, bound)
+        sub, seq = _best_tail(s, t + 1, mi, dispatch, budget, stages, spent + step, bound)
         if seq is not None:
             found.append((step + sub, mi, seq))
     if not found:
@@ -235,7 +224,7 @@ def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult
     The budget caps the evaluations, one per leaf reached and one per
     child the bound cuts; BudgetExceededError when it runs out."""
     b = _Budget(budget)
-    cost, seq = _tail(Stages(s), 1, s.initial_commitment, s.initial_dispatch, b)
+    cost, seq = _tail(Stages(s), 1, mode_to_int(s.initial_commitment), s.initial_dispatch, b)
     if seq is None:
         raise UcdError("no feasible schedule exists for this scenario")
     return OracleResult(
@@ -250,26 +239,28 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     entering period t, walked like `enumerate_optimal` and under the same
     budget. Tail costs carry no rebate (it is a horizon constant,
     charged once by whoever assembles the full objective). `stages`, a
-    table the caller already holds, spares re-solving its rows; when it
-    is given the walk reads the table's scenario, which should be `s`.
-    A previous dispatch other than N or N+2 finite entries >= 0 raises
-    ValueError."""
+    table of `s` the caller already holds, spares re-solving its rows.
+    A previous dispatch other than N or N+2 finite entries >= 0, or a
+    table of another scenario object, raises ValueError."""
     _check_dispatch(p_prev, s.n_units)
-    return _tail(Stages(s) if stages is None else stages, t, i_prev, p_prev,
-                 _Budget(budget))
+    if stages is None:
+        stages = Stages(s)
+    elif stages.s is not s:
+        raise ValueError("stages must be a table of the scenario object s")
+    return _tail(stages, t, mode_to_int(i_prev, s.n_units), p_prev, _Budget(budget))
 
 
-def _tail(stages, t, i_prev, p_prev, budget):
-    """The walk from one state, on the table's scenario. With ramps
-    enforced it is bounded by rows t+1..T of the ramp-relaxed table and
-    starts from the relaxed path's incumbent, which caches row t too."""
+def _tail(stages, t, ip, p_prev, budget):
+    """The walk from one state, previous mode int ip, on the table's
+    scenario. With ramps enforced it is bounded by rows t+1..T of the
+    ramp-relaxed table and starts from the relaxed path's incumbent,
+    which caches row t too."""
     s = stages.s
-    i_prev = int_to_mode(mode_to_int(i_prev, s.n_units), s.n_units)
     bound = None
     if s.ramp_enforced:
         value = stages.values(first=t + 1)
-        bound = _Bound(value, _incumbent(s, t, i_prev, p_prev, stages, value))
-    cost, seq = _best_tail(s, t, i_prev, p_prev, budget, stages, 0.0, bound)
+        bound = _Bound(value, _incumbent(s, t, ip, p_prev, stages, value))
+    cost, seq = _best_tail(s, t, ip, p_prev, budget, stages, 0.0, bound)
     if seq is None:
         return np.inf, None
     return cost, tuple(int_to_mode(v, s.n_units) for v in seq)

@@ -19,18 +19,16 @@ The reserve rows only carry coefficients on the dg/dr coordinates; their
 thermal part is a constant, so with neither resource present they degenerate
 to pure feasibility checks, which the kernel handles as zero-normal rows.
 
-Templates. Most of a problem depends on its mode alone: the free columns,
-the cost terms, the labels, the committed p_min and p_max sums, `G` and
-the kernel's form of it. `assemble` builds these once per scenario
-object, commitment, DG and DR presence and set of units with ramp rows,
-and afterwards fills only the period's `h` and `beq`; `solve` builds
-only the kernel's right-hand side. The template also carries the
-kernel's per-mode constants (`_kernels.Rows`), filled as rows enter a
-working set, and the step direction of each working set the kernel
-meets, which no period's data enters. Each is the expression an
-uncached solve evaluates, so every result keeps its bits. Templates are
-keyed on the scenario object's identity and dropped when it is
-collected; an equal but distinct scenario (a re-parse, a
+Templates. Most of a problem depends on its mode alone: the free
+columns, the cost terms, the labels, the committed p_min and p_max sums,
+`G` and the kernel's form of it. `assemble` builds these once per
+scenario object, commitment, DG and DR presence and set of units with
+ramp rows, and afterwards fills only the period's `h` and `beq`; `solve`
+builds only the kernel's right-hand side. The template also carries the
+kernel's per-mode constants and step directions (`_kernels.Rows`). Each
+is the expression an uncached solve evaluates, so every result keeps its
+bits. Templates are keyed on the scenario object's identity and dropped
+when it is collected; an equal but distinct scenario (a re-parse, a
 `dataclasses.replace`) gets its own.
 `hdiag`, `glin` and `G` of an assembled problem are shared with every
 problem of its template and read-only; `h` is its own. A problem not
@@ -47,6 +45,7 @@ from math import isfinite
 import numpy as np
 
 from . import _kernels
+from ._kernels import FEAS_TOL
 from .costs import running_cost
 from .errors import InfeasibleModeError, QpNumericalError
 from .scenario import Scenario, _per_object
@@ -63,8 +62,6 @@ __all__ = [
 ]
 
 KKT_TOL = 1e-8       # certified residual bound on every optimal solution
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -402,9 +399,7 @@ def solve(q: QpProblem) -> QpSolution:
     b[0] = q.beq
     np.negative(q.h, out=b[1:])
     max_iter = 100 + 50 * (m + 1)
-    status, x, w, iters, bad = _kernels.qp_core(
-        q.hdiag, q.glin, rows, b, FEAS_TOL, PIVOT_TOL, max_iter,
-    )
+    status, x, w, iters, bad = _kernels.qp_core(q.hdiag, q.glin, rows, b, max_iter)
     if status == _kernels.INFEASIBLE:
         label = "balance" if bad == 0 else q.labels[bad - 1]
         slack = float(np.dot(rows.C[bad], x) - b[bad])
@@ -490,17 +485,17 @@ def mode_candidates(s: Scenario, t: int, p_prev=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
     ordered by the commitment read as a binary integer (unit 1 = MSB).
     p_prev is checked once per call, as in `assemble`."""
-    return _solved(s, t, _ramp_source(s, p_prev), range(1 << s.n_units))
+    return [c[1:] for c in _solved(s, t, _ramp_source(s, p_prev), range(1 << s.n_units))]
 
 
 def _solved(s, t, prev, modes):
-    """The triples of `mode_candidates` for `modes`, ascending mode ints,
-    from `prev` as `_ramp_source` returns it."""
+    """The feasible (mode int, commitment, dispatch, Q) of `modes`,
+    ascending mode ints, from `prev` as `_ramp_source` returns it."""
     commitments = _commitments(s.n_units)
     out = []
     for v in modes:
         bits = commitments[v]
         sol = solve(_assemble(s, t, bits, prev))
         if sol.status == "optimal":
-            out.append((bits, sol.dispatch, running_cost(s, bits, sol.dispatch)))
+            out.append((v, bits, sol.dispatch, running_cost(s, bits, sol.dispatch)))
     return out

@@ -4,13 +4,12 @@ A disturbance script overrides the realized dispatch after the decision at
 selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
 no retraining. With ramps relaxed a rollout decides on a stage table of
-its own; with ramps enforced it decides on the model's table, whose
-relaxed rows (all of them after training, each on first use after a
-load) screen each period's ramped candidates. Each override is scored
-against the exact tail from the disturbed state: read from the rollout's
-graph-DP value table when ramps are relaxed (the tail then depends on
-the mode alone), found by a branch and bound over the mode tree, on the
-same table and under a budget, when ramps are enforced.
+its own; with ramps enforced it decides on the model's table
+(`oracle.Stages.candidates`). Each override is scored against the exact
+tail from the disturbed state: read from the rollout's graph-DP value
+table when ramps are relaxed (the tail then depends on the mode alone),
+found by a branch and bound over the mode tree, on the same table and
+under a budget, when ramps are enforced.
 """
 
 from __future__ import annotations

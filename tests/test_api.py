@@ -12,6 +12,8 @@ import pytest
 import ucdkit
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ucdkit.__path__))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(pathlib.Path(ucdkit.__file__).parent.glob("*.py"))}
 
 
 def test_package_all_resolves():
@@ -49,21 +51,37 @@ def test_train_config_has_no_basis_knob():
 def test_every_private_definition_has_a_caller():
     # a private module-level function or class that nothing else in the
     # package names is dead code: tests alone do not keep it
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(pathlib.Path(ucdkit.__file__).parent.glob("*.py"))}
     refs = {}               # name -> ids of the nodes that read it
-    for tree in trees.values():
+    for tree in TREES.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append(id(node))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append(id(node))
     unused = []
-    for module, tree in trees.items():
+    for module, tree in TREES.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")):
                 own = {id(n) for n in ast.walk(node)}
                 if all(ref in own for ref in refs.get(node.name, ())):
                     unused.append(f"{module}:{node.name}")
+    assert unused == []
+
+
+def test_every_imported_name_is_read():
+    # a name a module imports and never reads is a leftover; __init__
+    # re-exports, and a name in a module's __all__ counts as read
+    unused = []
+    for module, tree in TREES.items():
+        if module == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= set(getattr(importlib.import_module(f"ucdkit.{module[:-3]}"), "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{module}:{a.asname or a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in read]
     assert unused == []

@@ -27,6 +27,7 @@ from ucdkit import (
     simulate,
     train,
 )
+from ucdkit.costs import switching_cost
 from ucdkit.hybrid import int_to_mode, mode_to_int
 from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
 from ucdkit.qp import mode_candidates
@@ -49,20 +50,24 @@ def _first_unit_ramped(s, limit):
 
 class _FullSolves:
     """Stands in for `Stages` in the oracle's walk: each candidate set is
-    solved in full by `mode_candidates`, with no ramp-relaxed row read."""
+    solved in full by `mode_candidates`, with no ramp-relaxed row read,
+    and each switching charge is `switching_cost`, not the table's row."""
 
     def __init__(self, s):
         self.s = s
+        self.modes = [int_to_mode(v, s.n_units) for v in range(1 << s.n_units)]
 
     def candidates(self, t, p_prev):
         return [(mode_to_int(m), m, d, q) for m, d, q in mode_candidates(self.s, t, p_prev)]
+
+    def kappa_row(self, i_prev):
+        return np.array([switching_cost(self.s, self.modes[i_prev], m) for m in self.modes])
 
 
 def _exhaustive_tail(s, t, i_prev, p_prev):
     """The oracle's walk from one state with no bound: every leaf, each
     candidate set solved in full."""
-    cost, seq = _best_tail(s, t, tuple(int(b) for b in i_prev),
-                           np.asarray(p_prev, dtype=float),
+    cost, seq = _best_tail(s, t, mode_to_int(i_prev), np.asarray(p_prev, dtype=float),
                            _Budget(DEFAULT_BUDGET), _FullSolves(s))
     return cost, None if seq is None else tuple(int_to_mode(v, s.n_units) for v in seq)
 

@@ -264,22 +264,18 @@ def test_training_with_ramps_samples_per_state(e1c1):
 
 
 def _count_rows(monkeypatch, relaxed_only=False):
-    """Calls of the stage-row solvers: one per ramp-relaxed row solved
-    and, unless relaxed_only, one per ramped candidate set re-solved."""
+    """Calls of the stage-row solver: one per ramp-relaxed row solved
+    (no previous dispatch) and, unless relaxed_only, one per ramped
+    candidate set re-solved."""
     calls = []
-    rows, resolve = ucdkit.oracle.mode_candidates, ucdkit.oracle._solved
+    solved = ucdkit.oracle._solved
 
-    def counting_rows(s, t, p_prev=None):
-        calls.append(t)
-        return rows(s, t, p_prev)
-
-    def counting_resolve(s, t, prev, modes):
-        if not relaxed_only:
+    def counting(s, t, prev, modes):
+        if prev is None or not relaxed_only:
             calls.append(t)
-        return resolve(s, t, prev, modes)
+        return solved(s, t, prev, modes)
 
-    monkeypatch.setattr(ucdkit.oracle, "mode_candidates", counting_rows)
-    monkeypatch.setattr(ucdkit.oracle, "_solved", counting_resolve)
+    monkeypatch.setattr(ucdkit.oracle, "_solved", counting)
     return calls
 
 

@@ -130,6 +130,28 @@ def test_tail_beyond_horizon_is_zero(e1c1):
     assert modes == ()
 
 
+def test_tail_refuses_a_table_of_another_scenario(e2c1, e2c2):
+    # the walk reads the table's scenario, so a table of e2c2 would price
+    # e2c1's tail on e2c2's periods; an equal, distinct object is refused
+    # too, since a table shares its rows by object identity
+    state = (20, e2c1.initial_commitment, e2c1.initial_dispatch)
+    for other in (e2c2, load_bundled_scenario("example2_case1")):
+        with pytest.raises(ValueError, match="table"):
+            enumerate_tail(e2c1, *state, stages=Stages(other))
+    assert enumerate_tail(e2c1, *state, stages=Stages(e2c1)) == enumerate_tail(e2c1, *state)
+    assert enumerate_tail(e2c1, *state)[0] == pytest.approx(114098.84, abs=0.01)
+
+
+def test_exact_oracles_return_python_floats(e1c1):
+    ramped = dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_ramped")
+    full, graph = enumerate_optimal(e1c1), graph_dp_optimal(e1c1)
+    costs = [full.total_cost, full.stage_cost, graph.total_cost, graph.stage_cost]
+    costs += [enumerate_tail(s, 3, (1, 1), np.array([500.0, 200.0, 0.0, 0.0]))[0]
+              for s in (e1c1, ramped)]
+    costs += [q for _, _, q in mode_candidates(e1c1, 2)]
+    assert {type(v) for v in costs} == {float}
+
+
 def test_bellman_consistency(e1c4):
     # J(t, state) = min_I {Q + kappa + J(t+1, f_I)} checked against raw tails
     s = e1c4

@@ -27,6 +27,7 @@ from ucdkit import (
     assemble,
     enumerate_tail,
     graph_dp_optimal,
+    int_to_mode,
     kappa,
     mode_dynamics,
     run_schedule,
@@ -37,6 +38,7 @@ from ucdkit import (
 )
 from ucdkit.cli import main
 from ucdkit.costs import running_cost, switching_cost
+from ucdkit.oracle import Stages
 from ucdkit.qp import KKT_TOL, mode_candidates
 
 from test_costs import startup_cost_reference
@@ -179,6 +181,24 @@ def test_kappa_cycle_identity(c_bank, c_fix, c_shut, tau):
     path = [1] + [0] * tau + [1]
     total = sum(kappa(u, path[k], path[k + 1]) for k in range(len(path) - 1))
     assert total == pytest.approx(startup_cost_reference(u, tau) + c_shut, abs=1e-9)
+
+
+@SUITE
+@given(st.lists(st.tuples(switch_cost, switch_cost, switch_cost), min_size=1, max_size=5))
+def test_switching_rows_equal_switching_cost_bit_for_bit(charges):
+    # the oracles' walks price a step off the table's switching row
+    # (`Stages.kappa_row`); run_schedule and the schedule table price it
+    # with switching_cost, so the two must agree to the last bit
+    units = tuple(ThermalUnitParams(a=1e-3, b=1.0, c=0.0, p_min=1.0, p_max=2.0,
+                                    c_bank=c_bank, c_fix=c_fix, c_shut=c_shut)
+                  for c_bank, c_fix, c_shut in charges)
+    s = _one_period_scenario(units, 1.0)
+    modes = [int_to_mode(v, s.n_units) for v in range(1 << s.n_units)]
+    stages = Stages(s)
+    for a, prev in enumerate(modes):
+        row = stages.kappa_row(a)
+        assert [row.item(b).hex() for b in range(len(modes))] == [
+            float(switching_cost(s, prev, now)).hex() for now in modes], prev
 
 
 # --- suite 3: Bellman consistency ------------------------------------------

@@ -22,7 +22,7 @@ from ucdkit import (
     solve,
 )
 from ucdkit import KKT_TOL
-from ucdkit.qp import PIVOT_TOL
+from ucdkit._kernels import PIVOT_TOL
 from ucdkit import _kernels
 
 
@@ -337,27 +337,6 @@ def test_warm_caches_give_the_golden_bytes(drawn_states):
         assert _solve_bytes(q) == _solve_bytes(dataclasses.replace(q)), (q.t, q.commitment)
 
 
-def test_step_directions_follow_the_pivot_tolerance(e2c1):
-    # a template's Rows keeps the step directions of one pivot
-    # tolerance: a call under another, here one that changes the
-    # results, must read none of them
-    def run(q, rows, tol):
-        b = np.concatenate([[q.beq], -q.h])
-        status, x, w, iters, bad = _kernels.qp_core(q.hdiag, q.glin, rows, b, 1e-9, tol, 1000)
-        return status, iters, bad, np.asarray(x).tobytes(), w.tobytes()
-
-    moved = 0
-    for t in range(1, e2c1.horizon + 1):
-        for v in range(1, 1 << e2c1.n_units):
-            q = assemble(e2c1, t, int_to_mode(v, e2c1.n_units))
-            got = [run(q, q.rows, tol) for tol in (PIVOT_TOL, 1e-3, 0.1, PIVOT_TOL)]
-            fresh = [run(q, _kernels.Rows(q.hdiag, q.glin, q.rows.C), tol)
-                     for tol in (PIVOT_TOL, 1e-3, 0.1, PIVOT_TOL)]
-            assert got == fresh, (t, v)
-            moved += fresh[2] != fresh[0]
-    assert moved > 100
-
-
 def _frozen(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -385,8 +364,7 @@ def test_kernel_and_solve_leave_their_inputs_alone(e2c1, t, mode, ramped):
     b = _frozen(np.concatenate([[q.beq], -q.h]))
     arrays = (q.hdiag, q.glin, C, b)
     before = [a.tobytes() for a in arrays]
-    status, *_ = _kernels.qp_core(q.hdiag, q.glin, _kernels.Rows(q.hdiag, q.glin, C), b,
-                                  1e-9, PIVOT_TOL, 1000)
+    status, *_ = _kernels.qp_core(q.hdiag, q.glin, _kernels.Rows(q.hdiag, q.glin, C), b, 1000)
     assert [a.tobytes() for a in arrays] == before
     assert (status, sol.status) in ((_kernels.OPTIMAL, "optimal"), (_kernels.INFEASIBLE, "infeasible"))
     assert any(label.startswith("ramp") for label in q.labels) == ramped
@@ -699,7 +677,7 @@ def test_step_directions_past_row_255():
     b = np.concatenate([[500.0], -(300.0 - np.arange(1, m))])
     hdiag, glin = np.array([1.0, 1.0]), np.array([-400.0, 0.0])
     shared = _kernels.Rows(hdiag, glin, C)
-    runs = [_kernels.qp_core(hdiag, glin, rows, b, 1e-9, PIVOT_TOL, 1000)
+    runs = [_kernels.qp_core(hdiag, glin, rows, b, 1000)
             for rows in (shared, shared, _kernels.Rows(hdiag, glin, C))]
     status, x, w, iters, bad = runs[0]
     assert status == _kernels.OPTIMAL and x.tolist() == [1.0, 499.0] and w[m - 1] > 0.0

@@ -41,8 +41,6 @@ from .hybrid import (
     PeriodRecord,
     Schedule,
     Trajectory,
-    int_to_mode,
-    mode_to_int,
     parse_schedule,
     run_schedule,
     schedule_text,
@@ -62,9 +60,11 @@ from .qp import (
     QpProblem,
     QpSolution,
     assemble,
+    int_to_mode,
     kkt_residual,
     mode_candidates,
     mode_dynamics,
+    mode_to_int,
     solve,
 )
 from .scenario import (
@@ -100,11 +100,11 @@ __all__ = [
     "switching_cost", "switching_matrix", "quota_rebate",
     # qp
     "QpProblem", "QpSolution", "assemble", "solve", "kkt_residual",
-    "mode_dynamics", "mode_candidates", "KKT_TOL", "FEAS_TOL",
+    "mode_dynamics", "mode_candidates", "mode_to_int", "int_to_mode",
+    "KKT_TOL", "FEAS_TOL",
     # hybrid
-    "Schedule", "PeriodRecord", "Trajectory", "mode_to_int", "int_to_mode",
-    "schedule_text", "parse_schedule", "run_schedule",
-    "trajectory_csv",
+    "Schedule", "PeriodRecord", "Trajectory", "schedule_text", "parse_schedule",
+    "run_schedule", "trajectory_csv",
     # oracle
     "OracleResult", "enumerate_optimal", "enumerate_tail",
     "enumerate_schedule_costs", "graph_dp_optimal", "DEFAULT_BUDGET",

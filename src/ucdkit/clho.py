@@ -28,10 +28,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .costs import switching_matrix
-from .errors import InfeasibleModeError, ModelMismatchError, UcdError
-from .hybrid import int_to_mode, mode_to_int
+from .errors import ModelMismatchError, UcdError
 from .oracle import Stages, tie_band
-from .qp import _check_dispatch
+from .qp import _check_dispatch, int_to_mode, mode_to_int
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "ValueModel",
     "default_basis",
     "train",
-    "step_values",
     "decide",
     "schedule_step",
     "save_model",
@@ -268,16 +266,11 @@ def _tail_values(model, t, cands):
     return [float(np.dot(w, x)) for w, x in zip(ws, X)]
 
 
-def step_values(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
-    """One Bellman step from state (i_prev, p_prev) entering period t: the
-    feasible candidates (mode int, mode, dispatch, Q), ascending mode int,
-    and their values Q + kappa + Jhat_{t+1}."""
-    return _step(model, stages, t, stages.kappa_row(mode_to_int(i_prev, stages.s.n_units)),
-                 p_prev)
-
-
 def _step(model, stages, t, kappa, p_prev):
-    """`step_values` given `kappa`, row i_prev of the switching matrix."""
+    """One Bellman step from state (i_prev, p_prev) entering period t,
+    given `kappa`, row i_prev of the switching matrix: the feasible
+    candidates (mode int, mode, dispatch, Q), ascending mode int, and
+    their values Q + kappa + Jhat_{t+1}."""
     cands = stages.candidates(t, p_prev)
     values = np.array([q + kappa[mi] + tail
                        for (mi, _, _, q), tail in zip(cands, _tail_values(model, t + 1, cands))])
@@ -286,11 +279,13 @@ def _step(model, stages, t, kappa, p_prev):
 
 def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     """The (mode, dispatch) minimizing the one-step value; ties break to
-    the smallest mode as a binary integer, matching the oracles."""
-    cands, values = step_values(model, stages, t, i_prev, p_prev)
+    the smallest mode as a binary integer, matching the oracles. A
+    state from which no mode at t is feasible raises UcdError."""
+    kappa = stages.kappa_row(mode_to_int(i_prev, stages.s.n_units))
+    cands, values = _step(model, stages, t, kappa, p_prev)
     if not cands:
-        raise InfeasibleModeError(t, tuple(int(b) for b in i_prev),
-                                  "no feasible successor mode")
+        raise UcdError(f"no mode is feasible at t={t} from the state entering it "
+                       f"(previous mode {''.join(str(int(b)) for b in i_prev)})")
     _, mode, dispatch, _ = cands[tie_band(values)[1]]
     return mode, dispatch
 

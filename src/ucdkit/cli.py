@@ -18,9 +18,9 @@ from . import __version__
 from .clho import TrainConfig, load_model, save_model, schedule_step, train
 from .costs import running_cost, switching_cost
 from .errors import ScenarioError, UcdError
-from .hybrid import mode_to_int, run_schedule, schedule_text, trajectory_csv
+from .hybrid import run_schedule, schedule_text, trajectory_csv
 from .oracle import DEFAULT_BUDGET, enumerate_optimal, enumerate_schedule_costs, graph_dp_optimal
-from .qp import _check_dispatch, assemble, solve
+from .qp import _full_dispatch, assemble, mode_to_int, solve
 from .scenario import BUNDLED_SCENARIOS, load_bundled_scenario, parse_scenario
 from .simulate import DisturbanceScript, compare_with_oracle, simulate
 
@@ -53,14 +53,13 @@ def _parse_state(text: str, n_units: int) -> np.ndarray:
     except ValueError as exc:
         raise UcdError(f"bad state vector {text!r}: {exc}") from exc
     try:
-        _check_dispatch(vals, n_units)
+        return _full_dispatch(vals, n_units)
     except ValueError:
         if len(vals) in (n_units, n_units + 2):
             raise UcdError(f"state vector {text!r}: values must be finite and >= 0") from None
         raise UcdError(
             f"state vector has {len(vals)} entries; expected {n_units} or {n_units + 2}"
         ) from None
-    return np.asarray(vals + [0.0, 0.0] if len(vals) == n_units else vals)
 
 
 def _positive_int(text: str) -> int:

@@ -17,14 +17,14 @@ import numpy as np
 
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import UcdError
-from .qp import mode_dynamics
+from .qp import int_to_mode, mode_dynamics, mode_to_int
 from .scenario import Scenario
 
 __all__ = [
     "Schedule",
     "PeriodRecord",
     "Trajectory",
-    "mode_to_int",
+    "mode_to_int",      # with int_to_mode, re-exported from qp
     "int_to_mode",
     "schedule_text",
     "parse_schedule",
@@ -33,39 +33,18 @@ __all__ = [
 ]
 
 
-def mode_to_int(bits, n_units=None) -> int:
-    """Commitment vector as a binary integer, unit 1 in the most
-    significant position ([0,1] -> 1, [1,0] -> 2, [1,1] -> 3). An entry
-    other than 0 or 1 raises ValueError; int() alone would read 1.9 as 1.
-    Given n_units, so does a vector of another length, which would
-    otherwise read as some other mode."""
-    if n_units is not None and len(bits) != n_units:
-        raise ValueError(f"commitment must have {n_units} entries, got {bits!r}")
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"commitment entries must be 0 or 1, got {bits!r}")
-        v = (v << 1) | int(b)
-    return v
-
-
-def int_to_mode(v: int, n: int) -> tuple[int, ...]:
-    return tuple((v >> (n - 1 - i)) & 1 for i in range(n))
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """A commitment vector per period."""
+    """A commitment vector per period, each as long as the first and
+    checked by `mode_to_int`."""
 
     modes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.modes:
             raise ValueError("schedule must cover at least one period")
-        n = len(self.modes[0])
         for mode in self.modes:
-            if len(mode) != n or any(b not in (0, 1) for b in mode):
-                raise ValueError(f"malformed mode {mode!r}")
+            mode_to_int(mode, len(self.modes[0]))
 
     @property
     def horizon(self) -> int:

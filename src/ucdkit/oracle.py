@@ -27,8 +27,9 @@ import numpy as np
 from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix,
                     switching_row)
 from .errors import BudgetExceededError, InfeasibleModeError, UcdError
-from .hybrid import Schedule, int_to_mode, mode_to_int, schedule_text
-from .qp import _check_dispatch, _meets_ramps, _ramp_source, _solved, mode_dynamics
+from .hybrid import Schedule, schedule_text
+from .qp import (_check_dispatch, _meets_ramps, _ramp_source, _solved, int_to_mode,
+                 mode_dynamics, mode_to_int)
 from .scenario import Scenario, _per_object
 
 __all__ = [

@@ -58,6 +58,8 @@ __all__ = [
     "kkt_residual",
     "mode_dynamics",
     "mode_candidates",
+    "mode_to_int",
+    "int_to_mode",
     "KKT_TOL",
 ]
 
@@ -111,23 +113,45 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     p_prev supplies the previous dispatch for ramp coupling; passing None
     assembles the ramp-relaxed subproblem regardless of the scenario flag.
     Everything but the period's bounds `h` and `beq` comes from the mode's
-    template (see the module docstring). A commitment other than N binary
-    entries raises ValueError, and so does a p_prev that ramp rows are
+    template (see the module docstring). A commitment `mode_to_int`
+    refuses raises its ValueError, and so does a p_prev that ramp rows are
     built from other than N or N+2 finite entries >= 0.
     """
-    n_units = s.n_units
-    entries = tuple(commitment)
-    # checked before int(), which would read 1.9 as 1
-    if len(entries) != n_units or not all(map((0, 1).__contains__, entries)):
-        raise ValueError(f"commitment must be {n_units} binary entries, got {commitment!r}")
-    return _assemble(s, t, tuple(map(int, entries)), _ramp_source(s, p_prev))
+    bits = int_to_mode(mode_to_int(commitment, s.n_units), s.n_units)
+    return _assemble(s, t, bits, _ramp_source(s, p_prev))
+
+
+def mode_to_int(bits, n_units=None) -> int:
+    """Commitment vector as a binary integer, unit 1 in the most
+    significant position ([0,1] -> 1, [1,0] -> 2, [1,1] -> 3). An entry
+    other than 0 or 1 raises ValueError; int() alone would read 1.9 as 1.
+    Given n_units, so does a vector of another length, which would
+    otherwise read as some other mode. Every entry point that takes a
+    commitment checks it here."""
+    if n_units is None or len(bits) == n_units:
+        v = 0
+        for b in bits:
+            if b not in (0, 1):
+                break
+            v = (v << 1) | int(b)
+        else:
+            return v
+    size = "" if n_units is None else f"{n_units} "
+    raise ValueError(f"commitment must have {size}entries each 0 or 1 (binary), got {bits!r}")
+
+
+def int_to_mode(v: int, n: int) -> tuple[int, ...]:
+    """The commitment of n units whose binary integer is v, the inverse
+    of `mode_to_int`."""
+    return tuple((v >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def _check_dispatch(p, n_units: int) -> list:
     """p, the dispatch entering a period, as a list of floats. Raise
     ValueError unless it has n_units or n_units + 2 entries, each finite
     and >= 0. A negative entry would silently drop its unit's ramp rows,
-    and a short vector would fail later with an IndexError."""
+    and a short vector would fail later with an IndexError. The one check
+    of a dispatch vector; `_full_dispatch` pads what it passes."""
     try:
         vals = p.tolist()           # an array; a list or a tuple has no tolist
     except AttributeError:
@@ -138,6 +162,13 @@ def _check_dispatch(p, n_units: int) -> list:
         raise ValueError(f"previous dispatch must be {n_units} or {n_units + 2} "
                          f"finite entries >= 0, got {p!r}")
     return vals
+
+
+def _full_dispatch(p, n_units: int) -> np.ndarray:
+    """p, checked by `_check_dispatch`, as an array of n_units + 2 floats:
+    a thermal-only vector gets DG and DR at 0."""
+    vals = _check_dispatch(p, n_units)
+    return np.array(vals + [0.0, 0.0] if len(vals) == n_units else vals, dtype=float)
 
 
 def _ramp_source(s, p_prev):
@@ -475,10 +506,10 @@ def mode_dynamics(s: Scenario, t: int, commitment, p_prev=None) -> np.ndarray:
 
 @cache
 def _commitments(n):
-    """Every commitment of n units as a tuple, indexed by its binary
-    integer (unit 1 = MSB); built once per n, so every candidate of every
-    period and stage table holds one of the same 2^n tuples."""
-    return [tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in range(1 << n)]
+    """Every commitment of n units, indexed by its binary integer; built
+    once per n, so every candidate of every period and stage table holds
+    one of the same 2^n tuples."""
+    return [int_to_mode(v, n) for v in range(1 << n)]
 
 
 def mode_candidates(s: Scenario, t: int, p_prev=None):

@@ -44,7 +44,8 @@ BUNDLED_SCENARIOS = (
 
 def _rule(rule, default=MISSING):
     """A record field and its sign rule, a key of _RULES, which
-    `validate_scenario` checks; "any" takes every finite value."""
+    `validate_scenario` checks once the value is finite; "any" takes
+    every finite value."""
     return field(default=default, metadata={"rule": rule})
 
 
@@ -259,25 +260,16 @@ def parse_scenario(source) -> Scenario:
     initial = doc.get("initial")
     initial = _as_mapping({} if initial is None else initial, "initial",
                           ("commitment", "dispatch"))
+    # the lengths and entries of the initial state are checked by
+    # `validate_scenario`, like a scenario built in code
     raw_commit = initial.get("commitment")
     if not isinstance(raw_commit, list):
         raise ScenarioError("initial.commitment: missing or not a list")
-    if len(raw_commit) != n:
-        raise ScenarioError("initial.commitment: length must equal unit count")
-    commitment = []
-    for i, b in enumerate(raw_commit):
-        if b not in (0, 1):
-            raise ScenarioError(f"initial.commitment[{i}]: must be 0 or 1")
-        commitment.append(int(b))
     raw_disp = initial.get("dispatch")
     if not isinstance(raw_disp, list):
         raise ScenarioError("initial.dispatch: missing or not a list")
     if len(raw_disp) == n:
-        raw_disp = list(raw_disp) + [0.0, 0.0]
-    if len(raw_disp) != n + 2:
-        raise ScenarioError(
-            f"initial.dispatch: length must be {n} (thermal) or {n + 2} (thermal + dg + dr)"
-        )
+        raw_disp = raw_disp + [0.0, 0.0]
     dispatch = tuple(_as_float(v, f"initial.dispatch[{i}]") for i, v in enumerate(raw_disp))
 
     dg, dr = (VirtualResourceParams(1.0, 0.0, 0.0) if doc.get(key) is None
@@ -291,7 +283,7 @@ def parse_scenario(source) -> Scenario:
         eta_max=eta_max,
         periods=periods,
         initial_dispatch=dispatch,
-        initial_commitment=tuple(commitment),
+        initial_commitment=tuple(raw_commit),
         ramp_enforced=ramp_enforced,
         name=str(doc.get("name", "")),
     )
@@ -307,8 +299,8 @@ def parse_scenario(source) -> Scenario:
 # validation
 
 # sign rules of record fields, by the name a field's metadata gives:
-# (test of the value in its record, message); a field whose default is
-# None may also hold None
+# (test of a finite value in its record, message); a field whose default
+# is None may also hold None
 _RULES = {
     "> 0": (lambda v, rec: v > 0.0, "must be > 0 (strict convexity)"),
     ">= 0": (lambda v, rec: v >= 0.0, "must be ≥ 0"),
@@ -318,12 +310,17 @@ _RULES = {
 
 
 def _violations(rec, where):
-    """The sign-rule violations of one record, in field order."""
+    """The violations of one record, in field order: a value that is not
+    finite, or one that breaks its field's sign rule."""
     out = []
     for f in fields(rec):
         v = getattr(rec, f.name)
         test, message = _RULES[f.metadata["rule"]]
-        if not (v is None and f.default is None or test(v, rec)):
+        if v is None and f.default is None:
+            continue
+        if not math.isfinite(v):
+            out.append(f"{where}.{f.name}: must be finite")
+        elif not test(v, rec):
             out.append(f"{where}.{f.name}: {message}")
     return out
 

@@ -24,10 +24,10 @@ import numpy as np
 from .clho import ValueModel, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
-from .hybrid import Schedule, mode_to_int, schedule_text
+from .hybrid import Schedule, schedule_text
 from .oracle import (DEFAULT_BUDGET, Stages, enumerate_schedule_costs, enumerate_tail,
                      tie_band)
-from .qp import _check_dispatch
+from .qp import _full_dispatch, mode_to_int
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -85,23 +85,6 @@ class DisturbanceScript:
             overrides.append((t, values))
         overrides.sort(key=lambda o: o[0])
         return cls(overrides=tuple(overrides))
-
-    def lookup(self, t: int):
-        for tt, values in self.overrides:
-            if tt == t:
-                return values
-        return None
-
-
-def _pad_override(values, n_units: int):
-    try:
-        _check_dispatch(values, n_units)
-    except ValueError:
-        raise UcdError(
-            f"disturbance vector has {len(values)} entries; expected "
-            f"{n_units} (thermal) or {n_units + 2} (full dispatch)"
-        ) from None
-    return np.asarray(values + (0.0, 0.0) if len(values) == n_units else values, dtype=float)
 
 
 @dataclass
@@ -171,9 +154,18 @@ def simulate(s: Scenario, model: ValueModel,
             "a matching model"
         )
     script = script or DisturbanceScript()
-    for t, _ in script.overrides:
+    # every override is checked before the first decision
+    forced = {}
+    for t, values in script.overrides:
         if not 1 <= t <= s.horizon:
             raise UcdError(f"disturbance period t={t} outside 1..{s.horizon}")
+        try:
+            forced[t] = _full_dispatch(values, s.n_units)
+        except ValueError:
+            raise UcdError(
+                f"disturbance vector has {len(values)} entries; expected "
+                f"{s.n_units} (thermal) or {s.n_units + 2} (full dispatch)"
+            ) from None
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
     # with ramps enforced every decision screens its candidates by the
@@ -190,15 +182,14 @@ def simulate(s: Scenario, model: ValueModel,
         mode, planned = decide(model, stages, t, i_prev, p_prev)
         # a copy: the planned dispatch may be the stage table's own array
         planned = np.array(planned, dtype=float)
-        forced = script.lookup(t)
-        realized = _pad_override(forced, s.n_units) if forced is not None else planned
+        realized = forced.get(t, planned)
         run = running_cost(s, mode, realized)
         sw = switching_cost(s, i_prev, mode)
         tons = sum(emission(u, realized[n]) for n, u in enumerate(s.units) if mode[n])
         report.rows.append({
             "t": t, "mode": tuple(mode), "planned": planned, "realized": realized,
             "running": float(run), "switching": float(sw), "emissions_ton": float(tons),
-            "diverged": forced is not None,
+            "diverged": t in forced,
         })
         report.running_total += float(run)
         report.switching_total += float(sw)

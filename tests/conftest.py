@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ def _walked_schedule_costs(s):
 def walked_schedule_costs():
     """walked_schedule_costs(s) -> [(schedule text, total cost)]"""
     return _walked_schedule_costs
+
+
+@pytest.fixture(scope="session")
+def e1c1_overloaded(e1c1):
+    """example1_case1 with period 4's demand above what both units can
+    supply together: no mode is feasible at t=4 from any state."""
+    periods = list(e1c1.periods)
+    periods[3] = dataclasses.replace(periods[3], demand=1500.0)
+    return dataclasses.replace(e1c1, periods=tuple(periods))
 
 
 # training is deterministic and fast; share one model per scenario

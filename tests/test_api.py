@@ -30,7 +30,7 @@ def test_module_all_resolves(module):
 # names taken out of the API, by the module that exported them
 REMOVED = {
     "oracle": ("exact_value_table",),
-    "clho": ("approx_value", "basis_vector"),
+    "clho": ("approx_value", "basis_vector", "step_values"),
     "costs": ("startup_cost_reference",),
     "scenario": ("bundled_scenario_path",),
 }

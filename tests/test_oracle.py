@@ -124,6 +124,13 @@ def test_previous_dispatch_is_checked(e1c1, model_e1c1, p_prev):
         assert enumerate_tail(ramped, 4, (1, 1), good)[0] == pytest.approx(19301.99732142857)
 
 
+def test_exact_oracles_refuse_a_period_without_a_feasible_mode(e1c1_overloaded):
+    with pytest.raises(UcdError, match="no feasible commitment at period t=4"):
+        graph_dp_optimal(e1c1_overloaded)
+    with pytest.raises(UcdError, match="no feasible schedule exists"):
+        enumerate_optimal(e1c1_overloaded)
+
+
 def test_tail_beyond_horizon_is_zero(e1c1):
     cost, modes = enumerate_tail(e1c1, 7, (1, 1), np.zeros(4))
     assert cost == 0.0

@@ -1,7 +1,9 @@
 """Dispatch QP: assembly, solutions, certificates, the kernel's pivoting path."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import re
@@ -13,17 +15,23 @@ import pytest
 from ucdkit import (
     InfeasibleModeError,
     QpNumericalError,
+    Schedule,
     assemble,
+    enumerate_tail,
     int_to_mode,
     kkt_residual,
     load_bundled_scenario,
     mode_candidates,
     mode_dynamics,
+    mode_to_int,
+    save_model,
+    schedule_step,
     solve,
 )
 from ucdkit import KKT_TOL
 from ucdkit._kernels import PIVOT_TOL
 from ucdkit import _kernels
+from ucdkit.cli import main
 
 
 def test_interior_split_at_700(e1c1):
@@ -370,15 +378,57 @@ def test_kernel_and_solve_leave_their_inputs_alone(e2c1, t, mode, ramped):
     assert any(label.startswith("ramp") for label in q.labels) == ramped
 
 
-def test_assemble_rejects_non_binary_commitments(e1c1):
-    for bad in [(1.9, 0.2), (1, 0.5), (2, 0), (-1, 1), (1,), (1, 0, 0)]:
-        with pytest.raises(ValueError, match="binary"):
-            assemble(e1c1, 1, bad)
-    with pytest.raises(ValueError, match="binary"):
-        mode_dynamics(e1c1, 1, (1.9, 0.2))
-    # booleans and integral floats are binary entries
-    for ok in [(True, False), (1.0, 0.0), np.array([1, 0])]:
-        assert assemble(e1c1, 1, ok).commitment == (1, 0)
+# int() would read (1.9, 0.2) as (1, 0), (2, 0) would index past the
+# switching table, and (1, 0, 1) would read as mode 5
+BAD_COMMITMENTS = [(1.9, 0.2), (1, 0.5), (2, 0), (-1, 1), (1, -1), (0.5, 1),
+                   (math.nan, 1), (1, math.inf), (1,), (1, 0, 1), ()]
+# booleans, integral floats and arrays are binary entries
+GOOD_COMMITMENTS = [(1, 0), [1, 0], (True, False), (1.0, 0.0), np.array([1, 0])]
+
+
+def test_every_entry_point_applies_the_one_commitment_rule(e1c1, model_e1c1, tmp_path):
+    # each entry point that takes a commitment (a mode, or a previous
+    # mode) refuses what `mode_to_int` refuses, with its message, and
+    # gives every spelling of mode 10 the same answer
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c1, model)
+    scn = "example1_case1"
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    library = {
+        "assemble": lambda c: assemble(e1c1, 3, c).commitment,
+        "mode_dynamics": lambda c: mode_dynamics(e1c1, 3, c).tolist(),
+        "mode_to_int": lambda c: mode_to_int(c, 2),
+        "Schedule": lambda c: [mode_to_int(m) for m in Schedule(((1, 1), c)).modes],
+        "enumerate_tail": lambda c: enumerate_tail(e1c1, 3, c, p_prev),
+        "schedule_step": lambda c: [
+            list(v) for v in schedule_step(model_e1c1, e1c1, 3, c, p_prev)],
+    }
+    cli = {
+        "--mode": lambda text: _cli(["dispatch", scn, "--t", "3", "--mode", text]),
+        "--prev-mode": lambda text: _cli(["schedule", scn, "--model", model, "--from-t",
+                                          "3", "--state", "300,0", "--prev-mode", text]),
+    }
+    for bad in BAD_COMMITMENTS:
+        for call in library.values():
+            with pytest.raises(ValueError, match=r"2 entries each 0 or 1 \(binary\)"):
+                call(bad)
+        text = "".join(map(str, bad))
+        for call in cli.values():
+            assert call(text) == (1, "", f"error: mode {text!r} is not 2 binary digits\n")
+    for name, call in library.items():
+        want = call((1, 0))
+        assert all(call(ok) == want for ok in GOOD_COMMITMENTS), name
+    for name, call in cli.items():
+        rc, out, err = call("10")
+        assert (rc, err) == (0, "") and out, name
+
+
+def _cli(argv):
+    """(exit status, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _dense_elimination(A, rhs, tol_piv):

@@ -455,3 +455,27 @@ def test_violations_follow_field_order():
         "periods[0].demand: must be ≥ 0",
         "periods[0].reserve_hi: must be ≥ 0",
     ]
+
+
+@pytest.mark.parametrize("value", [NAN, float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_validation_refuses_a_non_finite_field_of_every_record(value):
+    # a scenario built in code is held to the finiteness parse_scenario
+    # asks of a document: every field of every record type, None-default
+    # ones too
+    import dataclasses
+
+    from ucdkit import validate_scenario
+
+    s = parse_scenario(MINIMAL)
+    places = {
+        "units[0]": (s.units[0], lambda r: dataclasses.replace(s, units=(r,))),
+        "dg": (s.dg, lambda r: dataclasses.replace(s, dg=r)),
+        "dr": (s.dr, lambda r: dataclasses.replace(s, dr=r)),
+        "cet": (s.cet, lambda r: dataclasses.replace(s, cet=r)),
+        "periods[0]": (s.periods[0], lambda r: dataclasses.replace(s, periods=(r,))),
+    }
+    assert validate_scenario(s) == []
+    for where, (rec, put) in places.items():
+        for f in dataclasses.fields(rec):
+            got = validate_scenario(put(dataclasses.replace(rec, **{f.name: value})))
+            assert f"{where}.{f.name}: must be finite" in got, (where, f.name, got)

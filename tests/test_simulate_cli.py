@@ -23,10 +23,8 @@ from ucdkit.cli import main
 
 
 def test_disturbance_parse_forms():
-    script = DisturbanceScript.parse(["t=2:200,150", "t=5:100,100"])
-    assert script.lookup(2) == (200.0, 150.0)
-    assert script.lookup(5) == (100.0, 100.0)
-    assert script.lookup(3) is None
+    script = DisturbanceScript.parse(["t=5:100,100", "t=2:200,150"])
+    assert script.overrides == ((2, (200.0, 150.0)), (5, (100.0, 100.0)))
 
 
 def test_disturbance_parse_rejects_malformed():
@@ -103,6 +101,18 @@ def test_simulate_totals_recompute(e1c4, model_e1c4):
 def test_simulate_rejects_out_of_range_period(e1c1, model_e1c1):
     with pytest.raises(UcdError, match="outside"):
         simulate(e1c1, model_e1c1, DisturbanceScript.parse(["t=9:1,2"]))
+
+
+def test_simulate_checks_every_override_before_deciding(e1c1, model_e1c1, monkeypatch):
+    # the package's `simulate` is the function; the module is in sys.modules
+    module = sys.modules["ucdkit.simulate"]
+    decisions = []
+    real = module.decide
+    monkeypatch.setattr(module, "decide", lambda *a: decisions.append(a[2]) or real(*a))
+    script = DisturbanceScript(((2, (200.0, 150.0)), (6, (1.0, 2.0, 3.0))))
+    with pytest.raises(UcdError, match="disturbance vector has 3 entries; expected 2"):
+        simulate(e1c1, model_e1c1, script)
+    assert decisions == []
 
 
 def test_simulate_rejects_wrong_model(e1c4, model_e1c1):
@@ -236,6 +246,32 @@ def test_cli_schedule_from_midhorizon_state(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4  # header + t in {4, 5, 6}
     assert all(ln.split(",")[1] == "11" for ln in lines[1:])
+
+
+def test_cli_schedule_infers_the_previous_mode_from_the_state(tmp_path, capsys, model_e1c4):
+    # with --state alone, the units dispatched above 0 ran: 350,0 is mode
+    # 10, which pays unit 2's banking charge of 200 entering t=4
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c4, model)
+    outs = []
+    for extra in ([], ["--prev-mode", "10"], ["--prev-mode", "01"]):
+        assert main(["schedule", _scenario_arg("example1_case4"), "--model", model,
+                     "--from-t", "4", "--state", "350,0", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
+    assert outs[0].splitlines()[1].endswith(",200.0")
+
+
+def test_cli_compare_over_budget_lists_the_closed_loop_row_alone(tmp_path, capsys, caplog,
+                                                                   e1c1, model_e1c1):
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c1, model)
+    assert main(["compare", _scenario_arg("example1_case1"), "--model", model,
+                 "--budget", "1"]) == 0
+    cost = simulate(e1c1, model_e1c1).total_cost
+    assert capsys.readouterr().out == ("schedule,total_cost,is_argmin,is_clho\n"
+                                       f"122333,{cost!r},0,1\n")
+    assert "full enumeration exceeded budget 1" in caplog.text
 
 
 @pytest.mark.parametrize("from_t", ["0", "7", "9"])

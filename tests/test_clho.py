@@ -311,6 +311,34 @@ def test_loaded_model_solves_a_period_once(e1c1, model_e1c1, tmp_path, monkeypat
         assert _same_decision(got, decide(model, Stages(e1c1), 3, i_prev, p_prev))
 
 
+def test_non_binary_previous_modes_are_rejected(e1c1, model_e1c1):
+    # int() would read (1.9, 0.2) as (1, 0), and (2, 0) would index past
+    # the switching table; both entry points check the entries first
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    for bad in [(1.9, 0.2), (2, 0), (1, -1), (0.5, 1)]:
+        with pytest.raises(ValueError, match="0 or 1"):
+            enumerate_tail(e1c1, 3, bad, p_prev)
+        with pytest.raises(ValueError, match="0 or 1"):
+            schedule_step(model_e1c1, e1c1, 3, bad, p_prev)
+    # booleans and integral floats are binary entries, as in `assemble`
+    want = enumerate_tail(e1c1, 3, (1, 0), p_prev)
+    for ok in [(True, False), (1.0, 0.0), np.array([1, 0])]:
+        assert enumerate_tail(e1c1, 3, ok, p_prev) == want
+        assert _same_decision(schedule_step(model_e1c1, e1c1, 3, ok, p_prev),
+                              schedule_step(model_e1c1, e1c1, 3, (1, 0), p_prev))
+
+
+def test_wrong_length_previous_modes_are_rejected(e1c1, model_e1c1):
+    # (1, 0, 1) would read as mode 5 and (1,) as (0, 1): both entry points
+    # check the length before a mode int is formed
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    for bad in [(1,), (1, 0, 1)]:
+        with pytest.raises(ValueError, match="2 entries"):
+            enumerate_tail(e1c1, 3, bad, p_prev)
+        with pytest.raises(ValueError, match="2 entries"):
+            schedule_step(model_e1c1, e1c1, 3, bad, p_prev)
+
+
 def test_a_dead_end_names_its_period_and_previous_mode(e1c1_overloaded, model_e1c1):
     # the message names the previous mode, not a commitment at t
     with pytest.raises(UcdError) as e:

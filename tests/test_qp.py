@@ -378,6 +378,17 @@ def test_kernel_and_solve_leave_their_inputs_alone(e2c1, t, mode, ramped):
     assert any(label.startswith("ramp") for label in q.labels) == ramped
 
 
+def test_assemble_rejects_non_binary_commitments(e1c1):
+    for bad in [(1.9, 0.2), (1, 0.5), (2, 0), (-1, 1), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="binary"):
+            assemble(e1c1, 1, bad)
+    with pytest.raises(ValueError, match="binary"):
+        mode_dynamics(e1c1, 1, (1.9, 0.2))
+    # booleans and integral floats are binary entries
+    for ok in [(True, False), (1.0, 0.0), np.array([1, 0])]:
+        assert assemble(e1c1, 1, ok).commitment == (1, 0)
+
+
 # int() would read (1.9, 0.2) as (1, 0), (2, 0) would index past the
 # switching table, and (1, 0, 1) would read as mode 5
 BAD_COMMITMENTS = [(1.9, 0.2), (1, 0.5), (2, 0), (-1, 1), (1, -1), (0.5, 1),

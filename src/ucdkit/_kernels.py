@@ -25,9 +25,9 @@ OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
 `a*c + b*d` on 30,751 of 200,000 random pairs. So no Python sum
 reproduces its bits, and only numpy itself does.
 
-What a call computes from the rows and H alone, the step directions
-included, is kept in a `Rows` (see there), which a caller passes for C
-and may reuse.
+What a call computes from the rows and H alone is kept in a `Rows`
+(see there), which a caller passes for C and may reuse: H^-1, x0, row
+normals and step directions, and no Gram entries.
 """
 
 from __future__ import annotations
@@ -137,23 +137,29 @@ def _solve_list(A, rhs, tol_piv):
     return [(r0 - (b * y1 + 0.0)) / a, y1]
 
 
-def _step(G, g, N, npvec, hinv, tol_piv):
-    """The step direction of entering row `npvec` against a nonempty
-    working set of signed normals N, with Gram matrix G = N Hinv N' and
-    g = N Hinv npvec, as the bytes of C doubles: r, which solves G r = g,
-    then zn = npvec . z for z = Hinv(npvec - N' r), or -inf when z or zn
-    is at most tol_piv (no primal step exists), then z when one does.
-    None when G is singular to tol_piv."""
-    r = _solve_list(G, g, tol_piv)
-    if r is None:
-        return None
-    z = npvec
-    for ra, a in zip(r[:-1], N):
-        z = [zj - ra * aj for zj, aj in zip(z, a)]
-    ra = r[-1]
-    z = [h * (zj - ra * aj) for h, zj, aj in zip(hinv, z, N[-1])]
+def _step(N, npvec, hinv):
+    """The step direction of entering row `npvec` against the working set
+    of signed normals N, in entry order, as the bytes of C doubles: r,
+    which solves G r = g for G = N Hinv N' (entry (a, b) is N[a] . Hinv
+    N[b], a the row that entered first) and g = N Hinv npvec, then
+    zn = npvec . z for z = Hinv(npvec - N' r), or -inf when z or zn is at
+    most PIVOT_TOL (no primal step exists), then z when one does. None
+    when G is singular to PIVOT_TOL."""
+    z, r = list(map(mul, hinv, npvec)), []
+    if N:
+        hn = [list(map(mul, hinv, a)) for a in N]
+        G = [[sum(map(mul, N[min(a, b)], hn[max(a, b)])) for b in range(len(N))]
+             for a in range(len(N))]
+        r = _solve_list(G, [sum(map(mul, a, z)) for a in N], PIVOT_TOL)
+        if r is None:
+            return None
+        z = npvec
+        for ra, a in zip(r[:-1], N):
+            z = [zj - ra * aj for zj, aj in zip(z, a)]
+        ra = r[-1]
+        z = [h * (zj - ra * aj) for h, zj, aj in zip(hinv, z, N[-1])]
     zn = sum(map(mul, npvec, z))
-    if max(map(abs, z)) > tol_piv and zn > tol_piv:
+    if max(map(abs, z)) > PIVOT_TOL and zn > PIVOT_TOL:
         return array("d", [*r, zn, *z]).tobytes()
     return array("d", [*r, -inf]).tobytes()
 
@@ -163,38 +169,30 @@ class Rows:
 
     `C` is the (m, n) array of rows (`shape` is its shape, so a `Rows`
     reads like the array it stands for); `hdiag` and `glin` are the
-    Hessian diagonal and linear term it goes with. H^-1 and the
-    unconstrained minimizer are kept as Python floats. Each row's normal
-    and the Gram entry `N[a] . H^-1 N[p]` of a pair of rows are filled on
-    first use, under int keys: a row is converted when it first enters a
-    working set, and a pair's entry when one row enters with the other in
-    the set. A row's H^-1 scaled copy is kept for the balance row alone,
-    the only row whose copy a step reads; the others are made only to fill
-    a Gram entry. `steps` keeps the step direction (see `_step`) of each
-    entering row p and nonempty working set W met, under the bytes of
-    (p, *W) (a tuple where a row index passes 255): it reads p, W in
-    entry order and the balance row's sign, never x, the multipliers or
-    b, so it holds for every period. The balance row flipped to the other side of
-    its equality is never cached: its product sums differ from the
-    unflipped ones in the sign of a zero, and a step key does not carry
-    the sign. `normals` may be shared by every `Rows` of one C, and `pool`
-    by any number of them: it holds one float object per value kept. A
+    Hessian diagonal and linear term it goes with. A `Rows` keeps H^-1,
+    the unconstrained minimizer x0, row normals and step directions, and
+    no Gram entries: H^-1 and x0 as Python floats, and a row's normal
+    once the row first enters a working set. `steps` keeps the step
+    direction (see `_step`) of each entering row p and working set W met,
+    the empty one included, under the bytes of (p, *W) (a tuple where a
+    row index passes 255): it reads p, W in entry order and the balance
+    row's sign, never x, the multipliers or b, so it holds for every
+    period. Nothing is kept against the balance row flipped to the other
+    side of its equality: its product sums differ from the unflipped ones
+    in the sign of a zero, and a step key does not carry the sign.
+    `normals` may be shared by every `Rows` of one C, and `pool`, one
+    float object per value of H^-1 and x0, by any number of them. A
     `Rows` never writes its arrays.
     """
 
-    __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "pool", "first",
-                 "gram", "steps")
+    __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "steps")
 
     def __init__(self, hdiag, glin, C, normals=None, pool=None):
         self.C, self.shape, self.hdiag, self.glin = C, C.shape, hdiag, glin
         self.normals = {} if normals is None else normals   # row -> normal, a list
-        self.pool = {} if pool is None else pool
+        pool = {} if pool is None else pool
         hinv = 1.0 / hdiag
-        pool = self.pool
-        self.x0, self.hinv = ([pool.setdefault(v, v) if v else _kept(v, pool) for v in a.tolist()]
-                              for a in (-glin * hinv, hinv))
-        self.first = None   # the balance row's H^-1 scaled copy and Gram entry
-        self.gram = {}      # a * m + p -> normal(a) . H^-1 normal(p)
+        self.x0, self.hinv = ([_kept(v, pool) for v in a.tolist()] for a in (-glin * hinv, hinv))
         self.steps = {}     # bytes((p, *W)) -> step direction
 
     def normal(self, p):
@@ -229,12 +227,12 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
     """
     R, C = rows, rows.C
     m, n = R.shape
-    x, hinv, gram, steps = R.x0, R.hinv, R.gram, R.steps
+    x, hinv, steps = R.x0, R.hinv, R.steps
     key_of = bytes if m <= 256 else tuple   # a byte per row index where they fit
     bl = bvec.tolist()
     W, u = [], []               # active rows (W[0] is the balance once added), multipliers
     sign = 1.0                  # on the balance row's normal
-    N, G = [], []               # signed normals of W, and their Gram matrix N Hinv N'
+    N = []                      # signed normals of W
     lim = bvec.copy()           # bvec with -inf on the rows of W, so C x - lim skips them
     slack = np.empty(m)
     iters = 0
@@ -251,35 +249,11 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
         else:
             p = 0
 
-        # the row's normal, the balance's flipped when x lies above it;
-        # then N Hinv npvec and npvec Hinv npvec. The balance enters
-        # first and is never dropped, so only its step reads Hinv npvec
+        # the row's normal, the balance's flipped when x lies above it
         npvec = R.normal(p)
-        hnp, g = None, []
         if p == 0 and sum(map(mul, npvec, x)) - bl[0] > 0.0:
             sign, npvec = -1.0, [-v for v in npvec]
             steps = {}      # directions against the flipped balance are not kept
-            hnp = list(map(mul, hinv, npvec))
-            gpp = sum(map(mul, npvec, hnp))
-        elif p == 0:
-            if R.first is None:
-                hnp = [_kept(v, R.pool) for v in map(mul, hinv, npvec)]
-                R.first = hnp, _kept(sum(map(mul, npvec, hnp)), R.pool)
-            hnp, gpp = R.first
-        else:
-            for a, na in zip(W, N):
-                cached = a > 0 or sign > 0.0
-                ga = gram.get(a * m + p) if cached else None
-                if ga is None:
-                    hnp = hnp or list(map(mul, hinv, npvec))
-                    ga = sum(map(mul, na, hnp))
-                    if cached:
-                        ga = gram[a * m + p] = _kept(ga, R.pool)
-                g.append(ga)
-            gpp = gram.get(p * m + p)
-            if gpp is None:
-                hnp = hnp or list(map(mul, hinv, npvec))
-                gpp = gram[p * m + p] = _kept(sum(map(mul, npvec, hnp)), R.pool)
         bp, up = sign * bl[0] if p == 0 else bl[p], 0.0
 
         while True:
@@ -289,19 +263,16 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
 
             # step directions: r in the duals of W, z in primal space,
             # zn = npvec . z, or -inf when no primal step exists, kept in
-            # the rows (see `Rows`); the balance enters first, along Hinv npvec
-            if W:
-                key = key_of((p, *W))
-                step = steps.get(key)
+            # the rows (see `Rows`)
+            key = key_of((p, *W))
+            step = steps.get(key)
+            if step is None:
+                step = _step(N, npvec, hinv)
                 if step is None:
-                    step = _step(G, g, N, npvec, hinv, PIVOT_TOL)
-                    if step is None:
-                        return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
-                    steps[key] = step
-                k, d = len(W), memoryview(step).cast("d")
-                r, zn, z = d[:k], d[k], d[k + 1:]
-            else:
-                r, z, zn = [], hnp, gpp if max(map(abs, hnp)) > PIVOT_TOL else -inf
+                    return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
+                steps[key] = step
+            k, d = len(W), memoryview(step).cast("d")
+            r, zn, z = d[:k], d[k], d[k + 1:]
 
             # dual step bound: first active inequality whose multiplier
             # hits 0 (the lowest index among equal ratios)
@@ -336,14 +307,9 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
                 u.append(up)
                 N.append(npvec)
                 lim[p] = -inf
-                for Ga, ga in zip(G, g):
-                    Ga.append(ga)
-                G.append(g + [gpp])
                 break
             lim[W[l1]] = bl[W[l1]]
-            del W[l1], u[l1], N[l1], G[l1], g[l1]
-            for Ga in G:
-                del Ga[l1]
+            del W[l1], u[l1], N[l1]
 
     # polish: re-solve the KKT system of the final active set in one shot;
     # the top-right block carries -N so u keeps the convention H x + g - N u = 0

@@ -29,7 +29,9 @@ kernel's per-mode constants and step directions (`_kernels.Rows`). Each
 is the expression an uncached solve evaluates, so every result keeps its
 bits. Templates are keyed on the scenario object's identity and dropped
 when it is collected; an equal but distinct scenario (a re-parse, a
-`dataclasses.replace`) gets its own.
+`dataclasses.replace`) gets its own. A scenario object's first template
+checks it with `validate_scenario`, so every solver refuses an invalid
+scenario built in code with the ScenarioError a parse raises.
 `hdiag`, `glin` and `G` of an assembled problem are shared with every
 problem of its template and read-only; `h` is its own. A problem not
 made by `assemble` (built by hand, or changed with `dataclasses.replace`)
@@ -48,7 +50,7 @@ from . import _kernels
 from ._kernels import FEAS_TOL
 from .costs import running_cost
 from .errors import InfeasibleModeError, QpNumericalError
-from .scenario import Scenario, _per_object
+from .scenario import Scenario, _per_object, _require_valid
 
 __all__ = [
     "QpProblem",
@@ -250,12 +252,14 @@ class _Store:
     """A scenario object's templates, and what they share: G holds no
     unit data, so every mode with as many committed units, the same DG
     and DR rows and the same ramp rows shares one G, one kernel form C
-    and one set of row normals, and every Rows keeps its floats in one
-    pool."""
+    and one set of row normals, and every Rows interns its H^-1 and x0
+    floats in one pool. Making one validates the scenario (see the
+    module docstring)."""
 
     __slots__ = ("templates", "rows", "floats")
 
-    def __init__(self):
+    def __init__(self, s):
+        _require_valid(s)
         self.templates = {}     # (bits, dg on, dr on, ramped units) -> _Template
         self.rows = {}          # layout of G's rows -> (G, C, row normals)
         self.floats = {}        # the Rows' float pool
@@ -264,7 +268,7 @@ class _Store:
 def _template(s, *key):
     """The template of key = (bits, dg on, dr on, ramped units) for the
     scenario object s, built on first use."""
-    store = _per_object(_TEMPLATES, s, _Store)
+    store = _per_object(_TEMPLATES, s, lambda: _Store(s))
     tpl = store.templates.get(key)
     if tpl is None:
         tpl = store.templates[key] = _Template(s, *key, store)

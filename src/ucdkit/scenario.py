@@ -287,11 +287,7 @@ def parse_scenario(source) -> Scenario:
         ramp_enforced=ramp_enforced,
         name=str(doc.get("name", "")),
     )
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioError(
-            "invalid scenario: " + "; ".join(violations), violations=violations
-        )
+    _require_valid(s)
     return s
 
 
@@ -349,6 +345,17 @@ def validate_scenario(s: Scenario) -> list[str]:
         if not (math.isfinite(v) and v >= 0.0):
             out.append(f"initial.dispatch[{i}]: entries must be finite and ≥ 0")
     return out
+
+
+def _require_valid(s: Scenario) -> None:
+    """Raise ScenarioError("invalid scenario: ...") carrying the
+    violations of s, if it has any. A parsed scenario is checked here,
+    and so is one built in code, before its first QP (`qp._Store`)."""
+    violations = validate_scenario(s)
+    if violations:
+        raise ScenarioError(
+            "invalid scenario: " + "; ".join(violations), violations=violations
+        )
 
 
 # ---------------------------------------------------------------------------

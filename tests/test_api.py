@@ -85,3 +85,31 @@ def test_every_imported_name_is_read():
                 unused += [f"{module}:{a.asname or a.name}" for a in node.names
                            if (a.asname or a.name).split(".")[0] not in read]
     assert unused == []
+
+
+def test_every_slot_is_read():
+    # a __slots__ name that nothing in the package reads, outside its own
+    # class's __init__, is state kept for no one: a cache whose reader
+    # has gone. An augmented assignment reads its target
+    reads = {}              # attribute name -> ids of the nodes that read it
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                reads.setdefault(node.target.attr, []).append(id(node.target))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(id(node))
+    unread = []
+    for module, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots, init = (), set()
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets] == ["__slots__"]):
+                    slots = ast.literal_eval(node.value)
+                elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    init = {id(n) for n in ast.walk(node)}
+            unread += [f"{module}:{cls.name}.{name}" for name in slots
+                       if all(ref in init for ref in reads.get(name, ()))]
+    assert unread == []

@@ -36,6 +36,7 @@ from ucdkit import (
     simulate,
     solve,
 )
+from ucdkit import _kernels
 from ucdkit.cli import main
 from ucdkit.costs import running_cost, switching_cost
 from ucdkit.oracle import Stages
@@ -253,6 +254,46 @@ def test_solver_bitwise_deterministic(units, frac):
         np.array_equal(x.dispatch, y.dispatch)
         for x, y in zip(ta.periods, tb.periods)
     )
+
+
+@st.composite
+def kernel_problems(draw):
+    """(hdiag, glin, C, [b, ...]): a kernel problem on 1-4 free columns,
+    the balance row and a box per column, and 2-6 right-hand sides whose
+    balance lies on both sides of the unconstrained minimizer's total, in
+    either order, so the kernel flips the balance row on some of them."""
+    n = draw(st.integers(1, 4))
+    pos, num = st.floats(0.1, 10.0), st.floats(-20.0, 20.0)
+    hdiag = np.array(draw(st.lists(pos, min_size=n, max_size=n)))
+    glin = np.array(draw(st.lists(num, min_size=n, max_size=n)))
+    C = np.vstack([np.ones(n), -np.eye(n), np.eye(n)])      # x <= hi, x >= lo
+    x0 = -glin / hdiag
+    offsets = draw(st.lists(st.floats(0.5, 50.0), min_size=2, max_size=6))
+    offsets[1] = -offsets[1]
+    if draw(st.booleans()):
+        offsets = [-v for v in offsets]
+    rhs = []
+    for off in offsets:
+        lo = x0 + np.array(draw(st.lists(st.floats(-30.0, 10.0), min_size=n, max_size=n)))
+        hi = lo + np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n)))
+        rhs.append(np.concatenate([[x0.sum() + off], -hi, lo]))
+    return hdiag, glin, C, rhs
+
+
+@SUITE
+@given(kernel_problems())
+def test_kernel_solves_are_batch_invariant(problem):
+    # a Rows keeps step directions for every later solve: a sequence of
+    # right-hand sides solved on one shared Rows gives the bytes of each
+    # solved on a fresh one, whichever side of its equality the balance
+    # row takes first
+    hdiag, glin, C, rhs = problem
+    shared = _kernels.Rows(hdiag, glin, C)
+    for b in rhs:
+        got = _kernels.qp_core(hdiag, glin, shared, b, 1000)
+        want = _kernels.qp_core(hdiag, glin, _kernels.Rows(hdiag, glin, C), b, 1000)
+        assert (got[0], got[3], got[4]) == (want[0], want[3], want[4])
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
 
 
 # --- suite 5: strict convexity ----------------------------------------------

@@ -479,3 +479,38 @@ def test_validation_refuses_a_non_finite_field_of_every_record(value):
         for f in dataclasses.fields(rec):
             got = validate_scenario(put(dataclasses.replace(rec, **{f.name: value})))
             assert f"{where}.{f.name}: must be finite" in got, (where, f.name, got)
+
+
+# a scenario built in code with one bad field of units[0]: the violation
+# validate_scenario lists for it
+BAD_UNIT_FIELDS = [
+    ("c_bank", float("inf"), "units[0].c_bank: must be finite"),
+    ("b", NAN, "units[0].b: must be finite"),
+    ("p_min", -5.0, "units[0].p_min: must satisfy 0 ≤ p_min ≤ p_max"),
+]
+SOLVERS = ["enumerate_optimal", "graph_dp_optimal", "run_schedule", "train"]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("field, value, message", BAD_UNIT_FIELDS,
+                         ids=[c[0] for c in BAD_UNIT_FIELDS])
+def test_solvers_refuse_an_invalid_scenario_built_in_code(e1c1, solver, field, value, message):
+    # parse_scenario refuses such a document; a solver must refuse the
+    # same scenario made by dataclasses.replace, with the same error,
+    # rather than return a nan cost, fail inside the QP kernel or answer
+    import dataclasses
+
+    from ucdkit import TrainConfig, enumerate_optimal, graph_dp_optimal, run_schedule, train
+
+    unit = dataclasses.replace(e1c1.units[0], **{field: value})
+    s = dataclasses.replace(e1c1, units=(unit,) + e1c1.units[1:])
+    call = {
+        "enumerate_optimal": enumerate_optimal,
+        "graph_dp_optimal": graph_dp_optimal,
+        "run_schedule": lambda s: run_schedule(s, "122333"),    # e1c1's optimum
+        "train": lambda s: train(s, TrainConfig(samples=2)),
+    }[solver]
+    with pytest.raises(ScenarioError) as err:
+        call(s)
+    assert str(err.value) == f"invalid scenario: {message}"
+    assert err.value.violations == [message]

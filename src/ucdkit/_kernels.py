@@ -17,8 +17,10 @@ inequality rows.
 
 Working-set systems of one or two rows, two thirds of the linear solves
 on an 8-unit fleet's (t, mode) grid, are solved inline on Python floats.
-Larger ones, and the polish, keep `solve_pivoted`, whose
-back-substitution leaves every row but the last two to numpy's dot.
+Larger ones keep `solve_pivoted`. The polish factors its KKT matrix once
+per working set (`_factor`) and replays that elimination on each
+right-hand side (`_replay`). Either way the back-substitution leaves
+every row but the last two to numpy's dot.
 That dot goes through BLAS, which may fuse a multiply and an add and
 picks its order of addition by length and stride: with numpy 2.4 on
 OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
@@ -27,7 +29,7 @@ reproduces its bits, and only numpy itself does.
 
 What a call computes from the rows and H alone is kept in a `Rows`
 (see there), which a caller passes for C and may reuse: H^-1, x0, row
-normals and step directions, and no Gram entries.
+normals, step directions and polish factorizations, and no Gram entries.
 """
 
 from __future__ import annotations
@@ -62,40 +64,73 @@ def solve_pivoted(A, rhs, tol_piv):
     else can change, and elimination never makes a -0.0), and
     back-substitution keeps numpy's dot, whose order of addition a
     sequential sum does not follow (a one-term dot is the term + 0.0).
+    The elimination of A is `_factor`, that of rhs and the
+    back-substitution `_replay`.
     """
-    k = len(rhs)
-    M = [[*row, v] for row, v in zip(A, rhs)]
+    entry = _factor(A, tol_piv)
+    return None if entry is None else _replay(entry, rhs)
+
+
+def _factor(A, tol_piv):
+    """The elimination of A that `solve_pivoted` runs, as one bytes
+    object for `_replay`, or None at a pivot at or below the tolerance:
+    the eliminated rows as k doubles each, the multipliers below the
+    diagonal (signed zeros kept) and U from it on, then the rows of A in
+    pivot order, as unsigned ints."""
+    k = len(A)
+    M = [list(row) for row in A]
     tol = tol_piv * max(1.0, max(map(abs, chain.from_iterable(A)), default=0.0))
     Z = [None] * k          # per row, the columns that may hold -0.0, found when first needed
+    P = list(range(k))      # per row, the row of A it started as
     for c in range(k):
         col = [abs(row[c]) for row in M[c:]]
         big = max(col)
         if big <= tol:
             return None
         piv = c + col.index(big)                # first largest wins
-        M[c], M[piv], Z[c], Z[piv] = M[piv], M[c], Z[piv], Z[c]
+        M[c], M[piv], Z[c], Z[piv], P[c], P[piv] = M[piv], M[c], Z[piv], Z[c], P[piv], P[c]
         top = M[c]
         d, tail = top[c], top[c + 1:]
         for i in range(c + 1, k):
             row = M[i]
-            f = row[c] / d
+            f = row[c] = row[c] / d
             if f:
                 row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], tail)]
                 continue
             if Z[i] is None:
-                Z[i] = [j for j in range(c + 1, k + 1) if not row[j] and copysign(1.0, row[j]) < 0.0]
+                Z[i] = [j for j in range(c + 1, k) if not row[j] and copysign(1.0, row[j]) < 0.0]
             for j in Z[i]:
                 if j > c:
                     row[j] -= f * top[j]
-    D = np.array(M)
+    return array("d", chain.from_iterable(M)).tobytes() + array("I", P).tobytes()
+
+
+def _replay(entry, rhs):
+    """y of A y = rhs for entry = _factor(A). rhs is taken in pivot order
+    and put through each row's multipliers in column order, a zero one
+    changing only a -0.0: the operations the elimination would apply to
+    a last column. Back-substitution runs on a new (k, k + 1) array of
+    the eliminated rows and rhs, whose last column is y."""
+    k = len(rhs)
+    LU = memoryview(entry)[:8 * k * k].cast("d")
+    r = [rhs[a] for a in memoryview(entry)[8 * k * k:].cast("I")]
+    for i in range(1, k):
+        v = r[i]
+        for rc, f in zip(r[:i], LU[i * k:i * k + i]):
+            if f or not v and copysign(1.0, v) < 0.0:
+                v -= f * rc
+        r[i] = v
+    D = np.empty((k, k + 1))
+    D[:, :k] = np.frombuffer(entry, count=k * k).reshape(k, k)
     y = D[:, k]
+    y[:] = r
     for c in range(k - 1, -1, -1):
-        row = M[c]
+        at = c * (k + 1)                    # LU[at] is row c's diagonal
         if c < k - 2:
             dot = D[c, c + 1:k] @ y[c + 1:]
         else:
-            dot = row[c + 1] * y[c + 1] + 0.0 if c < k - 1 else 0.0
-        y[c] = (row[k] - dot) / row[c]
+            dot = LU[at + 1] * y[c + 1] + 0.0 if c < k - 1 else 0.0
+        y[c] = (r[c] - dot) / LU[at]
     return y
 
 
@@ -177,15 +212,18 @@ class Rows:
     the empty one included, under the bytes of (p, *W) (a tuple where a
     row index passes 255): it reads p, W in entry order and the balance
     row's sign, never x, the multipliers or b, so it holds for every
-    period. Nothing is kept against the balance row flipped to the other
-    side of its equality: its product sums differ from the unflipped ones
-    in the sign of a zero, and a step key does not carry the sign.
+    period. `polish` keeps, under the bytes of W, the `_factor` of the
+    final working set's KKT matrix, or None where it is singular, which
+    reads W, the sign and `hdiag` alone. Nothing is kept against the
+    balance row flipped to the other side of its equality: its product
+    sums differ from the unflipped ones in the sign of a zero, and no key
+    carries the sign.
     `normals` may be shared by every `Rows` of one C, and `pool`, one
     float object per value of H^-1 and x0, by any number of them. A
     `Rows` never writes its arrays.
     """
 
-    __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "steps")
+    __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "steps", "polish")
 
     def __init__(self, hdiag, glin, C, normals=None, pool=None):
         self.C, self.shape, self.hdiag, self.glin = C, C.shape, hdiag, glin
@@ -194,6 +232,7 @@ class Rows:
         hinv = 1.0 / hdiag
         self.x0, self.hinv = ([_kept(v, pool) for v in a.tolist()] for a in (-glin * hinv, hinv))
         self.steps = {}     # bytes((p, *W)) -> step direction
+        self.polish = {}    # bytes(W) -> _factor of W's KKT matrix, or None
 
     def normal(self, p):
         """The normal of row p, as a list of Python floats."""
@@ -227,7 +266,7 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
     """
     R, C = rows, rows.C
     m, n = R.shape
-    x, hinv, steps = R.x0, R.hinv, R.steps
+    x, hinv, steps, polish = R.x0, R.hinv, R.steps, R.polish
     key_of = bytes if m <= 256 else tuple   # a byte per row index where they fit
     bl = bvec.tolist()
     W, u = [], []               # active rows (W[0] is the balance once added), multipliers
@@ -253,7 +292,7 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
         npvec = R.normal(p)
         if p == 0 and sum(map(mul, npvec, x)) - bl[0] > 0.0:
             sign, npvec = -1.0, [-v for v in npvec]
-            steps = {}      # directions against the flipped balance are not kept
+            steps, polish = {}, {}      # nothing against the flipped balance is kept
         bp, up = sign * bl[0] if p == 0 else bl[p], 0.0
 
         while True:
@@ -312,14 +351,18 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
             del W[l1], u[l1], N[l1]
 
     # polish: re-solve the KKT system of the final active set in one shot;
-    # the top-right block carries -N so u keeps the convention H x + g - N u = 0
-    k = len(W)
-    K = [[0.0] * n + [-a[j] for a in N] for j in range(n)]
-    for j, h in enumerate(R.hdiag.tolist()):
-        K[j][j] = h
-    sol = solve_pivoted(K + [a + [0.0] * k for a in N],
-                        [-v for v in R.glin.tolist()] + [sign * bl[0]] + [bl[a] for a in W[1:]],
-                        PIVOT_TOL)
+    # the top-right block carries -N so u keeps the convention H x + g - N u = 0.
+    # Its factorization is kept in the rows (see `Rows`)
+    k, key = len(W), key_of(W)
+    if key in polish:
+        fac = polish[key]
+    else:
+        K = [[0.0] * n + [-a[j] for a in N] for j in range(n)]
+        for j, h in enumerate(R.hdiag.tolist()):
+            K[j][j] = h
+        fac = polish[key] = _factor(K + [a + [0.0] * k for a in N], PIVOT_TOL)
+    sol = None if fac is None else _replay(
+        fac, [-v for v in R.glin.tolist()] + [sign * bl[0]] + [bl[a] for a in W[1:]])
     # accept the polished point only if it kept the active multipliers
     # nonnegative and the inactive rows feasible
     if sol is not None:

@@ -25,17 +25,18 @@ columns, the cost terms, the labels, the committed p_min and p_max sums,
 scenario object, commitment, DG and DR presence and set of units with
 ramp rows, and afterwards fills only the period's `h` and `beq`; `solve`
 builds only the kernel's right-hand side. The template also carries the
-kernel's per-mode constants and step directions (`_kernels.Rows`). Each
-is the expression an uncached solve evaluates, so every result keeps its
-bits. Templates are keyed on the scenario object's identity and dropped
-when it is collected; an equal but distinct scenario (a re-parse, a
-`dataclasses.replace`) gets its own. A scenario object's first template
-checks it with `validate_scenario`, so every solver refuses an invalid
-scenario built in code with the ScenarioError a parse raises.
-`hdiag`, `glin` and `G` of an assembled problem are shared with every
-problem of its template and read-only; `h` is its own. A problem not
-made by `assemble` (built by hand, or changed with `dataclasses.replace`)
-has no template and gets new kernel constants on each solve.
+kernel's per-mode constants, step directions and polish factorizations
+(`_kernels.Rows`). Each is the expression an uncached solve evaluates,
+so every result keeps its bits. Templates are keyed on the scenario
+object's identity and dropped when it is collected; an equal but
+distinct scenario (a re-parse, a `dataclasses.replace`) gets its own.
+A scenario object's first template checks it with `validate_scenario`,
+so every solver refuses an invalid scenario built in code with the
+ScenarioError a parse raises. `hdiag`, `glin` and `G` of an assembled
+problem are shared with every problem of its template and read-only;
+`h` is its own. A problem not made by `assemble` (built by hand, or
+changed with `dataclasses.replace`) has no template and gets new kernel
+constants on each solve.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _check_dispatch(p, n_units: int) -> list:
     except AttributeError:
         vals = [float(v) for v in p]
     # min catches a negative entry, and a nan in first place; isfinite the rest
-    if not (len(vals) in (n_units, n_units + 2) and min(vals) >= 0.0
+    if not (len(vals) in (n_units, n_units + 2) and min(vals, default=0.0) >= 0.0
             and all(map(isfinite, vals))):
         raise ValueError(f"previous dispatch must be {n_units} or {n_units + 2} "
                          f"finite entries >= 0, got {p!r}")

@@ -27,7 +27,7 @@ from .errors import BudgetExceededError, ModelMismatchError, UcdError
 from .hybrid import Schedule, schedule_text
 from .oracle import (DEFAULT_BUDGET, Stages, enumerate_schedule_costs, enumerate_tail,
                      tie_band)
-from .qp import _full_dispatch, mode_to_int
+from .qp import _check_dispatch, _full_dispatch, mode_to_int
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -64,8 +64,10 @@ class DisturbanceScript:
                 raise UcdError("disturbance periods must be strictly increasing")
             seen = t
             vec = tuple(float(v) for v in values)
-            if any(not np.isfinite(v) or v < 0.0 for v in vec):
-                raise UcdError(f"disturbance at t={t}: values must be finite and >= 0")
+            try:
+                _check_dispatch(vec, len(vec))      # its value half; simulate checks the length
+            except ValueError:
+                raise UcdError(f"disturbance at t={t}: values must be finite and >= 0") from None
             norm.append((t, vec))
         object.__setattr__(self, "overrides", tuple(norm))
 

@@ -16,6 +16,7 @@ from ucdkit import (
     InfeasibleModeError,
     QpNumericalError,
     Schedule,
+    TrainConfig,
     assemble,
     enumerate_tail,
     int_to_mode,
@@ -27,6 +28,7 @@ from ucdkit import (
     save_model,
     schedule_step,
     solve,
+    train,
 )
 from ucdkit import KKT_TOL
 from ucdkit._kernels import PIVOT_TOL
@@ -466,13 +468,15 @@ def _dense_elimination(A, rhs, tol_piv):
 def test_solve_pivoted_is_dense_elimination_to_the_bit():
     # KKT systems shaped like the polish's, signed zeros included: a tiny
     # diagonal Hessian, then signed normals of balance, box and
-    # penetration rows, zeros of either sign, right-hand sides with -0.0
+    # penetration rows, zeros of either sign, right-hand sides with -0.0.
+    # Each matrix is factored once and replayed on several right-hand
+    # sides, as the polish replays a kept factorization
     # a one-term dot: numpy adds it to +0.0, so -0.0 - (1.0 * -0.0) is -0.0
     want = _dense_elimination(np.array([[1.0, 1.0], [-0.0, 1.0]]), np.array([-0.0, -0.0]), PIVOT_TOL)
     got = _kernels.solve_pivoted([[1.0, 1.0], [-0.0, 1.0]], [-0.0, -0.0], PIVOT_TOL)
     assert got.tobytes() == want.tobytes() == np.array([-0.0, -0.0]).tobytes()
     rng = np.random.default_rng(11)
-    solved = 0
+    solved = negative_zeros = 0
     for _ in range(400):
         n, k = int(rng.integers(1, 9)), int(rng.integers(1, 6))
         N = np.zeros((k, n))
@@ -490,14 +494,19 @@ def test_solve_pivoted_is_dense_elimination_to_the_bit():
         K[:n, :n] = np.diag(rng.choice([1e-4, 2e-3, 0.5], size=n))
         K[:n, n:] = -N.T
         K[n:, :n] = N
-        rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3], size=n + k)
-        want = _dense_elimination(K, rhs, PIVOT_TOL)
-        got = _kernels.solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)
-        assert (got is None) == (want is None)
-        if want is not None:
+        entry = _kernels._factor(K.tolist(), PIVOT_TOL)
+        for _ in range(4):
+            rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3], size=n + k)
+            want = _dense_elimination(K, rhs, PIVOT_TOL)
+            got = _kernels.solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)
+            assert (got is None) == (want is None) == (entry is None)
+            if want is None:
+                continue
             solved += 1
-            assert got.tobytes() == want.tobytes() and got.strides == want.strides
-    assert solved > 100
+            negative_zeros += any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in want)
+            for y in (got, _kernels._replay(entry, rhs.tolist())):
+                assert y.tobytes() == want.tobytes() and y.strides == want.strides
+    assert solved > 400 and negative_zeros > 100, (solved, negative_zeros)
 
 
 # sha256 over every golden problem's assembled data: labels, free
@@ -591,6 +600,16 @@ def test_templates_serve_a_flipped_balance_row(e1c1):
     for (p, *W), step in R.steps.items():
         want = _kernels._step([R.C[a].tolist() for a in W], R.C[p].tolist(), R.hinv)
         assert step == want, (p, W)
+    # and every kept polish factorization is that of the unflipped KKT
+    # matrix, built as the kernel builds it
+    assert R.polish
+    n = R.shape[1]
+    for W, entry in R.polish.items():
+        N = [R.C[a].tolist() for a in W]
+        K = [[0.0] * n + [-a[j] for a in N] for j in range(n)]
+        for j, h in enumerate(R.hdiag.tolist()):
+            K[j][j] = h
+        assert entry == _kernels._factor(K + [a + [0.0] * len(W) for a in N], PIVOT_TOL), list(W)
 
 
 def test_a_replaced_scenario_gets_its_own_templates(e2c1):
@@ -673,6 +692,31 @@ def test_template_memory_of_an_8_unit_grid():
         tracemalloc.stop()
     assert optimal > 0
     assert retained <= 2.5e6, retained
+
+
+def test_template_memory_of_ramped_training():
+    # with ramps enforced a template is keyed on the units that ran in the
+    # previous period too, so up to 3^N per DG/DR pattern: what a trained
+    # ramped example2_case1 object keeps (256 templates, their step
+    # directions and polish factorizations) stays under 3.0 MB; the model
+    # is dropped
+    import gc
+    import tracemalloc
+
+    s = _with_ramps(load_bundled_scenario("example2_case1"), 0.5)
+    solve(assemble(load_bundled_scenario("example1_case1"), 1, (1, 1)))  # warm module caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = train(s, TrainConfig(samples=2))
+        assert model.weights
+        del model
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 3.0e6, retained
 
 
 def test_step_directions_keep_no_period_data():

@@ -17,15 +17,17 @@ inequality rows.
 
 Working-set systems of one or two rows, two thirds of the linear solves
 on an 8-unit fleet's (t, mode) grid, are solved inline on Python floats.
-Larger ones keep `solve_pivoted`. The polish factors its KKT matrix once
-per working set (`_factor`) and replays that elimination on each
-right-hand side (`_replay`). Either way the back-substitution leaves
-every row but the last two to numpy's dot.
-That dot goes through BLAS, which may fuse a multiply and an add and
-picks its order of addition by length and stride: with numpy 2.4 on
-OpenBLAS 0.3.31 (x86-64, Haswell kernels), a length-2 dot differed from
-`a*c + b*d` on 30,751 of 200,000 random pairs. So no Python sum
-reproduces its bits, and only numpy itself does.
+Larger ones go through `solve_pivoted`, which factors (`_factor`) and
+replays that elimination once (`_replay`); the polish factors its KKT
+matrix once per working set and replays it on each right-hand side. A
+replay runs on the nonzeros: most multipliers of a KKT matrix are zero,
+and so is most of U, so only a row whose U tail holds two or more
+nonzeros goes to numpy's dot. That dot goes through BLAS,
+which may fuse a multiply and an add and picks its order of addition by
+length and stride: with numpy 2.4 on OpenBLAS 0.3.31 (x86-64, Haswell
+kernels), a length-2 dot differed from `a*c + b*d` on 30,751 of 200,000
+random pairs. So no Python sum reproduces its bits, and only numpy
+itself does.
 
 What a call computes from the rows and H alone is kept in a `Rows`
 (see there), which a caller passes for C and may reuse: H^-1, x0, row
@@ -35,8 +37,8 @@ normals, step directions and polish factorizations, and no Gram entries.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
-from math import copysign, inf
+from itertools import chain, compress
+from math import copysign, inf, isfinite
 from operator import mul
 
 import numpy as np
@@ -63,9 +65,9 @@ def solve_pivoted(A, rhs, tol_piv):
     the pivot row is a zero is only updated where it holds -0.0 (nothing
     else can change, and elimination never makes a -0.0), and
     back-substitution keeps numpy's dot, whose order of addition a
-    sequential sum does not follow (a one-term dot is the term + 0.0).
-    The elimination of A is `_factor`, that of rhs and the
-    back-substitution `_replay`.
+    sequential sum does not follow (a one-term dot is the term + 0.0,
+    an empty one +0.0). The elimination of A is `_factor`, that of rhs
+    and the back-substitution `_replay`.
     """
     entry = _factor(A, tol_piv)
     return None if entry is None else _replay(entry, rhs)
@@ -76,12 +78,18 @@ def _factor(A, tol_piv):
     object for `_replay`, or None at a pivot at or below the tolerance:
     the eliminated rows as k doubles each, the multipliers below the
     diagonal (signed zeros kept) and U from it on, then the rows of A in
-    pivot order, as unsigned ints."""
+    pivot order, as unsigned ints, then, where k <= 255 so that a column
+    fits a byte, the plan of a sparse replay as unsigned bytes: per row,
+    the column of the one nonzero in its U tail, 0 for none or 255 for
+    more; per row, its count of nonzero multipliers; and row after row,
+    the columns of those of each row that has a zero one. The plan is
+    read off the elimination's own rows."""
     k = len(A)
     M = [list(row) for row in A]
     tol = tol_piv * max(1.0, max(map(abs, chain.from_iterable(A)), default=0.0))
     Z = [None] * k          # per row, the columns that may hold -0.0, found when first needed
     P = list(range(k))      # per row, the row of A it started as
+    full = True             # no multiplier or U entry a zero so far, as in a Gram system
     for c in range(k):
         col = [abs(row[c]) for row in M[c:]]
         big = max(col)
@@ -91,29 +99,93 @@ def _factor(A, tol_piv):
         M[c], M[piv], Z[c], Z[piv], P[c], P[piv] = M[piv], M[c], Z[piv], Z[c], P[piv], P[c]
         top = M[c]
         d, tail = top[c], top[c + 1:]
+        full = full and 0.0 not in tail
         for i in range(c + 1, k):
             row = M[i]
             f = row[c] = row[c] / d
             if f:
                 row[c + 1:] = [a - f * b for a, b in zip(row[c + 1:], tail)]
                 continue
+            full = False
             if Z[i] is None:
                 Z[i] = [j for j in range(c + 1, k) if not row[j] and copysign(1.0, row[j]) < 0.0]
             for j in Z[i]:
                 if j > c:
                     row[j] -= f * top[j]
-    return array("d", chain.from_iterable(M)).tobytes() + array("I", P).tobytes()
+    entry = array("d", chain.from_iterable(M)).tobytes() + array("I", P).tobytes()
+    if k > 255:                 # a column no longer fits a byte
+        return entry
+    if full:
+        return entry + bytes([255] * (k - 2) + [k - 1, 0][-k:]) + bytes(range(k))
+    T, counts, cols = bytearray(k), bytearray(k), []
+    for i, row in enumerate(M):
+        nzc = bytes(compress(range(k), row))    # the diagonal, a pivot, is among them
+        n = counts[i] = nzc.index(i)
+        tail = nzc[n + 1:]
+        T[i] = 255 if len(tail) > 1 else tail[0] if tail else 0
+        if n < i:
+            cols.append(nzc[:n])
+    return entry + T + counts + b"".join(cols)
 
 
 def _replay(entry, rhs):
-    """y of A y = rhs for entry = _factor(A). rhs is taken in pivot order
-    and put through each row's multipliers in column order, a zero one
-    changing only a -0.0: the operations the elimination would apply to
-    a last column. Back-substitution runs on a new (k, k + 1) array of
-    the eliminated rows and rhs, whose last column is y."""
+    """y of A y = rhs for entry = _factor(A), as a column of a new
+    (k, k + 1) array. rhs is taken in pivot order and put through each
+    row's multipliers in column order, a zero one changing only a -0.0:
+    the operations the elimination would apply to a last column. A row
+    whose entry is not -0.0 never becomes one, so only its nonzero
+    multipliers are applied; a -0.0 row takes its full row.
+    Back-substitution leaves a row to numpy's dot only where its U tail
+    holds two or more nonzeros: with every y finite, an empty tail's dot
+    is +0.0 and a one-term one's u * y + 0.0. A non-finite y, or an
+    entry with no plan (k > 255), takes `_replay_dense`."""
+    k = len(rhs)
+    at = 8 * k * k + 4 * k                  # where the plan starts
+    if len(entry) == at:
+        return _replay_dense(entry, rhs)
+    LU = memoryview(entry)[:8 * k * k].cast("d")
+    r = [rhs[a] for a in memoryview(entry)[8 * k * k:at].cast("I")]
+    tails, pos = entry[at:at + k], at + 2 * k
+    for i, n in enumerate(entry[at + k + 1:at + 2 * k], 1):
+        v = r[i]
+        if n == i or not v and copysign(1.0, v) < 0.0:
+            for rc, f in zip(r, LU[i * k:i * k + i]):
+                if f or not v and copysign(1.0, v) < 0.0:
+                    v -= f * rc
+            r[i] = v
+        elif n:
+            base = i * k
+            for j in entry[pos:pos + n]:
+                v -= LU[base + j] * r[j]
+            r[i] = v
+        if n < i:
+            pos += n
+    y = np.empty((k, k + 1))[:, k]          # the dense replay's strides
+    low = tails.find(255)       # the first row with a dot; the rows after it feed one
+    if low >= 0:
+        U = np.frombuffer(entry, count=k * k).reshape(k, k)
+    for c in range(k - 1, -1, -1):
+        j = tails[c]
+        if j == 255:
+            dot = float(U[c, c + 1:] @ y[c + 1:])
+        else:
+            dot = LU[c * k + j] * r[j] + 0.0 if j else 0.0
+        v = r[c] = (r[c] - dot) / LU[c * (k + 1)]
+        if c > low >= 0:
+            y[c] = v
+    if not isfinite(sum(r)):
+        return _replay_dense(entry, rhs)
+    y[:] = r
+    return y
+
+
+def _replay_dense(entry, rhs):
+    """`_replay` on every multiplier and with every dot in numpy: the
+    replay of an entry with no plan (k > 255), and of a non-finite
+    value, which the sparse one cannot take (0 * inf is not 0)."""
     k = len(rhs)
     LU = memoryview(entry)[:8 * k * k].cast("d")
-    r = [rhs[a] for a in memoryview(entry)[8 * k * k:].cast("I")]
+    r = [rhs[a] for a in memoryview(entry)[8 * k * k:8 * k * k + 4 * k].cast("I")]
     for i in range(1, k):
         v = r[i]
         for rc, f in zip(r[:i], LU[i * k:i * k + i]):
@@ -259,10 +331,12 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
     `rows` is the `Rows` of C made with hdiag and glin (both stay
     arguments: perfbench's tracer reads `rows` third); its constants
     serve this call and fill for the next. Returns (status, x, w,
-    iterations, bad_row). w are row multipliers in the >= convention
-    described in the module docstring; bad_row is the row certifying
-    infeasibility (-1 otherwise). The iterations run on Python floats,
-    which cost far less than numpy calls at these sizes.
+    iterations, bad_row). For an optimum x and w are arrays, w the row
+    multipliers in the >= convention described in the module docstring;
+    otherwise x is the last iterate as a list, which may be the rows'
+    own x0 and is not to be changed, and w is None. bad_row is the row
+    certifying infeasibility (-1 otherwise). The iterations run on
+    Python floats, which cost far less than numpy calls at these sizes.
     """
     R, C = rows, rows.C
     m, n = R.shape
@@ -298,7 +372,7 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
         while True:
             iters += 1
             if iters > max_iter:
-                return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
+                return NUMERIC_FAIL, x, None, iters, p
 
             # step directions: r in the duals of W, z in primal space,
             # zn = npvec . z, or -inf when no primal step exists, kept in
@@ -308,7 +382,7 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
             if step is None:
                 step = _step(N, npvec, hinv)
                 if step is None:
-                    return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
+                    return NUMERIC_FAIL, x, None, iters, p
                 steps[key] = step
             k, d = len(W), memoryview(step).cast("d")
             r, zn, z = d[:k], d[k], d[k + 1:]
@@ -330,7 +404,7 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
             if t1 == inf and t2 == inf:
                 # the row's normal lies in span(W) with a nonnegative dual
                 # ray: Farkas certificate, the constraint set is empty
-                return INFEASIBLE, np.array(x), np.zeros(m), iters, p
+                return INFEASIBLE, x, None, iters, p
 
             # a full primal step adds row p; otherwise relax the blocking
             # row (without moving x when no primal step exists) and retry
@@ -341,7 +415,7 @@ def qp_core(hdiag, glin, rows, bvec, max_iter):
             up += t
             if t2 <= t1:
                 if len(W) > n:
-                    return NUMERIC_FAIL, np.array(x), np.zeros(m), iters, p
+                    return NUMERIC_FAIL, x, None, iters, p
                 W.append(p)
                 u.append(up)
                 N.append(npvec)

@@ -52,8 +52,10 @@ def running_cost(s: Scenario, commitment, dispatch) -> float:
 
     dispatch has length N+2 (thermal..., dg, dr). Outputs of
     uncommitted units do not contribute; the quota rebate is excluded.
+    Summed on Python floats, which round as numpy's scalars do.
     """
     p_e = s.cet.price
+    dispatch = np.asarray(dispatch, dtype=float).tolist()
     total = 0.0
     for n, u in enumerate(s.units):
         if commitment[n]:
@@ -61,7 +63,7 @@ def running_cost(s: Scenario, commitment, dispatch) -> float:
             total += fuel_cost(u, p) + p_e * emission(u, p)
     total += resource_cost(s.dg, dispatch[s.n_units])
     total += resource_cost(s.dr, dispatch[s.n_units + 1])
-    return float(total)
+    return total
 
 
 def kappa(unit: ThermalUnitParams, i_prev: int, i_now: int) -> float:

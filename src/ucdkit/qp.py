@@ -43,7 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import isfinite
+from itertools import chain
+from math import isfinite, isnan, nan
+from operator import mul, neg, sub
 
 import numpy as np
 
@@ -390,7 +392,7 @@ def _unit_labels(n_units):
 
 def _expand(q: QpProblem, x: np.ndarray) -> np.ndarray:
     full = np.zeros(q.n_units + 2)
-    full[list(q.free)] = x
+    full.put(q.free, x)
     return full
 
 
@@ -400,7 +402,8 @@ def solve(q: QpProblem) -> QpSolution:
     Returns the unique minimizer with multipliers and a certified KKT
     residual, or an infeasible verdict with the offending row. A kernel
     breakdown (never observed on well-formed problems) raises
-    QpNumericalError rather than returning an uncertified point.
+    QpNumericalError rather than returning an uncertified point, and so
+    does a residual that is not at most KKT_TOL, a NaN included.
     """
     nf = q.n_free
     m = len(q.h)
@@ -453,12 +456,13 @@ def solve(q: QpProblem) -> QpSolution:
 
     lam = -float(w[0])
     mu = w[1:].copy()
-    obj = float(0.5 * np.dot(q.hdiag * x, x) + np.dot(q.glin, x) + q.const)
-    slack = q.G @ x - q.h
-    active = tuple(label for label, mi, si in zip(q.labels, mu.tolist(), slack.tolist())
+    hx = q.hdiag * x
+    obj = 0.5 * float(np.dot(hx, x)) + float(np.dot(q.glin, x)) + q.const
+    slack = _slack(q, x)
+    active = tuple(label for label, mi, si in zip(q.labels, mu.tolist(), slack)
                    if mi > 0.0 or si > -1e-7)
-    resid = _residual(q, x, lam, mu, slack)
-    if resid > KKT_TOL:
+    resid = _residual(q, x, hx, lam, mu, slack)
+    if not resid <= KKT_TOL:
         raise QpNumericalError(
             f"KKT residual {resid:.3e} exceeds {KKT_TOL:.0e} at t={q.t}, "
             f"commitment {''.join(map(str, q.commitment))}"
@@ -466,7 +470,7 @@ def solve(q: QpProblem) -> QpSolution:
     return QpSolution(
         status="optimal", dispatch=_expand(q, x), objective_value=obj,
         eq_multiplier=lam, ineq_multipliers=mu, active_set=active,
-        kkt=float(resid), iterations=iters,
+        kkt=resid, iterations=iters,
     )
 
 
@@ -479,19 +483,27 @@ def kkt_residual(q: QpProblem, sol: QpSolution) -> float:
     if q.n_free == 0:
         return abs(q.beq)
     x = sol.dispatch[list(q.free)]
-    return _residual(q, x, sol.eq_multiplier, sol.ineq_multipliers, q.G @ x - q.h)
+    return _residual(q, x, q.hdiag * x, sol.eq_multiplier, sol.ineq_multipliers, _slack(q, x))
 
 
-def _residual(q, x, lam, mu, slack):
-    """kkt_residual on the free coordinates x, given slack = G x - h."""
-    stat = q.hdiag * x + q.glin + lam + (q.G.T @ mu if len(mu) else 0.0)
-    r = float(np.abs(stat).max())
-    r = max(r, abs(float(x.sum()) - q.beq))
-    if len(mu):
-        r = max(r, float(slack.max(initial=0.0)))
-        r = max(r, float((-mu).max(initial=0.0)))
-        r = max(r, float(np.abs(mu * slack).max(initial=0.0)))
-    return r
+def _slack(q, x):
+    """G x - h as a list of floats."""
+    return list(map(sub, (q.G @ x).tolist(), q.h.tolist()))
+
+
+def _residual(q, x, hx, lam, mu, slack):
+    """kkt_residual on the free coordinates x, given hx = hdiag * x and
+    slack = `_slack(q, x)`. numpy sums G' mu and x as BLAS and its
+    pairwise sum order them; the rest runs on Python floats, whose
+    elementwise operations round as numpy's do. NaN when x, lam or mu
+    holds one."""
+    stat = [a + g + lam + b
+            for a, g, b in zip(hx.tolist(), q.glin.tolist(), (q.G.T @ mu).tolist())]
+    if isnan(sum(stat)):        # max() keeps a NaN only in first place
+        return nan
+    ml = mu.tolist()
+    return max(chain(map(abs, stat), (abs(float(x.sum()) - q.beq),), slack, map(neg, ml),
+                     map(abs, map(mul, ml, slack))))
 
 
 def mode_dynamics(s: Scenario, t: int, commitment, p_prev=None) -> np.ndarray:

@@ -282,6 +282,34 @@ def test_kernel_failure_raises_numerical_error(e1c1, monkeypatch):
         solve(assemble(e1c1, 4, (1, 1)))
 
 
+@pytest.mark.parametrize("where", ["first x", "last x", "balance multiplier", "row multiplier"])
+def test_a_nan_from_the_kernel_is_not_certified(e1c1, monkeypatch, where):
+    # a NaN fails every comparison, so the certificate must accept a
+    # residual at most KKT_TOL, not reject one above it; and max() keeps
+    # a NaN only in first place, so a NaN anywhere in x or the
+    # multipliers must still give a NaN residual
+    q = assemble(e1c1, 4, (1, 1))
+    sol = solve(q)
+    vector, at = {"first x": (0, 0), "last x": (0, -1), "balance multiplier": (1, 0),
+                  "row multiplier": (1, 3)}[where]
+    real = _kernels.qp_core
+
+    def poisoned(*args):
+        out = list(real(*args))
+        assert out[0] == _kernels.OPTIMAL
+        out[1 + vector] = np.array(out[1 + vector])
+        out[1 + vector][at] = np.nan
+        return tuple(out)
+
+    monkeypatch.setattr(_kernels, "qp_core", poisoned)
+    with pytest.raises(QpNumericalError, match="KKT residual nan .* t=4"):
+        solve(q)
+    if vector == 0:
+        dispatch = sol.dispatch.copy()
+        dispatch[q.free[at]] = np.nan
+        assert math.isnan(kkt_residual(q, dataclasses.replace(sol, dispatch=dispatch)))
+
+
 def _with_ramps(s, frac):
     """Symmetric ramp limits of frac * p_max on every unit, enforced."""
     units = tuple(dataclasses.replace(u, ramp_up=frac * u.p_max, ramp_down=frac * u.p_max)
@@ -507,6 +535,112 @@ def test_solve_pivoted_is_dense_elimination_to_the_bit():
             for y in (got, _kernels._replay(entry, rhs.tolist())):
                 assert y.tobytes() == want.tobytes() and y.strides == want.strides
     assert solved > 400 and negative_zeros > 100, (solved, negative_zeros)
+
+
+def test_sparse_replay_is_the_dense_one_to_the_bit():
+    # `_replay` applies only nonzero multipliers, sends a -0.0 row through
+    # its full row, and leaves to numpy's dot only the U rows whose tail
+    # holds two or more nonzeros. On systems with zeros of either sign
+    # planted in A and in the right-hand side it must give the bytes and
+    # strides of the dense replay and of the numpy elimination, and so
+    # must an entry whose plan is stripped (as one of more than 255 rows
+    # has none); a non-finite right-hand side must give the dense
+    # replay's bytes. Every plan must be the one read off its LU
+    rng = np.random.default_rng(23)
+    seen = Counter()
+    with np.errstate(all="ignore"):     # the non-finite cases
+        _replay_cases(rng, seen)
+    assert min(seen.values()) >= 50, seen
+
+
+def _replay_cases(rng, seen):
+    """The cases of `test_sparse_replay_is_the_dense_one_to_the_bit`,
+    counted in `seen`."""
+    for _ in range(700):
+        k = int(rng.integers(1, 12))
+        A = rng.normal(size=(k, k)) * rng.choice([1.0, 1e-3, 1e3], size=(k, k))
+        if rng.random() < 0.8:      # otherwise dense, as a Gram system
+            A[rng.random((k, k)) < rng.uniform(0.2, 0.8)] = 0.0
+            A[rng.random((k, k)) < 0.1] = -0.0
+        if rng.random() < 0.5:
+            A[np.diag_indices(k)] = rng.choice([1.0, -2.0, 0.5], size=k)
+        entry = _kernels._factor(A.tolist(), PIVOT_TOL)
+        if entry is None:
+            continue
+        plan = entry[8 * k * k + 4 * k:]
+        assert plan == _plan_of(np.frombuffer(entry, count=k * k).reshape(k, k))
+        seen.update("empty" if j == 0 else "dot" if j == 255 else "one" for j in plan[:k])
+        seen["partial row"] += any(0 < n < i for i, n in enumerate(plan[k:2 * k]))
+        seen["full"] += plan[k:2 * k] == bytes(range(k))
+        for _ in range(4):
+            rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3, 1e-300], size=k)
+            if rng.random() < 0.1:
+                rhs[rng.integers(k)] = rng.choice([np.inf, -np.inf, np.nan])
+            got = _kernels._replay(entry, rhs.tolist())
+            dense = _kernels._replay_dense(entry, rhs.tolist())
+            stripped = _kernels._replay(entry[:8 * k * k + 4 * k], rhs.tolist())
+            for y in (got, stripped):
+                assert y.tobytes() == dense.tobytes() and y.strides == dense.strides
+            if not np.isfinite(dense).all():
+                seen["non-finite"] += 1
+                continue
+            want = _dense_elimination(A, rhs, PIVOT_TOL)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            seen["-0.0 in and out"] += _holds_negative_zero(rhs) and _holds_negative_zero(got)
+
+
+def _holds_negative_zero(values):
+    return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
+
+
+def _plan_of(LU):
+    """The replay plan `_factor` documents, read off an LU array."""
+    k = len(LU)
+    tails = [np.flatnonzero(LU[i, i + 1:]) + i + 1 for i in range(k)]
+    mults = [np.flatnonzero(LU[i, :i]) for i in range(k)]
+    return (bytes(0 if len(t) == 0 else int(t[0]) if len(t) == 1 else 255 for t in tails)
+            + bytes(len(c) for c in mults)
+            + b"".join(bytes(c.tolist()) for i, c in enumerate(mults) if len(c) < i))
+
+
+def test_a_system_past_255_rows_replays_densely():
+    # a plan's columns are bytes, so an entry of more than 255 rows has
+    # none. A KKT matrix of 250 units, a balance over the first 240 and
+    # box rows on the last 9, puts the one nonzero of the last U tails
+    # past column 255
+    rng = np.random.default_rng(5)
+    n, k = 250, 10
+    N = np.zeros((k, n))
+    N[0, :240] = 1.0
+    N[np.arange(1, k), np.arange(241, n)] = 1.0
+    K = np.zeros((n + k, n + k))
+    K[:n, :n] = np.diag(rng.choice([2.0, 5.0, 8.0], size=n))     # each unit's row its pivot
+    K[:n, n:] = -N.T
+    K[n:, :n] = N
+    entry = _kernels._factor(K.tolist(), PIVOT_TOL)
+    assert len(entry) == 8 * (n + k) ** 2 + 4 * (n + k)
+    for _ in range(3):
+        rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3], size=n + k)
+        want = _dense_elimination(K, rhs, PIVOT_TOL)
+        for y in (_kernels._replay(entry, rhs.tolist()),
+                  _kernels.solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)):
+            assert y.tobytes() == want.tobytes() and y.strides == want.strides
+
+
+def test_a_fleet_of_256_units_is_polished():
+    # the polish's KKT matrix, of the balance and the one bound that
+    # holds, has 258 rows, and most units' U rows a single nonzero in
+    # column 256, the balance's
+    n = 256
+    hdiag = np.linspace(0.5, 2.0, n)
+    glin = -np.linspace(1.0, 3.0, n)
+    glin[7] = 40.0
+    C = np.vstack([np.ones(n), np.eye(n)])      # the balance, then x >= 0
+    b = np.concatenate([[300.0], np.zeros(n)])
+    status, x, w, _, _ = _kernels.qp_core(hdiag, glin, _kernels.Rows(hdiag, glin, C), b, 1000)
+    assert status == _kernels.OPTIMAL and np.flatnonzero(w).tolist() == [0, 8]
+    assert abs(x.sum() - 300.0) < 1e-9 and x.min() >= -1e-9 and (w[1:] >= 0.0).all()
+    assert np.abs(hdiag * x + glin - C.T @ w).max() < 1e-9
 
 
 # sha256 over every golden problem's assembled data: labels, free

@@ -324,6 +324,58 @@ def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
     assert sum(isinstance(o, str) for o in pure) == len(REJECTED) + 5
 
 
+def _dumper_corpus():
+    """The bundled fleets; example2_case1's units tiled to N in {2, 5, 8,
+    10}, every number of units and periods scaled by a seeded random
+    factor, with ramps on and off; and names that need quotes, escapes
+    or a line break."""
+    import dataclasses
+
+    import numpy as np
+
+    out = [load_bundled_scenario(key) for key in BUNDLED_SCENARIOS]
+    base = load_bundled_scenario("example2_case1")
+    for n in (2, 5, 8, 10):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            units = []
+            for i in range(n):
+                u = base.units[i % base.n_units]
+                a, b, lo, width = rng.uniform(0.5, 2.0, size=4)
+                units.append(dataclasses.replace(u, a=u.a * a, b=u.b * b, p_min=u.p_min * lo,
+                                                 p_max=u.p_min * lo + u.p_max * width))
+            scale = n * float(rng.uniform(0.1, 0.3))
+            periods = tuple(dataclasses.replace(p, demand=p.demand * scale) for p in base.periods)
+            s = dataclasses.replace(base, units=tuple(units), periods=periods,
+                                    initial_commitment=(1,) * n,
+                                    initial_dispatch=tuple(u.p_min for u in units) + (0.0, 0.0))
+            out.append(s)
+            ramped = tuple(dataclasses.replace(u, ramp_up=0.3 * u.p_max, ramp_down=0.2 * u.p_max)
+                           for u in units)
+            out.append(dataclasses.replace(s, ramp_enforced=True, units=ramped))
+    names = ["Ünïcödé fleet", "grid \U0001f50b\u26a1 night", "it's \"quoted\"", "key: value",
+             "# not a comment", "a #b", "x" * 120, " padded ", "yes", "null", "0123", "two\nlines",
+             "tab\there", "[list]", "{map}", "- dash", "long " * 30 + ": with colon"]
+    out += [dataclasses.replace(out[i % 5], name=name) for i, name in enumerate(names)]
+    return out
+
+
+def test_libyaml_and_pure_python_dumpers_agree(monkeypatch):
+    # fingerprints and saved models hash the canonical text, so libyaml
+    # must write what the pure-Python dumper writes
+    from ucdkit import scenario
+
+    if not hasattr(yaml, "CSafeDumper"):
+        pytest.skip("PyYAML is built without libyaml")
+    corpus = _dumper_corpus()
+    assert scenario._DUMPER is yaml.CSafeDumper
+    fast = [serialize_scenario(s) for s in corpus]
+    monkeypatch.setattr(scenario, "_DUMPER", yaml.SafeDumper)
+    assert [serialize_scenario(s) for s in corpus] == fast
+    assert len(set(fast)) == len(corpus) == 5 + 32 + 17
+    assert parse_scenario(fast[-6]).name == "two\nlines"
+
+
 @pytest.mark.parametrize("key", ["dg", "dr", "cet"])
 @pytest.mark.parametrize("value", [None, DROP], ids=["null", "omitted"])
 def test_absent_resource_and_cet_take_defaults(key, value):

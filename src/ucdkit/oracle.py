@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (quota_rebate, running_cost, switching_cost, switching_matrix,
-                    switching_row)
-from .errors import BudgetExceededError, InfeasibleModeError, UcdError
+from .costs import quota_rebate, switching_cost, switching_matrix, switching_row
+from .errors import BudgetExceededError, UcdError
 from .hybrid import Schedule, schedule_text
-from .qp import (_check_dispatch, _meets_ramps, _ramp_source, _solved, int_to_mode,
-                 mode_dynamics, mode_to_int)
+from .qp import _check_dispatch, _meets_ramps, _ramp_limits, _solved, int_to_mode, mode_to_int
 from .scenario import Scenario, _per_object
 
 __all__ = [
@@ -97,7 +95,10 @@ class Stages:
     enforced and p_prev given, only the row's modes can be feasible; a
     relaxed candidate that meets its ramp rows from p_prev is returned
     untouched, the table's own tuple (`qp._meets_ramps` says why), and
-    only the row's other modes are solved under ramps.
+    only the row's other modes are solved under ramps, on the lean path
+    of `qp._solved`; the twin check and those solves read one list of
+    ramp bounds per p_prev. The relaxed row goes through `qp.solve`, the
+    public path, which a row solved once per table can afford.
     """
 
     def __init__(self, s: Scenario):
@@ -110,13 +111,13 @@ class Stages:
         row = self._rows.get(t)
         if row is None:
             row = self._rows[t] = _solved(self.s, t, None, range(1 << self.s.n_units))
-        prev = _ramp_source(self.s, p_prev)
-        if prev is None:
+        limits = _ramp_limits(self.s, p_prev)
+        if limits is None:
             return row
-        met = [_meets_ramps(self.s, c[1], c[2], prev) for c in row]
+        met = [_meets_ramps(c[1], c[2], limits) for c in row]
         if all(met):
             return row
-        solved = _solved(self.s, t, prev, [c[0] for c, ok in zip(row, met) if not ok])
+        solved = _solved(self.s, t, limits, [c[0] for c, ok in zip(row, met) if not ok])
         return sorted([c for c, ok in zip(row, met) if ok] + solved, key=lambda c: c[0])
 
     def q(self, t: int) -> np.ndarray:
@@ -176,16 +177,16 @@ class _Bound:
 def _incumbent(s, t, ip, p_prev, stages, value):
     """Cost of the ramp-relaxed optimal path from (mode int ip, p_prev)
     entering t, re-dispatched under ramps; inf when a step of it has no
-    feasible dispatch under them."""
+    feasible dispatch under them. Each step is solved as a ramped
+    candidate, one mode per call."""
     cost = 0.0
     for tt in range(t, s.horizon + 1):
         mi = stages.best_next(value, tt, ip)
-        mode = int_to_mode(mi, s.n_units)
-        try:
-            p_prev = mode_dynamics(s, tt, mode, p_prev)
-        except InfeasibleModeError:
+        step = _solved(s, tt, _ramp_limits(s, p_prev), (mi,))
+        if not step:
             return np.inf
-        cost += running_cost(s, mode, p_prev) + stages.kappa_row(ip).item(mi)
+        _, _, p_prev, q = step[0]
+        cost += q + stages.kappa_row(ip).item(mi)
         ip = mi
     return cost
 

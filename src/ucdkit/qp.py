@@ -37,6 +37,18 @@ problem are shared with every problem of its template and read-only;
 `h` is its own. A problem not made by `assemble` (built by hand, or
 changed with `dataclasses.replace`) has no template and gets new kernel
 constants on each solve.
+
+Two paths solve a problem through one kernel call with its failure
+checks and KKT certificate (`_certified`), so both give the same bytes.
+`assemble` and `solve` are public and fully reported; `mode_dynamics`
+and ramp-relaxed rows take them. A stage table solves a relaxed row
+once, so the wrapper costs it little, and the benchmark's tracer counts
+its solves at `solve`. A mode solved from a previous dispatch with ramps
+enforced (`mode_candidates` given p_prev; in `oracle`, the ramped
+candidates of `Stages.candidates` and the ramped incumbent) takes the
+lean path of `_solved`: its bounds go from the template straight to
+`_certified`, from ramp bounds computed once per previous dispatch
+(`_ramp_limits`), and no QpProblem or QpSolution is built.
 """
 
 from __future__ import annotations
@@ -123,7 +135,7 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     built from other than N or N+2 finite entries >= 0.
     """
     bits = int_to_mode(mode_to_int(commitment, s.n_units), s.n_units)
-    return _assemble(s, t, bits, _ramp_source(s, p_prev))
+    return _assemble(s, t, bits, _ramp_limits(s, p_prev), s.period(t), _store(s))
 
 
 def mode_to_int(bits, n_units=None) -> int:
@@ -176,27 +188,25 @@ def _full_dispatch(p, n_units: int) -> np.ndarray:
     return np.array(vals + [0.0, 0.0] if len(vals) == n_units else vals, dtype=float)
 
 
-def _ramp_source(s, p_prev):
-    """p_prev as `_check_dispatch` returns it when ramp rows are built
-    from it (ramps enforced and p_prev given); None otherwise."""
+def _ramp_limits(s, p_prev):
+    """The ramp bounds p_prev sets, for every mode at once: (n, hi, lo)
+    per unit n that ran in the previous period (p_prev[n] > 0), for
+    x_n <= hi and -x_n <= lo, a bound None where the unit has no limit.
+    A mode has the ramp rows of its committed units among them. None
+    when no ramp row is built (ramps relaxed, or p_prev None); otherwise
+    p_prev is checked by `_check_dispatch`. `_Store.filled` writes these
+    floats into h, and `_meets_ramps` reads them."""
     if not s.ramp_enforced or p_prev is None:
         return None
-    return _check_dispatch(p_prev, s.n_units)
-
-
-def _ramp_limits(s, bits, prev):
-    """The ramp rows of mode `bits` from `prev`, a `_ramp_source` list:
-    (n, hi, lo) per committed unit n that ran in the previous period, for
-    x_n <= hi and -x_n <= lo, a bound None where the unit has no limit.
-    `assemble` writes these floats into h; `_meets_ramps` reads them."""
+    prev = _check_dispatch(p_prev, s.n_units)
     return [(n, None if u.ramp_up is None else prev[n] + u.ramp_up,
              None if u.ramp_down is None else u.ramp_down - prev[n])
-            for n, u in enumerate(s.units) if bits[n] and prev[n] > 0.0]
+            for n, u in enumerate(s.units) if prev[n] > 0.0]
 
 
-def _meets_ramps(s, mode, dispatch, prev):
+def _meets_ramps(mode, dispatch, limits):
     """True when `dispatch`, mode's ramp-relaxed optimum, meets every ramp
-    row of mode from `prev`, a `_ramp_source` list, with no tolerance.
+    row of mode among `limits` (`_ramp_limits`), with no tolerance.
 
     The ramped QP then has the same unique minimizer, and the kernel
     returns it with the same bits when each ramp row is one the unit's
@@ -213,7 +223,9 @@ def _meets_ramps(s, mode, dispatch, prev):
     candidate sets, tails and schedule tables to references that solve
     every ramped candidate set in full.
     """
-    for n, hi, lo in _ramp_limits(s, mode, prev):
+    for n, hi, lo in limits:
+        if not mode[n]:
+            continue
         if hi is not None and not dispatch[n] <= hi:
             return False
         if lo is not None and not -dispatch[n] <= lo:
@@ -221,23 +233,11 @@ def _meets_ramps(s, mode, dispatch, prev):
     return True
 
 
-def _assemble(s, t, bits, prev):
-    """`assemble` of binary `bits`, with `prev` from `_ramp_source`."""
-    per = s.period(t)
-    dg_on = per.dg_max > 0.0
-    dr_on = per.dr_max > 0.0
-    limits = () if prev is None else _ramp_limits(s, bits, prev)
-    tpl = _template(s, bits, dg_on, dr_on, tuple(n for n, _, _ in limits))
-    h = tpl.h.copy()
-    h[0] = per.demand - per.reserve_lo - tpl.pmin_sum
-    h[1] = tpl.pmax_sum - per.demand - per.reserve_hi
-    bounds = [v for _, hi, lo in limits for v in (hi, lo) if v is not None]
-    for i, v in zip(tpl.ramp_at, bounds):
-        h[i] = v
-    if dg_on:
-        h[tpl.dg_row] = per.dg_max
-    if dr_on:
-        h[tpl.dr_row] = per.dr_max
+def _assemble(s, t, bits, limits, per, store):
+    """`assemble` of binary `bits`, with ramp rows from `limits`
+    (`_ramp_limits`), at period t's data `per`, from the scenario's
+    template store."""
+    tpl, h = store.filled(s, per, bits, limits)
     q = QpProblem(
         t=t, commitment=tpl.bits, free=tpl.free, hdiag=tpl.hdiag, glin=tpl.glin,
         const=tpl.const, beq=float(per.demand), G=tpl.G, h=np.array(h, dtype=float),
@@ -267,15 +267,32 @@ class _Store:
         self.rows = {}          # layout of G's rows -> (G, C, row normals)
         self.floats = {}        # the Rows' float pool
 
+    def filled(self, s, per, bits, limits):
+        """(template, h): the template of mode `bits` at period data
+        `per`, built on first use, and its `h` for that period as a list,
+        with the ramp rows of the mode's units among `limits`
+        (`_ramp_limits`, or None for none)."""
+        mine = () if limits is None else [r for r in limits if bits[r[0]]]
+        key = (bits, per.dg_max > 0.0, per.dr_max > 0.0, tuple(r[0] for r in mine))
+        tpl = self.templates.get(key)
+        if tpl is None:
+            tpl = self.templates[key] = _Template(s, *key, self)
+        h = tpl.h.copy()
+        h[0] = per.demand - per.reserve_lo - tpl.pmin_sum
+        h[1] = tpl.pmax_sum - per.demand - per.reserve_hi
+        bounds = [v for _, hi, lo in mine for v in (hi, lo) if v is not None]
+        for i, v in zip(tpl.ramp_at, bounds):
+            h[i] = v
+        if tpl.dg_row is not None:
+            h[tpl.dg_row] = per.dg_max
+        if tpl.dr_row is not None:
+            h[tpl.dr_row] = per.dr_max
+        return tpl, h
 
-def _template(s, *key):
-    """The template of key = (bits, dg on, dr on, ramped units) for the
-    scenario object s, built on first use."""
-    store = _per_object(_TEMPLATES, s, lambda: _Store(s))
-    tpl = store.templates.get(key)
-    if tpl is None:
-        tpl = store.templates[key] = _Template(s, *key, store)
-    return tpl
+
+def _store(s):
+    """The template store of the scenario object s, made on first use."""
+    return _per_object(_TEMPLATES, s, lambda: _Store(s))
 
 
 class _Template:
@@ -390,9 +407,10 @@ def _unit_labels(n_units):
             for n in range(n_units)]
 
 
-def _expand(q: QpProblem, x: np.ndarray) -> np.ndarray:
-    full = np.zeros(q.n_units + 2)
-    full.put(q.free, x)
+def _expand(free, x, n_units):
+    """The length-N+2 dispatch with x on the free coordinates, 0 elsewhere."""
+    full = np.zeros(n_units + 2)
+    full.put(free, x)
     return full
 
 
@@ -403,43 +421,33 @@ def solve(q: QpProblem) -> QpSolution:
     residual, or an infeasible verdict with the offending row. A kernel
     breakdown (never observed on well-formed problems) raises
     QpNumericalError rather than returning an uncertified point, and so
-    does a residual that is not at most KKT_TOL, a NaN included.
+    does a residual that is not at most KKT_TOL, a NaN included
+    (`_certified`).
     """
-    nf = q.n_free
-    m = len(q.h)
-    if nf == 0:
+    if q.n_free == 0:
         # nothing to dispatch: feasible iff the balance and the constant
         # rows hold with every coordinate at 0
-        tol = FEAS_TOL * max(1.0, abs(q.beq))
-        if abs(q.beq) > tol:
+        bad = _idle_violation(q.h.tolist(), q.beq)
+        if bad is not None:
+            row, violation = bad
             return QpSolution(
                 status="infeasible", dispatch=None, objective_value=None,
                 eq_multiplier=None, ineq_multipliers=None,
-                certificate={"row": "balance", "violation": abs(q.beq)},
+                certificate={"row": "balance" if row == 0 else q.labels[row - 1],
+                             "violation": violation},
             )
-        for i in range(m):
-            if q.h[i] < -FEAS_TOL:
-                return QpSolution(
-                    status="infeasible", dispatch=None, objective_value=None,
-                    eq_multiplier=None, ineq_multipliers=None,
-                    certificate={"row": q.labels[i], "violation": -float(q.h[i])},
-                )
         return QpSolution(
             status="optimal", dispatch=np.zeros(q.n_units + 2),
             objective_value=q.const, eq_multiplier=0.0,
-            ineq_multipliers=np.zeros(m), active_set=(), kkt=0.0,
+            ineq_multipliers=np.zeros(len(q.h)), active_set=(), kkt=0.0,
         )
 
-    # kernel convention: C x >= b with the balance equality first; a
-    # problem that is not assemble's own (built by hand or replaced)
+    # a problem that is not assemble's own (built by hand or replaced)
     # gets a new kernel form
     rows = q.rows or _kernels.Rows(q.hdiag, q.glin, _kernel_form(q.G))
-    b = np.empty(m + 1)
-    b[0] = q.beq
-    np.negative(q.h, out=b[1:])
-    max_iter = 100 + 50 * (m + 1)
-    status, x, w, iters, bad = _kernels.qp_core(q.hdiag, q.glin, rows, b, max_iter)
-    if status == _kernels.INFEASIBLE:
+    x, mu, iters, info = _certified(q.t, q.commitment, rows, q.G, q.h.tolist(), q.beq)
+    if mu is None:
+        bad, b = info
         label = "balance" if bad == 0 else q.labels[bad - 1]
         slack = float(np.dot(rows.C[bad], x) - b[bad])
         return QpSolution(
@@ -448,30 +456,60 @@ def solve(q: QpProblem) -> QpSolution:
             certificate={"row": label, "violation": max(0.0, -slack)},
             iterations=iters,
         )
-    if status != _kernels.OPTIMAL:
-        raise QpNumericalError(
-            f"QP kernel failed at t={q.t}, commitment "
-            f"{''.join(map(str, q.commitment))} (status {status}, {iters} iterations)"
-        )
-
-    lam = -float(w[0])
-    mu = w[1:].copy()
-    hx = q.hdiag * x
+    lam, hx, slack, resid = info
     obj = 0.5 * float(np.dot(hx, x)) + float(np.dot(q.glin, x)) + q.const
-    slack = _slack(q, x)
     active = tuple(label for label, mi, si in zip(q.labels, mu.tolist(), slack)
                    if mi > 0.0 or si > -1e-7)
-    resid = _residual(q, x, hx, lam, mu, slack)
-    if not resid <= KKT_TOL:
-        raise QpNumericalError(
-            f"KKT residual {resid:.3e} exceeds {KKT_TOL:.0e} at t={q.t}, "
-            f"commitment {''.join(map(str, q.commitment))}"
-        )
     return QpSolution(
-        status="optimal", dispatch=_expand(q, x), objective_value=obj,
+        status="optimal", dispatch=_expand(q.free, x, q.n_units), objective_value=obj,
         eq_multiplier=lam, ineq_multipliers=mu, active_set=active,
         kkt=resid, iterations=iters,
     )
+
+
+def _idle_violation(h, beq):
+    """For a problem with no free coordinate: None when the balance and
+    every row of h (a list) hold at x = 0, else (row, violation), row 0
+    the balance and row i + 1 that of h[i]."""
+    if abs(beq) > FEAS_TOL * max(1.0, abs(beq)):
+        return 0, abs(beq)
+    for i, v in enumerate(h):
+        if v < -FEAS_TOL:
+            return i + 1, -float(v)
+    return None
+
+
+def _certified(t, commitment, rows, G, h, beq):
+    """Solve the problem of `rows` (its C, hdiag and glin), G x <= h with
+    h a list of floats, and sum x = beq, and certify it: the kernel call,
+    failure checks and KKT certificate of `solve` and `_solved` alike.
+    Returns (x, mu, iters, info): mu None and info (bad row, b) on an
+    infeasible verdict; at an optimum, mu the row multipliers and info
+    (lam, hdiag * x, `_slack`, residual). A kernel failure, or a residual
+    not at most KKT_TOL, a NaN included, raises QpNumericalError naming t
+    and the commitment."""
+    # kernel convention: C x >= b with the balance equality first, b = (beq, -h)
+    b = -np.array([-float(beq), *h], dtype=float)
+    status, x, w, iters, bad = _kernels.qp_core(rows.hdiag, rows.glin, rows, b,
+                                                100 + 50 * len(b))
+    if status == _kernels.INFEASIBLE:
+        return x, None, iters, (bad, b)
+    if status != _kernels.OPTIMAL:
+        raise QpNumericalError(
+            f"QP kernel failed at t={t}, commitment "
+            f"{''.join(map(str, commitment))} (status {status}, {iters} iterations)"
+        )
+    lam = -float(w[0])
+    mu = w[1:].copy()
+    hx = rows.hdiag * x
+    slack = _slack(G, h, x)
+    resid = _residual(G, rows.glin, beq, x, hx, lam, mu, slack)
+    if not resid <= KKT_TOL:
+        raise QpNumericalError(
+            f"KKT residual {resid:.3e} exceeds {KKT_TOL:.0e} at t={t}, "
+            f"commitment {''.join(map(str, commitment))}"
+        )
+    return x, mu, iters, (lam, hx, slack, resid)
 
 
 def kkt_residual(q: QpProblem, sol: QpSolution) -> float:
@@ -483,26 +521,27 @@ def kkt_residual(q: QpProblem, sol: QpSolution) -> float:
     if q.n_free == 0:
         return abs(q.beq)
     x = sol.dispatch[list(q.free)]
-    return _residual(q, x, q.hdiag * x, sol.eq_multiplier, sol.ineq_multipliers, _slack(q, x))
+    return _residual(q.G, q.glin, q.beq, x, q.hdiag * x, sol.eq_multiplier,
+                     sol.ineq_multipliers, _slack(q.G, q.h.tolist(), x))
 
 
-def _slack(q, x):
-    """G x - h as a list of floats."""
-    return list(map(sub, (q.G @ x).tolist(), q.h.tolist()))
+def _slack(G, h, x):
+    """G x - h as a list of floats, h a list."""
+    return list(map(sub, (G @ x).tolist(), h))
 
 
-def _residual(q, x, hx, lam, mu, slack):
-    """kkt_residual on the free coordinates x, given hx = hdiag * x and
-    slack = `_slack(q, x)`. numpy sums G' mu and x as BLAS and its
-    pairwise sum order them; the rest runs on Python floats, whose
-    elementwise operations round as numpy's do. NaN when x, lam or mu
-    holds one."""
+def _residual(G, glin, beq, x, hx, lam, mu, slack):
+    """kkt_residual on the free coordinates x of the problem of G, glin
+    and beq, given hx = hdiag * x and slack = `_slack(G, h, x)`. numpy
+    sums G' mu and x as BLAS and its pairwise sum order them; the rest
+    runs on Python floats, whose elementwise operations round as numpy's
+    do. NaN when x, lam or mu holds one."""
     stat = [a + g + lam + b
-            for a, g, b in zip(hx.tolist(), q.glin.tolist(), (q.G.T @ mu).tolist())]
+            for a, g, b in zip(hx.tolist(), glin.tolist(), (G.T @ mu).tolist())]
     if isnan(sum(stat)):        # max() keeps a NaN only in first place
         return nan
     ml = mu.tolist()
-    return max(chain(map(abs, stat), (abs(float(x.sum()) - q.beq),), slack, map(neg, ml),
+    return max(chain(map(abs, stat), (abs(float(x.sum()) - beq),), slack, map(neg, ml),
                      map(abs, map(mul, ml, slack))))
 
 
@@ -533,17 +572,30 @@ def mode_candidates(s: Scenario, t: int, p_prev=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
     ordered by the commitment read as a binary integer (unit 1 = MSB).
     p_prev is checked once per call, as in `assemble`."""
-    return [c[1:] for c in _solved(s, t, _ramp_source(s, p_prev), range(1 << s.n_units))]
+    return [c[1:] for c in _solved(s, t, _ramp_limits(s, p_prev), range(1 << s.n_units))]
 
 
-def _solved(s, t, prev, modes):
+def _solved(s, t, limits, modes):
     """The feasible (mode int, commitment, dispatch, Q) of `modes`,
-    ascending mode ints, from `prev` as `_ramp_source` returns it."""
-    commitments = _commitments(s.n_units)
+    ascending mode ints, with the ramp rows of `limits` (`_ramp_limits`):
+    a relaxed row (limits None) through `solve`, ramped modes on the lean
+    path (see the module docstring)."""
+    n = s.n_units
+    commitments = _commitments(n)
+    per, store = s.period(t), _store(s)
+    beq = float(per.demand)
     out = []
     for v in modes:
         bits = commitments[v]
-        sol = solve(_assemble(s, t, bits, prev))
-        if sol.status == "optimal":
-            out.append((v, bits, sol.dispatch, running_cost(s, bits, sol.dispatch)))
+        if limits is None:
+            dispatch = solve(_assemble(s, t, bits, None, per, store)).dispatch
+        else:
+            tpl, h = store.filled(s, per, bits, limits)
+            if tpl.free:
+                x, mu, _, _ = _certified(t, bits, tpl.rows, tpl.G, h, beq)
+                dispatch = None if mu is None else _expand(tpl.free, x, n)
+            else:
+                dispatch = None if _idle_violation(h, beq) else np.zeros(n + 2)
+        if dispatch is not None:
+            out.append((v, bits, dispatch, running_cost(s, bits, dispatch)))
     return out

@@ -377,15 +377,18 @@ def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkey
 
 
 def _count_solves(monkeypatch):
-    """Calls of the dispatch QP solver: one per QP solved."""
+    """Dispatch QPs solved for the stage table, one per mode handed to the
+    stage-row solver: ramp-relaxed rows go on through `qp.solve`, ramped
+    candidates through the lean path, and both pass here."""
     calls = []
-    solve = ucdkit.qp.solve
+    solved = ucdkit.oracle._solved
 
-    def counting(q):
-        calls.append(q.t)
-        return solve(q)
+    def counting(s, t, prev, modes):
+        modes = list(modes)
+        calls.extend([t] * len(modes))
+        return solved(s, t, prev, modes)
 
-    monkeypatch.setattr(ucdkit.qp, "solve", counting)
+    monkeypatch.setattr(ucdkit.oracle, "_solved", counting)
     return calls
 
 

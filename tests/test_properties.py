@@ -299,6 +299,76 @@ def test_kernel_solves_are_batch_invariant(problem):
         assert got[2] is None or got[2].tobytes() == want[2].tobytes()
 
 
+@st.composite
+def ramped_states(draw):
+    """(scenario, t, p_prev): a ramped fleet of 2-4 units whose ramp
+    limits are each a number or None, two periods with DG and DR each on
+    or off, and a previous dispatch with some entries zero, N or N+2
+    entries long."""
+    units = list(draw(fleets(n_min=2, n_max=4)))
+    limit = st.one_of(st.none(), st.floats(min_value=0.0, max_value=100.0))
+    units = tuple(dataclasses.replace(u, ramp_up=draw(limit), ramp_down=draw(limit))
+                  for u in units)
+    n = len(units)
+    total = sum(u.p_max for u in units)
+    periods = tuple(PeriodExogenous(
+        # demand 0 lets the all-off mode, with nothing to dispatch, be optimal
+        demand=draw(st.floats(1.0, total)) if draw(st.integers(0, 3)) else 0.0,
+        dg_max=draw(st.sampled_from([0.0, 40.0])),
+        dr_max=draw(st.sampled_from([0.0, 25.0])),
+        reserve_lo=draw(st.floats(0.0, 20.0)), reserve_hi=draw(st.floats(0.0, 20.0)),
+    ) for _ in range(2))
+    s = Scenario(
+        units=units,
+        dg=VirtualResourceParams(0.01, 0.5, 0.0),
+        dr=VirtualResourceParams(0.02, 2.0, 0.0),
+        cet=CetParams(0.0),
+        eta_max=0.3,
+        periods=periods,
+        initial_dispatch=(0.0,) * (n + 2),
+        initial_commitment=(0,) * n,
+        ramp_enforced=True,
+    )
+    size = n + 2 * draw(st.booleans())
+    caps = [u.p_max for u in units] + [40.0, 25.0]
+    p_prev = [draw(st.just(0.0) | st.floats(0.0, caps[i])) for i in range(size)]
+    return s, draw(st.integers(1, 2)), np.array(p_prev)
+
+
+@SUITE
+@given(ramped_states(), st.booleans())
+def test_ramped_candidates_are_the_solves_of_their_modes(state, lean_first):
+    # mode_candidates solves ramped candidates on a lean path that builds
+    # no QpProblem or QpSolution; it must list exactly the modes whose
+    # assembled problem `solve` finds optimal, with the same dispatch
+    # bytes and the same running cost, whichever path warms the
+    # templates first
+    s, t, p_prev = state
+    n = s.n_units
+
+    def lean():
+        return [(mode, d.tobytes(), q.hex()) for mode, d, q in mode_candidates(s, t, p_prev)]
+
+    def full():
+        out = []
+        for v in range(1 << n):
+            mode = int_to_mode(v, n)
+            sol = solve(assemble(s, t, mode, p_prev))
+            if sol.status == "optimal":
+                assert sol.kkt <= KKT_TOL
+                out.append((mode, sol.dispatch.tobytes(),
+                            running_cost(s, mode, sol.dispatch).hex()))
+        return out
+
+    if lean_first:
+        got = lean()
+        want = full()
+    else:
+        want = full()
+        got = lean()
+    assert got == want
+
+
 # --- suite 5: strict convexity ----------------------------------------------
 
 @SUITE

@@ -30,6 +30,7 @@ from ucdkit import (
     solve,
     train,
 )
+import ucdkit
 from ucdkit import KKT_TOL
 from ucdkit._kernels import PIVOT_TOL
 from ucdkit import _kernels
@@ -269,7 +270,26 @@ def test_small_solve_is_solve_pivoted_to_the_bit():
     assert min(outcomes.values()) > 100, outcomes
 
 
+def _calls_at_4(e1c1, monkeypatch):
+    """Two calls that solve commitment 11 at t=4 of example1_case1, where
+    it is the one feasible mode, each with the commitment it hands the
+    kernel first: `solve` on its assembled problem, and a ramped
+    `mode_candidates`, which solves 01 and then 11 on the lean candidate
+    path and so must not reach `solve`."""
+    q = assemble(e1c1, 4, (1, 1))
+    s = _with_ramps(e1c1, 0.5)
+    p_prev = np.array([450.0, 150.0, 0.0, 0.0])
+    assert [c[0] for c in mode_candidates(s, 4, p_prev)] == [(1, 1)]
+
+    def barred(q):
+        raise AssertionError("a ramped candidate reached solve")
+
+    monkeypatch.setattr(ucdkit.qp, "solve", barred)
+    return [("11", lambda: solve(q)), ("01", lambda: mode_candidates(s, 4, p_prev))]
+
+
 def test_kernel_failure_raises_numerical_error(e1c1, monkeypatch):
+    calls = _calls_at_4(e1c1, monkeypatch)
     real = _kernels.qp_core
 
     def starved(*args):
@@ -278,8 +298,9 @@ def test_kernel_failure_raises_numerical_error(e1c1, monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "qp_core", starved)
-    with pytest.raises(QpNumericalError, match="t=4"):
-        solve(assemble(e1c1, 4, (1, 1)))
+    for commitment, call in calls:
+        with pytest.raises(QpNumericalError, match=f"t=4, commitment {commitment} "):
+            call()
 
 
 @pytest.mark.parametrize("where", ["first x", "last x", "balance multiplier", "row multiplier"])
@@ -290,20 +311,22 @@ def test_a_nan_from_the_kernel_is_not_certified(e1c1, monkeypatch, where):
     # multipliers must still give a NaN residual
     q = assemble(e1c1, 4, (1, 1))
     sol = solve(q)
+    calls = _calls_at_4(e1c1, monkeypatch)
     vector, at = {"first x": (0, 0), "last x": (0, -1), "balance multiplier": (1, 0),
                   "row multiplier": (1, 3)}[where]
     real = _kernels.qp_core
 
     def poisoned(*args):
         out = list(real(*args))
-        assert out[0] == _kernels.OPTIMAL
-        out[1 + vector] = np.array(out[1 + vector])
-        out[1 + vector][at] = np.nan
+        if out[0] == _kernels.OPTIMAL:      # only 11 is, on both calls
+            out[1 + vector] = np.array(out[1 + vector])
+            out[1 + vector][at] = np.nan
         return tuple(out)
 
     monkeypatch.setattr(_kernels, "qp_core", poisoned)
-    with pytest.raises(QpNumericalError, match="KKT residual nan .* t=4"):
-        solve(q)
+    for _, call in calls:
+        with pytest.raises(QpNumericalError, match="KKT residual nan .* t=4, commitment 11$"):
+            call()
     if vector == 0:
         dispatch = sol.dispatch.copy()
         dispatch[q.free[at]] = np.nan

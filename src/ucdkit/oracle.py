@@ -98,7 +98,8 @@ class Stages:
     only the row's other modes are solved under ramps, on the lean path
     of `qp._solved`; the twin check and those solves read one list of
     ramp bounds per p_prev. The relaxed row goes through `qp.solve`, the
-    public path, which a row solved once per table can afford.
+    public path; the `qp` module docstring says what that costs, with
+    every table solving its own rows, and why it stays.
     """
 
     def __init__(self, s: Scenario):

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ucdkit import (
+    BUNDLED_SCENARIOS,
     CetParams,
     DisturbanceScript,
     PeriodExogenous,
@@ -29,6 +30,7 @@ from ucdkit import (
     graph_dp_optimal,
     int_to_mode,
     kappa,
+    load_bundled_scenario,
     mode_dynamics,
     run_schedule,
     save_model,
@@ -40,7 +42,7 @@ from ucdkit import _kernels
 from ucdkit.cli import main
 from ucdkit.costs import running_cost, switching_cost
 from ucdkit.oracle import Stages
-from ucdkit.qp import KKT_TOL, mode_candidates
+from ucdkit.qp import KKT_TOL, _solved, mode_candidates
 
 from test_costs import startup_cost_reference
 
@@ -367,6 +369,46 @@ def test_ramped_candidates_are_the_solves_of_their_modes(state, lean_first):
         want = full()
         got = lean()
     assert got == want
+
+
+@st.composite
+def relaxed_states(draw):
+    """(scenario, t): a `ramped_states` fleet and period, ramps relaxed."""
+    s, t, _ = draw(ramped_states())
+    return dataclasses.replace(s, ramp_enforced=False), t
+
+
+def _relaxed_row_both_ways(s, t, lean_first):
+    # `_solved` solves a relaxed row (limits None) through the public
+    # path, assemble + solve, and with limits [] (no unit ran before)
+    # the same modes on the lean path; both must give the same mode
+    # ints, dispatch bytes and Q bits, whichever path warms the
+    # templates first
+    modes = range(1 << s.n_units)
+
+    def row(limits):
+        return [(v, d.tobytes(), q.hex()) for v, _, d, q in _solved(s, t, limits, modes)]
+
+    if lean_first:
+        lean = row([])
+        public = row(None)
+    else:
+        public = row(None)
+        lean = row([])
+    assert lean == public
+
+
+@SUITE
+@given(relaxed_states(), st.booleans())
+def test_relaxed_rows_are_the_same_on_both_paths(state, lean_first):
+    _relaxed_row_both_ways(*state, lean_first)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_bundled_relaxed_rows_are_the_same_on_both_paths(name):
+    s = load_bundled_scenario(name)
+    for t in range(1, s.horizon + 1):
+        _relaxed_row_both_ways(s, t, t % 2 == 0)
 
 
 # --- suite 5: strict convexity ----------------------------------------------

@@ -148,11 +148,62 @@ def test_ramp_window_can_cut_off_mode(e1c1):
     assert sol.status == "infeasible"
 
 
-def test_kkt_residual_recomputable(e2c2):
+def _idle(e1c1, reserve_lo):
+    """example1_case1 with period 1 at 1e-10 MW of demand, reserve_lo as
+    given and reserve_hi, DG and DR at 0: its all-off mode, with nothing
+    to dispatch, is an optimum whose balance and reserve_hi row hold only
+    within FEAS_TOL, and so does its reserve_lo row when reserve_lo is
+    above 1e-10."""
+    period = dataclasses.replace(e1c1.periods[0], demand=1e-10, reserve_lo=reserve_lo,
+                                 reserve_hi=0.0, dg_max=0.0, dr_max=0.0)
+    return dataclasses.replace(e1c1, periods=(period,) + e1c1.periods[1:])
+
+
+def test_kkt_residual_recomputable(e2c2, e1c1):
     q = assemble(e2c2, 9, (1, 1, 1, 0, 1))
     sol = solve(q)
     assert sol.status == "optimal"
     assert kkt_residual(q, sol) == pytest.approx(sol.kkt, abs=1e-12)
+    # an idle optimum reports the balance and the rows of h that it
+    # meets only within FEAS_TOL, on both
+    for reserve_lo, want in ((0.0, 1e-10), (6e-10, 6e-10 - 1e-10)):
+        q = assemble(_idle(e1c1, reserve_lo), 1, (0, 0))
+        sol = solve(q)
+        assert q.n_free == 0 and sol.status == "optimal"
+        assert sol.kkt == kkt_residual(q, sol) == want
+
+
+def _same_field(a, b):
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and (a.dtype, a.shape) == (b.dtype, b.shape)
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+def test_problems_and_solutions_are_whole_frozen_dataclasses(e1c1):
+    # assemble and solve fill each record's __dict__ directly, so check
+    # that every field is there and that the record behaves as one its
+    # dataclass __init__ made: replace() copies it, repr is the same,
+    # and no field can be set
+    cases = [(e1c1, 4, (1, 1), "optimal"), (e1c1, 4, (0, 1), "infeasible"),
+             (_idle(e1c1, 0.0), 1, (0, 0), "optimal"), (e1c1, 1, (0, 0), "infeasible")]
+    for s, t, mode, status in cases:
+        q = assemble(s, t, mode)
+        sol = solve(q)
+        assert sol.status == status
+        for obj in (q, sol):
+            fields = dataclasses.fields(obj)
+            assert set(vars(obj)) == {f.name for f in fields}
+            copy = dataclasses.replace(obj)
+            for f in fields:
+                # a replaced problem has no template (see qp)
+                want = None if f.name == "rows" else getattr(obj, f.name)
+                assert _same_field(getattr(copy, f.name), want), (mode, f.name)
+            assert repr(obj) == repr(copy)
+            for f in fields:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        assert q.rows is not None
 
 
 def test_solution_unique_under_row_permutation(e2c1):

@@ -14,6 +14,14 @@ first), so a ramp-relaxed period's dispatch QPs are solved at most once
 across decisions; with ramps enforced each decision's candidates are
 read off the period's relaxed row (`oracle.Stages.candidates`).
 
+A decision costs a fixed number of numpy calls per period, whatever the
+number of candidates: it reads them as stacked arrays
+(`oracle.Stages.stacked`), gathers their weights once and prices every
+tail in one stacked matmul. numpy runs each row of that matmul through
+the BLAS dot that np.dot(w, x) calls, so every value, argmin and
+trained weight has the bits of a candidate-by-candidate loop; einsum
+and a row sum of W * X round differently and are not used.
+
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
 """
@@ -192,13 +200,12 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         prev_modes = (range(1 << s.n_units) if t == 1
                       else [mi for mi, _, _, _ in stages.candidates(t - 1)])
         # without ramp coupling both the dispatch and the tail term are
-        # per-(t, I) constants: Q + Jhat_{t+1} over all modes, inf where
-        # infeasible
+        # per-(t, I) constants, so every previous mode's target is one
+        # minimum of Q + Jhat_{t+1} + kappa over the feasible modes, the
+        # only ones that can attain it
         if not s.ramp_enforced:
-            relaxed = stages.q(t)
-            cands = stages.candidates(t)
-            for (mi, _, _, _), tail in zip(cands, _tail_values(model, t + 1, cands)):
-                relaxed[mi] += tail
+            _, ints, q, dispatches = stages.stacked(t)
+            targets = (q + _tail_values(model, t + 1, ints, dispatches) + K[:, ints]).min(1)
         for ip in prev_modes:
             ip_bits = int_to_mode(ip, s.n_units)
             rng = np.random.default_rng((cfg.seed, t, ip))
@@ -206,7 +213,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
             ys = np.empty(cfg.samples)
             keep = np.ones(cfg.samples, dtype=bool)
             if not s.ramp_enforced:
-                ys[:] = (relaxed + K[ip]).min()
+                ys[:] = targets[ip]
             else:
                 for k in range(cfg.samples):
                     _, values = _step(model, stages, t, K[ip], states[k])
@@ -248,22 +255,21 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     return model
 
 
-def _tail_values(model, t, cands):
-    """Jhat_t at each candidate's dispatch, entering t from its mode (a
-    candidate is (mode int, mode, dispatch, ...)); 0 beyond the horizon."""
-    if t > model.horizon or not cands:
-        return [0.0] * len(cands)
-    ws = []
-    for mi, mode, *_ in cands:
-        w = model.weights.get((t, mi))
-        if w is None:
-            raise ModelMismatchError(
-                f"model holds no weights for t={t}, "
-                f"I_prev={''.join(str(b) for b in mode)}"
-            )
-        ws.append(w)
-    X = basis_matrix(model.basis, [dispatch for _, _, dispatch, *_ in cands])
-    return [float(np.dot(w, x)) for w, x in zip(ws, X)]
+def _tail_values(model, t, ints, dispatches):
+    """Jhat_t at each dispatch row, entering t from the mode int of the
+    same index; 0 beyond the horizon. One stacked matmul with np.dot's
+    bits (see the module docstring)."""
+    if t > model.horizon or not len(ints):
+        return np.zeros(len(ints))
+    try:
+        W = np.array([model.weights[t, mi] for mi in ints.tolist()])
+    except KeyError as exc:
+        raise ModelMismatchError(
+            f"model holds no weights for t={t}, "
+            f"I_prev={''.join(map(str, int_to_mode(exc.args[0][1], model.n_units)))}"
+        ) from None
+    X = basis_matrix(model.basis, dispatches)
+    return (W[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
 def _step(model, stages, t, kappa, p_prev):
@@ -271,10 +277,8 @@ def _step(model, stages, t, kappa, p_prev):
     given `kappa`, row i_prev of the switching matrix: the feasible
     candidates (mode int, mode, dispatch, Q), ascending mode int, and
     their values Q + kappa + Jhat_{t+1}."""
-    cands = stages.candidates(t, p_prev)
-    values = np.array([q + kappa[mi] + tail
-                       for (mi, _, _, q), tail in zip(cands, _tail_values(model, t + 1, cands))])
-    return cands, values
+    cands, ints, q, dispatches = stages.stacked(t, p_prev)
+    return cands, q + kappa[ints] + _tail_values(model, t + 1, ints, dispatches)
 
 
 def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
@@ -294,9 +298,12 @@ def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
     """One closed-loop decision: `decide` on the model's stage table
     (`ValueModel.stages_for`). The dispatch is a copy, so a caller may
     change it without touching the table. A previous dispatch other than
-    N or N+2 finite entries >= 0 raises ValueError.
+    N or N+2 finite entries >= 0 raises ValueError, and a t that is not
+    a period ScenarioError (`Scenario.period`), even one equal to a
+    period whose row the table holds, such as 2.0.
     """
     _check_dispatch(p_prev, s.n_units)
+    s.period(t)
     mode, dispatch = decide(model, model.stages_for(s), t, i_prev, p_prev)
     return mode, dispatch.copy()
 

@@ -8,7 +8,8 @@ is skipped when its bound cannot reach the tie band of the cheapest tail
 found so far. With ramps relaxed the walk stays exhaustive, as graph
 DP's independent reference. Without ramp rows the stage cost depends
 only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
-each layer one vectorised min over K + Q + V (K the switching matrix).
+each layer one vectorised min over K + Q + V (K the switching matrix)
+on the layer's feasible modes.
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
 through one `Stages`, which reads ramped candidate sets off those rows.
 An exact tail from any state is `enumerate_tail`, on the caller's table
@@ -100,6 +101,16 @@ class Stages:
     ramp bounds per p_prev. The relaxed row goes through `qp.solve`, the
     public path; the `qp` module docstring says what that costs, with
     every table solving its own rows, and why it stays.
+
+    A row is kept in two forms: its candidate tuples, and read-only
+    arrays built once with it, the mode ints (intp, ascending), Q and
+    the dispatch matrix, whose rows are the tuples' dispatches, so each
+    dispatch is stored once. `stacked` hands out a candidate set in both
+    forms; a merged ramped list gets arrays of its own. So a closed-loop
+    decision prices every candidate in a fixed number of numpy calls,
+    whatever their count (`clho._step`), and `values` and `best_next`
+    read the row's feasible columns only: the others are inf, a minimum
+    is exact and the ints ascend, so each keeps its bits and its argmin.
     """
 
     def __init__(self, s: Scenario):
@@ -107,11 +118,17 @@ class Stages:
         self._rows = {}
         self._kappa = _per_object(_KAPPA_ROWS, s, dict)
 
-    def candidates(self, t: int, p_prev=None):
-        """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
+    def _row(self, t):
+        """The ramp-relaxed row at t in both forms, solved on first use."""
         row = self._rows.get(t)
         if row is None:
-            row = self._rows[t] = _solved(self.s, t, None, range(1 << self.s.n_units))
+            row = self._rows[t] = _stack(
+                _solved(self.s, t, None, range(1 << self.s.n_units)), self.s.n_units, True)
+        return row
+
+    def candidates(self, t: int, p_prev=None):
+        """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
+        row = self._row(t)[0]
         limits = _ramp_limits(self.s, p_prev)
         if limits is None:
             return row
@@ -121,12 +138,13 @@ class Stages:
         solved = _solved(self.s, t, limits, [c[0] for c, ok in zip(row, met) if not ok])
         return sorted([c for c, ok in zip(row, met) if ok] + solved, key=lambda c: c[0])
 
-    def q(self, t: int) -> np.ndarray:
-        """Ramp-relaxed Q at t over all 2^N modes, inf where infeasible."""
-        out = np.full(1 << self.s.n_units, np.inf)
-        for mi, _, _, q in self.candidates(t):
-            out[mi] = q
-        return out
+    def stacked(self, t: int, p_prev=None):
+        """(candidates, mode ints, Q, dispatches): `candidates(t, p_prev)`
+        and the same candidates as arrays, one entry or row each; the
+        relaxed row's own, or new ones for a merged ramped list."""
+        cands = self.candidates(t, p_prev)
+        row = self._rows[t]
+        return row if cands is row[0] else _stack(cands, self.s.n_units)
 
     def kappa_row(self, i_prev: int) -> np.ndarray:
         """Row i_prev of the switching matrix, built on first use and
@@ -141,18 +159,38 @@ class Stages:
         """value[t, ip]: optimal ramp-relaxed tail stage cost entering
         period t with previous mode ip, for t = first..T+1 (row T+1 is 0,
         rows before `first` are left 0 and their periods unsolved);
-        computed for every ip, reachable or not."""
+        computed for every ip, reachable or not, inf with no feasible
+        mode at t."""
         T = self.s.horizon
         K = switching_matrix(self.s)
         value = np.zeros((T + 2, 1 << self.s.n_units))
         for t in range(T, first - 1, -1):
-            value[t] = (K + self.q(t) + value[t + 1]).min(1)
+            _, ints, q, _ = self._row(t)
+            value[t] = (K[:, ints] + q + value[t + 1, ints]).min(1, initial=np.inf)
         return value
 
     def best_next(self, value: np.ndarray, t: int, i_prev: int) -> int:
         """Mode int that opens the optimal ramp-relaxed tail entering t
-        from previous mode i_prev, given the table from `values()`."""
-        return tie_band(self.kappa_row(i_prev) + self.q(t) + value[t + 1])[1]
+        from previous mode i_prev, given the table from `values()`; mode
+        0 when no tail is finite, where every mode ties at inf."""
+        _, ints, q, _ = self._row(t)
+        v = self.kappa_row(i_prev)[ints] + q + value[t + 1, ints]
+        return int(ints[tie_band(v)[1]]) if np.isfinite(v).any() else 0
+
+
+def _stack(cands, n_units, shared=False):
+    """(candidates, mode ints, Q, dispatches) of a candidate list, the
+    arrays as intp, float and (len, n_units + 2) float. `shared`, for a
+    table's relaxed row: the arrays are read-only, and the candidates
+    returned are new tuples whose dispatches are rows of the matrix."""
+    ints = np.array([c[0] for c in cands], dtype=np.intp)
+    q = np.array([c[3] for c in cands], dtype=float)
+    dispatches = np.array([c[2] for c in cands] or np.empty((0, n_units + 2)), dtype=float)
+    if shared:
+        for a in (ints, q, dispatches):
+            a.flags.writeable = False
+        cands = [(v, mode, d, qv) for (v, mode, _, qv), d in zip(cands, dispatches)]
+    return cands, ints, q, dispatches
 
 
 class _Bound:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import weakref
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
@@ -124,9 +125,15 @@ class Scenario:
         return len(self.periods)
 
     def period(self, t: int) -> PeriodExogenous:
-        """Exogenous data for period t, 1-indexed (t = 1..T)."""
-        if not 1 <= t <= len(self.periods):
-            raise ScenarioError(f"period t={t} outside horizon 1..{len(self.periods)}")
+        """Exogenous data for period t, 1-indexed (t = 1..T). t is an
+        integer, Python's or numpy's; 2.0 is refused like 0 is."""
+        try:
+            ok = 1 <= operator.index(t) <= len(self.periods)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ScenarioError(f"period t={t!r} is not an integer in the horizon "
+                                f"1..{len(self.periods)}")
         return self.periods[t - 1]
 
     def has_dg(self) -> bool:

@@ -12,12 +12,15 @@ from ucdkit import (
     BasisSpec,
     DisturbanceScript,
     ModelMismatchError,
+    ScenarioError,
     TrainConfig,
     UcdError,
+    assemble,
     default_basis,
     enumerate_optimal,
     enumerate_tail,
     load_model,
+    mode_candidates,
     save_model,
     schedule_step,
     schedule_text,
@@ -76,7 +79,7 @@ def test_seed_changes_samples_not_quality(e1c1):
 
 def _tail_value(model, t, mode, dispatch):
     """Jhat_t at one dispatch state entering t from `mode`."""
-    return _tail_values(model, t, [(mode_to_int(mode), mode, dispatch)])[0]
+    return _tail_values(model, t, np.array([mode_to_int(mode)]), np.array([dispatch]))[0]
 
 
 def test_value_matches_exact_tails(e1c1, model_e1c1, drawn_states):
@@ -90,7 +93,7 @@ def test_value_beyond_horizon(model_e1c1, e1c1):
 
 
 def test_missing_state_raises(model_e1c1):
-    with pytest.raises(ModelMismatchError):
+    with pytest.raises(ModelMismatchError, match="t=3, I_prev=00"):
         # period 3 never has (0, 0) as a feasible previous mode
         _tail_value(model_e1c1, 3, (0, 0), np.zeros(4))
 
@@ -337,6 +340,23 @@ def test_wrong_length_previous_modes_are_rejected(e1c1, model_e1c1):
             enumerate_tail(e1c1, 3, bad, p_prev)
         with pytest.raises(ValueError, match="2 entries"):
             schedule_step(model_e1c1, e1c1, 3, bad, p_prev)
+
+
+def test_a_period_that_is_not_an_integer_is_refused(e1c1, model_e1c1):
+    # 2.0 passes a range check, and a table that holds row 2 would read
+    # it as period 2; every entry point refuses a t that is not an
+    # integer with the ScenarioError of a t outside the horizon
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    for bad in (2.5, 2.0, np.float64(2.0), "2", 0, 7):
+        for call in (lambda: schedule_step(model_e1c1, e1c1, bad, (1, 0), p_prev),
+                     lambda: assemble(e1c1, bad, (1, 0)),
+                     lambda: mode_candidates(e1c1, bad)):
+            with pytest.raises(ScenarioError, match="not an integer in the horizon 1..6"):
+                call()
+    want = schedule_step(model_e1c1, e1c1, 2, (1, 0), p_prev)
+    for ok in (np.int64(2), np.intp(2)):
+        assert _same_decision(schedule_step(model_e1c1, e1c1, ok, (1, 0), p_prev), want)
+        assert assemble(e1c1, ok, (1, 0)).h.tobytes() == assemble(e1c1, 2, (1, 0)).h.tobytes()
 
 
 def test_a_dead_end_names_its_period_and_previous_mode(e1c1_overloaded, model_e1c1):

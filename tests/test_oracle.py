@@ -22,10 +22,12 @@ from ucdkit import (
     simulate,
     train,
 )
-from ucdkit.costs import switching_cost
+from ucdkit.costs import switching_cost, switching_matrix
 from ucdkit.hybrid import int_to_mode, mode_to_int
-from ucdkit.oracle import Stages
+from ucdkit.oracle import Stages, tie_band
 from ucdkit.qp import mode_candidates
+
+from test_qp import _with_ramps
 
 
 def test_case1_argmin(e1c1):
@@ -286,6 +288,66 @@ def test_relaxed_exact_value_table_equals_enumeration(name, drawn_states):
         first = (int_to_mode(stages.best_next(value, t, ip), s.n_units)
                  if t <= s.horizon and np.isfinite(value[t, ip]) else None)
         assert (value[t, ip], first) == (cost, seq[0] if seq else None), (t, i_prev)
+
+
+def _assert_stacked_is_the_list(cands, ints, q, dispatches, n_units):
+    assert ints.dtype == np.intp and ints.tolist() == [c[0] for c in cands]
+    assert (np.diff(ints) > 0).all()
+    assert q.tobytes() == np.array([c[3] for c in cands], dtype=float).tobytes()
+    assert dispatches.shape == (len(cands), n_units + 2)
+    assert [d.tobytes() for d in dispatches] == [c[2].tobytes() for c in cands]
+
+
+def test_stacked_rows_are_their_candidates(drawn_states):
+    # a relaxed row is kept as candidate tuples and as read-only arrays
+    # built once with it, whose dispatch rows are the tuples' dispatches
+    # (one copy); a merged ramped list gets arrays of its own on each call
+    s = _with_ramps(load_bundled_scenario("example2_case1"), 0.5)
+    stages = Stages(s)
+    for t in range(1, s.horizon + 1):
+        row = stages.stacked(t)
+        assert row[0] is stages.candidates(t)
+        _assert_stacked_is_the_list(*row, s.n_units)
+        assert all(a is b for a, b in zip(stages.stacked(t), row))
+        for a in row[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert all(c[2].base is row[3] for c in row[0])
+    merged = 0
+    for t, _, p_prev in drawn_states(s, 1, seed=4)[::5]:
+        got = stages.stacked(t, p_prev)
+        assert [(c[0], c[2].tobytes()) for c in got[0]] == [
+            (c[0], c[2].tobytes()) for c in stages.candidates(t, p_prev)]
+        _assert_stacked_is_the_list(*got, s.n_units)
+        if got[0] is not stages.stacked(t)[0]:
+            merged += 1
+            again = stages.stacked(t, p_prev)
+            assert not any(np.shares_memory(a, b)
+                           for a in got[1:] for b in stages.stacked(t)[1:] + again[1:])
+    assert merged > 10
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("overloaded",))
+def test_values_and_best_next_read_feasible_columns_bit_for_bit(name, e1c1_overloaded):
+    # both read only a row's feasible modes; over all 2^N columns, the
+    # others being inf, they give the same bits and the same argmin. No
+    # mode is feasible at t=4 of the overloaded fleet, so no tail is
+    # finite before it either, and every mode ties at inf: best_next
+    # gives mode 0, which is not feasible there
+    s = e1c1_overloaded if name == "overloaded" else load_bundled_scenario(name)
+    stages = Stages(s)
+    value = stages.values()
+    K = switching_matrix(s)
+    for t in range(s.horizon, 0, -1):
+        q = np.full(1 << s.n_units, np.inf)
+        for mi, _, _, qv in stages.candidates(t):
+            q[mi] = qv
+        assert value[t].tobytes() == (K + q + value[t + 1]).min(1).tobytes(), t
+        for ip in range(1 << s.n_units):
+            assert stages.best_next(value, t, ip) == tie_band(K[ip] + q + value[t + 1])[1]
+    if name == "overloaded":
+        assert np.isinf(value[1:5]).all() and not stages.candidates(4)
+        assert stages.candidates(3)[0][0] != 0 and stages.best_next(value, 3, 3) == 0
 
 
 def test_tables_of_one_scenario_share_read_only_switching_rows():

@@ -17,13 +17,16 @@ from hypothesis import strategies as st
 
 from ucdkit import (
     BUNDLED_SCENARIOS,
+    BasisSpec,
     CetParams,
     DisturbanceScript,
     PeriodExogenous,
     Scenario,
     Schedule,
     ThermalUnitParams,
+    TrainConfig,
     UcdError,
+    ValueModel,
     VirtualResourceParams,
     assemble,
     enumerate_tail,
@@ -37,14 +40,17 @@ from ucdkit import (
     schedule_step,
     simulate,
     solve,
+    train,
 )
 from ucdkit import _kernels
 from ucdkit.cli import main
+from ucdkit.clho import _tail_values, basis_matrix, decide
 from ucdkit.costs import running_cost, switching_cost
-from ucdkit.oracle import Stages
-from ucdkit.qp import KKT_TOL, _solved, mode_candidates
+from ucdkit.oracle import Stages, tie_band
+from ucdkit.qp import KKT_TOL, _solved, mode_candidates, mode_to_int
 
 from test_costs import startup_cost_reference
+from test_qp import _tiled_fleet, _with_ramps
 
 SUITE = settings(
     max_examples=1000,
@@ -646,3 +652,92 @@ def test_malformed_states_are_refused(e1c1, model_e1c1, e1c1_model_file, state, 
                          "--from-t", str(t), f"--state={state_text}",
                          f"--prev-mode={mode_text}"])
     assert (rc, out) == (1, "") and err.startswith("error: ")
+
+
+# --- suite 8: stacked tails and closed-loop decisions -----------------------
+
+@SUITE
+@given(st.integers(1, 300), st.integers(0, 11), st.integers(0, 2**32 - 1))
+def test_stacked_tails_are_the_per_candidate_dots(k, n_coords, seed):
+    # `_tail_values` prices every candidate in one stacked matmul; each
+    # tail must be float(np.dot(w, x)) of its own row, to the bit, over
+    # weights and features spread across many magnitudes, with 1 to 23
+    # features (the constant-only basis included)
+    rng = np.random.default_rng(seed)
+    n_units = 10
+    basis = BasisSpec(coords=tuple(sorted(
+        rng.choice(n_units + 2, n_coords, replace=False).tolist())))
+    ints = np.sort(rng.choice(1 << n_units, k, replace=False))
+    W = rng.normal(size=(k, basis.n_features)) * 10.0 ** rng.uniform(-4, 4, (k, basis.n_features))
+    dispatches = rng.uniform(0.0, 500.0, (k, n_units + 2)) * (rng.random((k, n_units + 2)) < 0.8)
+    model = ValueModel(basis=basis, horizon=3, n_units=n_units,
+                       weights={(2, mi): w for mi, w in zip(ints.tolist(), W)},
+                       fingerprint="", seed=0, samples=1, regularization=0.0)
+    got = _tail_values(model, 2, ints, dispatches)
+    want = [float(np.dot(w, x)) for w, x in zip(W, basis_matrix(basis, dispatches))]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def _seeded_fleet(n_units, seed):
+    """example2_case1's units tiled to n_units, a and b perturbed by the seed."""
+    s = _tiled_fleet(n_units)
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(s, units=tuple(
+        dataclasses.replace(u, a=u.a * rng.uniform(0.98, 1.02), b=u.b * rng.uniform(0.98, 1.02))
+        for u in s.units))
+
+
+@pytest.fixture(scope="module")
+def decision_models():
+    """(scenario, trained model): the bundled fleets, a seeded 8-unit
+    fleet and example2_case1 with ramps enforced, whose decisions read
+    merged ramped candidate lists."""
+    fleets = [load_bundled_scenario(name) for name in BUNDLED_SCENARIOS]
+    fleets += [_seeded_fleet(8, 7), _with_ramps(load_bundled_scenario("example2_case1"), 0.5)]
+    return [(s, train(s, TrainConfig(samples=5 if s.ramp_enforced else 20, seed=1)))
+            for s in fleets]
+
+
+def _reference_decision(model, stages, t, i_prev, p_prev):
+    """The one-step argmin priced one candidate at a time, Q + kappa +
+    float(np.dot(w, x)); None when no mode at t is feasible."""
+    kappa = stages.kappa_row(mode_to_int(i_prev))
+    cands = stages.candidates(t, p_prev)
+    if not cands:
+        return None
+    values = []
+    for mi, _, dispatch, q in cands:
+        tail = 0.0
+        if t < model.horizon:
+            x = basis_matrix(model.basis, [dispatch])[0]
+            tail = float(np.dot(model.weights[t + 1, mi], x))
+        values.append(q + kappa[mi] + tail)
+    _, mode, dispatch, _ = cands[tie_band(values)[1]]
+    return mode, dispatch.tobytes()
+
+
+@SUITE
+@given(st.data())
+def test_decisions_are_the_per_candidate_argmin(decision_models, data):
+    # `decide` and `schedule_step` price candidates on stacked arrays and
+    # must pick the mode and dispatch bytes of the per-candidate loop,
+    # from random states of every fleet
+    s, model = data.draw(st.sampled_from(decision_models))
+    n = s.n_units
+    t = data.draw(st.integers(1, s.horizon))
+    i_prev = data.draw(st.tuples(*[st.integers(0, 1)] * n))
+    frac = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n + 2, max_size=n + 2))
+    per = s.period(max(t - 1, 1))
+    p_prev = np.array([u.p_min + f * (u.p_max - u.p_min) if on else 0.0
+                       for u, on, f in zip(s.units, i_prev, frac)]
+                      + [frac[n] * per.dg_max, frac[n + 1] * per.dr_max])
+    stages = model.stages_for(s)
+    want = _reference_decision(model, stages, t, i_prev, p_prev)
+    if want is None:
+        with pytest.raises(UcdError):
+            schedule_step(model, s, t, i_prev, p_prev)
+        return
+    mode, dispatch = decide(model, stages, t, i_prev, p_prev)
+    assert (mode, dispatch.tobytes()) == want
+    mode, dispatch = schedule_step(model, s, t, i_prev, p_prev)
+    assert (mode, dispatch.tobytes()) == want

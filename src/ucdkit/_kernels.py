@@ -17,17 +17,9 @@ inequality rows.
 
 Working-set systems of one or two rows, two thirds of the linear solves
 on an 8-unit fleet's (t, mode) grid, are solved inline on Python floats.
-Larger ones go through `solve_pivoted`, which factors (`_factor`) and
-replays that elimination once (`_replay`); the polish factors its KKT
-matrix once per working set and replays it on each right-hand side. A
-replay runs on the nonzeros: most multipliers of a KKT matrix are zero,
-and so is most of U, so only a row whose U tail holds two or more
-nonzeros goes to numpy's dot. That dot goes through BLAS,
-which may fuse a multiply and an add and picks its order of addition by
-length and stride: with numpy 2.4 on OpenBLAS 0.3.31 (x86-64, Haswell
-kernels), a length-2 dot differed from `a*c + b*d` on 30,751 of 200,000
-random pairs. So no Python sum reproduces its bits, and only numpy
-itself does.
+Larger ones are factored (`_factor`) and replayed once (`_replay`); the
+polish factors its KKT matrix once per working set and replays it on
+each right-hand side.
 
 What a call computes from the rows and H alone is kept in a `Rows`
 (see there), which a caller passes for C and may reuse: H^-1, x0, row
@@ -43,8 +35,7 @@ from operator import mul
 
 import numpy as np
 
-__all__ = ["Rows", "qp_core", "solve_pivoted", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL",
-           "FEAS_TOL", "PIVOT_TOL"]
+__all__ = ["Rows", "qp_core", "OPTIMAL", "INFEASIBLE", "NUMERIC_FAIL", "FEAS_TOL", "PIVOT_TOL"]
 
 # status codes returned by the kernel
 OPTIMAL = 0
@@ -55,35 +46,21 @@ FEAS_TOL = 1e-9      # a row holds when its slack is >= -FEAS_TOL
 PIVOT_TOL = 1e-10    # relative pivot and step threshold
 
 
-def solve_pivoted(A, rhs, tol_piv):
-    """Solve A y = rhs by Gaussian elimination with partial pivoting.
-
-    Returns None when a pivot is at or below tol_piv * max(1, max|A|),
-    so a near-singular system is reported rather than solved. The result
-    is bit for bit that of the same elimination on a numpy array: Python
-    floats round as numpy's elementwise ops do, a row whose multiple of
-    the pivot row is a zero is only updated where it holds -0.0 (nothing
-    else can change, and elimination never makes a -0.0), and
-    back-substitution keeps numpy's dot, whose order of addition a
-    sequential sum does not follow (a one-term dot is the term + 0.0,
-    an empty one +0.0). The elimination of A is `_factor`, that of rhs
-    and the back-substitution `_replay`.
-    """
-    entry = _factor(A, tol_piv)
-    return None if entry is None else _replay(entry, rhs)
-
-
 def _factor(A, tol_piv):
-    """The elimination of A that `solve_pivoted` runs, as one bytes
-    object for `_replay`, or None at a pivot at or below the tolerance:
-    the eliminated rows as k doubles each, the multipliers below the
-    diagonal (signed zeros kept) and U from it on, then the rows of A in
-    pivot order, as unsigned ints, then, where k <= 255 so that a column
-    fits a byte, the plan of a sparse replay as unsigned bytes: per row,
-    the column of the one nonzero in its U tail, 0 for none or 255 for
-    more; per row, its count of nonzero multipliers; and row after row,
-    the columns of those of each row that has a zero one. The plan is
-    read off the elimination's own rows."""
+    """Gaussian elimination with partial pivoting of A, as one bytes
+    object for `_replay`, or None at a pivot at or below
+    tol_piv * max(1, max|A|), so that a near-singular system is reported
+    rather than solved. Each row has the bits of the same elimination on
+    a numpy array: Python floats round as numpy's elementwise ops do, and
+    a row whose multiple of the pivot row is a zero is only updated where
+    it holds -0.0 (nothing else can change, and elimination never makes a
+    -0.0). The entry holds the eliminated rows as k doubles each, the
+    multipliers below the diagonal (signed zeros kept) and U from it on;
+    then the rows of A in pivot order, as unsigned ints; then the plan of
+    a replay, read off the eliminated rows, in `_plan_codes(k)`: per row,
+    the column of the one nonzero in its U tail, 0 for none or the code
+    for more; per row, its count of nonzero multipliers; and row after
+    row, the columns of those of each row that has a zero one."""
     k = len(A)
     M = [list(row) for row in A]
     tol = tol_piv * max(1.0, max(map(abs, chain.from_iterable(A)), default=0.0))
@@ -113,40 +90,60 @@ def _factor(A, tol_piv):
                 if j > c:
                     row[j] -= f * top[j]
     entry = array("d", chain.from_iterable(M)).tobytes() + array("I", P).tobytes()
-    if k > 255:                 # a column no longer fits a byte
-        return entry
     if full:
-        return entry + bytes([255] * (k - 2) + [k - 1, 0][-k:]) + bytes(range(k))
-    T, counts, cols = bytearray(k), bytearray(k), []
+        return entry + _full_plan(k)
+    code, more = _plan_codes(k)
+    T, counts, cols = [], [], []
     for i, row in enumerate(M):
-        nzc = bytes(compress(range(k), row))    # the diagonal, a pivot, is among them
-        n = counts[i] = nzc.index(i)
+        nzc = list(compress(range(k), row))     # the diagonal, a pivot, is among them
+        n = nzc.index(i)
         tail = nzc[n + 1:]
-        T[i] = 255 if len(tail) > 1 else tail[0] if tail else 0
+        T.append(more if len(tail) > 1 else tail[0] if tail else 0)
+        counts.append(n)
         if n < i:
-            cols.append(nzc[:n])
-    return entry + T + counts + b"".join(cols)
+            cols += nzc[:n]
+    return entry + array(code, T + counts + cols).tobytes()
+
+
+def _plan_codes(k):
+    """(array type code, code of a U tail of two or more nonzeros) of the
+    plan of k rows: unsigned bytes while a column fits one, unsigned ints
+    past 255 rows."""
+    return ("B", 255) if k <= 255 else ("I", 0xFFFFFFFF)
+
+
+def _full_plan(k):
+    """The plan of k rows that applies every multiplier and leaves every
+    U row but the last two to numpy's dot: that of an elimination with no
+    zero multiplier or U entry, and the one a non-finite replay takes."""
+    code, more = _plan_codes(k)
+    return array(code, [more] * (k - 2) + [k - 1, 0][-k:] + list(range(k))).tobytes()
 
 
 def _replay(entry, rhs):
     """y of A y = rhs for entry = _factor(A), as a column of a new
-    (k, k + 1) array. rhs is taken in pivot order and put through each
-    row's multipliers in column order, a zero one changing only a -0.0:
-    the operations the elimination would apply to a last column. A row
-    whose entry is not -0.0 never becomes one, so only its nonzero
-    multipliers are applied; a -0.0 row takes its full row.
+    (k, k + 1) array, with the bits and strides of the numpy
+    elimination's where y is finite. rhs is taken in pivot order and put
+    through each row's multipliers in column order, a zero one changing
+    only a -0.0: the operations the elimination would apply to a last
+    column. A row whose entry is not -0.0 never becomes one, so only its
+    nonzero multipliers are applied; a -0.0 row takes its full row.
     Back-substitution leaves a row to numpy's dot only where its U tail
     holds two or more nonzeros: with every y finite, an empty tail's dot
-    is +0.0 and a one-term one's u * y + 0.0. A non-finite y, or an
-    entry with no plan (k > 255), takes `_replay_dense`."""
+    is +0.0 and a one-term one's u * y + 0.0. That dot goes through BLAS,
+    which may fuse a multiply and an add and picks its order of addition
+    by length and stride: with numpy 2.4 on OpenBLAS 0.3.31 (x86-64,
+    Haswell kernels), a length-2 dot differed from `a*c + b*d` on 30,751
+    of 200,000 random pairs, so no Python sum reproduces its bits. A
+    non-finite y is replayed again on `_full_plan(k)` (0 * inf is not 0)."""
     k = len(rhs)
     at = 8 * k * k + 4 * k                  # where the plan starts
-    if len(entry) == at:
-        return _replay_dense(entry, rhs)
+    code, more = _plan_codes(k)
+    plan = entry[at:] if code == "B" else array(code, entry[at:])
     LU = memoryview(entry)[:8 * k * k].cast("d")
     r = [rhs[a] for a in memoryview(entry)[8 * k * k:at].cast("I")]
-    tails, pos = entry[at:at + k], at + 2 * k
-    for i, n in enumerate(entry[at + k + 1:at + 2 * k], 1):
+    pos = 2 * k
+    for i, n in enumerate(plan[k + 1:2 * k], 1):
         v = r[i]
         if n == i or not v and copysign(1.0, v) < 0.0:
             for rc, f in zip(r, LU[i * k:i * k + i]):
@@ -155,65 +152,41 @@ def _replay(entry, rhs):
             r[i] = v
         elif n:
             base = i * k
-            for j in entry[pos:pos + n]:
+            for j in plan[pos:pos + n]:
                 v -= LU[base + j] * r[j]
             r[i] = v
         if n < i:
             pos += n
-    y = np.empty((k, k + 1))[:, k]          # the dense replay's strides
-    low = tails.find(255)       # the first row with a dot; the rows after it feed one
+    tails = plan[:k]
+    y = np.empty((k, k + 1))[:, k]          # the numpy elimination's strides
+    # the first row with a dot; the rows after it feed one
+    low = tails.index(more) if more in tails else -1
     if low >= 0:
         U = np.frombuffer(entry, count=k * k).reshape(k, k)
     for c in range(k - 1, -1, -1):
         j = tails[c]
-        if j == 255:
+        if j == more:
             dot = float(U[c, c + 1:] @ y[c + 1:])
         else:
             dot = LU[c * k + j] * r[j] + 0.0 if j else 0.0
         v = r[c] = (r[c] - dot) / LU[c * (k + 1)]
         if c > low >= 0:
             y[c] = v
-    if not isfinite(sum(r)):
-        return _replay_dense(entry, rhs)
+    if not isfinite(sum(r)) and entry[at:] != (full := _full_plan(k)):
+        return _replay(entry[:at] + full, rhs)
     y[:] = r
-    return y
-
-
-def _replay_dense(entry, rhs):
-    """`_replay` on every multiplier and with every dot in numpy: the
-    replay of an entry with no plan (k > 255), and of a non-finite
-    value, which the sparse one cannot take (0 * inf is not 0)."""
-    k = len(rhs)
-    LU = memoryview(entry)[:8 * k * k].cast("d")
-    r = [rhs[a] for a in memoryview(entry)[8 * k * k:8 * k * k + 4 * k].cast("I")]
-    for i in range(1, k):
-        v = r[i]
-        for rc, f in zip(r[:i], LU[i * k:i * k + i]):
-            if f or not v and copysign(1.0, v) < 0.0:
-                v -= f * rc
-        r[i] = v
-    D = np.empty((k, k + 1))
-    D[:, :k] = np.frombuffer(entry, count=k * k).reshape(k, k)
-    y = D[:, k]
-    y[:] = r
-    for c in range(k - 1, -1, -1):
-        at = c * (k + 1)                    # LU[at] is row c's diagonal
-        if c < k - 2:
-            dot = D[c, c + 1:k] @ y[c + 1:]
-        else:
-            dot = LU[at + 1] * y[c + 1] + 0.0 if c < k - 1 else 0.0
-        y[c] = (r[c] - dot) / LU[at]
     return y
 
 
 def _solve_list(A, rhs, tol_piv):
-    """solve_pivoted(A, rhs, tol_piv) as a list of Python floats, or None.
+    """`_replay(_factor(A, tol_piv), rhs)` as a list of Python floats,
+    or None where `_factor` gives None.
 
     One and two rows, most working-set systems, are solved inline: the
     same pivot choice, tolerance test, elimination and back-substitution
-    as solve_pivoted, whose back-substitution at these sizes uses no
-    numpy dot, so the result has the same bits without building the
-    augmented matrix or an array.
+    as `_factor` and `_replay`, whose back-substitution at these sizes
+    uses no numpy dot, so the result has the same bits without building
+    an entry or an array.
     """
     if len(rhs) == 1:
         a = A[0][0]
@@ -221,8 +194,8 @@ def _solve_list(A, rhs, tol_piv):
             return None
         return [rhs[0] / a]
     if len(rhs) > 2:
-        y = solve_pivoted(A, rhs, tol_piv)
-        return None if y is None else y.tolist()
+        entry = _factor(A, tol_piv)
+        return None if entry is None else _replay(entry, rhs).tolist()
     (a, b), (c, d) = A
     r0, r1 = rhs
     tol = tol_piv * max(1.0, max(abs(a), abs(b), abs(c), abs(d)))

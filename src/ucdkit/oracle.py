@@ -29,7 +29,7 @@ from .costs import quota_rebate, switching_cost, switching_matrix, switching_row
 from .errors import BudgetExceededError, UcdError
 from .hybrid import Schedule, schedule_text
 from .qp import _check_dispatch, _meets_ramps, _ramp_limits, _solved, int_to_mode, mode_to_int
-from .scenario import Scenario, _per_object
+from .scenario import Scenario, _per_object, _period_index
 
 __all__ = [
     "OracleResult",
@@ -281,8 +281,10 @@ def enumerate_tail(s: Scenario, t: int, i_prev, p_prev,
     budget. Tail costs carry no rebate (it is a horizon constant,
     charged once by whoever assembles the full objective). `stages`, a
     table of `s` the caller already holds, spares re-solving its rows.
-    A previous dispatch other than N or N+2 finite entries >= 0, or a
-    table of another scenario object, raises ValueError."""
+    A t that is not an integer in 1..T+1 (T+1 enters the empty tail)
+    raises ScenarioError; a previous dispatch other than N or N+2 finite
+    entries >= 0, or a table of another scenario object, ValueError."""
+    t = _period_index(t, s.horizon + 1)
     _check_dispatch(p_prev, s.n_units)
     if stages is None:
         stages = Stages(s)

@@ -49,9 +49,8 @@ builds each QpProblem and QpSolution by filling its __dict__, not
 through the frozen dataclass __init__ that sets field by field, and
 `solve` hands the kernel `h` as assembled. On an 8-unit relaxed grid
 (85% infeasible; warm, 2-CPU machine) a mode costs about 43 µs on the
-public path against 38 µs on the lean one, down from 51 against 39
-with the generated __init__; what is left is the two records and the
-violation of an infeasible verdict. Relaxed rows stay on `solve` for
+public path against 38 µs on the lean one; what is left is the two
+records and the violation of an infeasible verdict. Relaxed rows stay on `solve` for
 the benchmark: its tracer counts solves there, and its tests pin their
 number (2,304 for graph DP, `train` and `simulate` on relaxed
 example2_case1). A mode solved from a previous dispatch with ramps

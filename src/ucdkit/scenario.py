@@ -127,14 +127,7 @@ class Scenario:
     def period(self, t: int) -> PeriodExogenous:
         """Exogenous data for period t, 1-indexed (t = 1..T). t is an
         integer, Python's or numpy's; 2.0 is refused like 0 is."""
-        try:
-            ok = 1 <= operator.index(t) <= len(self.periods)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ScenarioError(f"period t={t!r} is not an integer in the horizon "
-                                f"1..{len(self.periods)}")
-        return self.periods[t - 1]
+        return self.periods[_period_index(t, len(self.periods)) - 1]
 
     def has_dg(self) -> bool:
         return any(p.dg_max > 0.0 for p in self.periods)
@@ -145,6 +138,17 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+def _period_index(t, last):
+    """t as an int where it is an integer in 1..last, else ScenarioError."""
+    try:
+        i = operator.index(t)
+    except TypeError:
+        i = 0
+    if not 1 <= i <= last:
+        raise ScenarioError(f"period t={t!r} is not an integer in the horizon 1..{last}")
+    return i
+
 
 def _as_float(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -57,7 +57,11 @@ class DisturbanceScript:
         seen = -1
         norm = []
         for t, values in self.overrides:
-            if t != int(t):
+            try:
+                whole = t == int(t)
+            except (TypeError, ValueError, OverflowError):     # None, nan, inf
+                whole = False
+            if not whole:
                 raise UcdError(f"disturbance period {t!r} is not an integer")
             t = int(t)
             if t <= seen:

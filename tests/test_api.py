@@ -33,6 +33,7 @@ REMOVED = {
     "clho": ("approx_value", "basis_vector", "step_values"),
     "costs": ("startup_cost_reference",),
     "scenario": ("bundled_scenario_path",),
+    "_kernels": ("solve_pivoted",),
 }
 
 

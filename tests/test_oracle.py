@@ -9,6 +9,7 @@ import ucdkit.qp
 from ucdkit import (
     BUNDLED_SCENARIOS,
     BudgetExceededError,
+    ScenarioError,
     UcdError,
     compare_with_oracle,
     enumerate_optimal,
@@ -137,6 +138,20 @@ def test_tail_beyond_horizon_is_zero(e1c1):
     cost, modes = enumerate_tail(e1c1, 7, (1, 1), np.zeros(4))
     assert cost == 0.0
     assert modes == ()
+
+
+def test_tail_refuses_a_period_outside_1_to_T_plus_1(e1c1):
+    # a table keys its rows by t, so once it holds row 2 a t of 2.0 would
+    # read it; a t past T+1 would walk no period and price the tail 0
+    p_prev = np.array([300.0, 0.0, 0.0, 0.0])
+    st = Stages(e1c1)
+    want = enumerate_tail(e1c1, 2, (1, 0), p_prev, stages=st)
+    for bad in (2.0, np.float64(2.0), 2.5, "2", None, 0, 8):
+        for table in (st, None):
+            with pytest.raises(ScenarioError, match="not an integer in the horizon 1..7"):
+                enumerate_tail(e1c1, bad, (1, 0), p_prev, stages=table)
+    assert enumerate_tail(e1c1, np.int64(2), (1, 0), p_prev, stages=st) == want
+    assert enumerate_tail(e1c1, np.int64(7), (1, 0), p_prev, stages=st) == (0.0, ())
 
 
 def test_tail_refuses_a_table_of_another_scenario(e2c1, e2c2):

@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import re
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -272,27 +273,35 @@ def test_kernel_path_pinned_on_bundled_grids(name):
     assert (optimal, iterations, dict(rows)) == KERNEL_PATH[name]
 
 
+def _solve_pivoted(A, rhs, tol_piv):
+    """The kernel's Gaussian elimination with partial pivoting of A y =
+    rhs: `_factor` and then `_replay`, or None at a pivot at or below the
+    tolerance."""
+    entry = _kernels._factor(A, tol_piv)
+    return None if entry is None else _kernels._replay(entry, rhs)
+
+
 def test_solve_pivoted_matches_linalg():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
     rhs = rng.normal(size=6)
     A0, rhs0 = A.copy(), rhs.copy()
-    y = _kernels.solve_pivoted(A, rhs, PIVOT_TOL)
+    y = _solve_pivoted(A, rhs, PIVOT_TOL)
     assert np.max(np.abs(y - np.linalg.solve(A, rhs))) <= 1e-12
     assert np.array_equal(A, A0) and np.array_equal(rhs, rhs0)  # not modified in place
 
 
 def test_solve_pivoted_fails_at_the_pivot_tolerance():
     # tolerance is tol_piv * max(1, max|A|); a pivot equal to it fails
-    assert _kernels.solve_pivoted([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], PIVOT_TOL) is None
-    assert _kernels.solve_pivoted([[4.0, 0.0], [0.0, 4e-3]], [1.0, 1.0], 1e-3) is None
-    y = _kernels.solve_pivoted([[4.0, 0.0], [0.0, 5e-3]], [1.0, 1.0], 1e-3)
+    assert _solve_pivoted([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], PIVOT_TOL) is None
+    assert _solve_pivoted([[4.0, 0.0], [0.0, 4e-3]], [1.0, 1.0], 1e-3) is None
+    y = _solve_pivoted([[4.0, 0.0], [0.0, 5e-3]], [1.0, 1.0], 1e-3)
     assert y == pytest.approx([0.25, 200.0])
 
 
 def test_small_solve_is_solve_pivoted_to_the_bit():
     # the kernel solves 1- and 2-row working-set systems inline; every
-    # outcome, None included, must be solve_pivoted's to the bit
+    # outcome, None included, must be `_factor` and `_replay`'s to the bit
     tol = PIVOT_TOL
     above = float(np.nextafter(tol, 1.0))
     # max |A| <= 1 keeps the tolerance at tol, so pivots land on it and
@@ -309,7 +318,7 @@ def test_small_solve_is_solve_pivoted_to_the_bit():
         cases.append(((rng.normal(size=(k, k)) * scale).tolist(), rng.normal(size=k).tolist()))
     outcomes = Counter()
     for A, rhs in cases:
-        want = _kernels.solve_pivoted(A, rhs, tol)
+        want = _solve_pivoted(A, rhs, tol)
         got = _kernels._solve_list(A, rhs, tol)
         assert (got is None) == (want is None), (A, rhs)
         if want is None:
@@ -575,7 +584,7 @@ def test_solve_pivoted_is_dense_elimination_to_the_bit():
     # sides, as the polish replays a kept factorization
     # a one-term dot: numpy adds it to +0.0, so -0.0 - (1.0 * -0.0) is -0.0
     want = _dense_elimination(np.array([[1.0, 1.0], [-0.0, 1.0]]), np.array([-0.0, -0.0]), PIVOT_TOL)
-    got = _kernels.solve_pivoted([[1.0, 1.0], [-0.0, 1.0]], [-0.0, -0.0], PIVOT_TOL)
+    got = _solve_pivoted([[1.0, 1.0], [-0.0, 1.0]], [-0.0, -0.0], PIVOT_TOL)
     assert got.tobytes() == want.tobytes() == np.array([-0.0, -0.0]).tobytes()
     rng = np.random.default_rng(11)
     solved = negative_zeros = 0
@@ -600,7 +609,7 @@ def test_solve_pivoted_is_dense_elimination_to_the_bit():
         for _ in range(4):
             rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3], size=n + k)
             want = _dense_elimination(K, rhs, PIVOT_TOL)
-            got = _kernels.solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)
+            got = _solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)
             assert (got is None) == (want is None) == (entry is None)
             if want is None:
                 continue
@@ -611,14 +620,40 @@ def test_solve_pivoted_is_dense_elimination_to_the_bit():
     assert solved > 400 and negative_zeros > 100, (solved, negative_zeros)
 
 
+def _replay_dense(entry, rhs):
+    """Reference: `_kernels._replay` on every multiplier and with every
+    dot in numpy, as its non-finite values take it."""
+    k = len(rhs)
+    LU = memoryview(entry)[:8 * k * k].cast("d")
+    r = [rhs[a] for a in memoryview(entry)[8 * k * k:8 * k * k + 4 * k].cast("I")]
+    for i in range(1, k):
+        v = r[i]
+        for rc, f in zip(r[:i], LU[i * k:i * k + i]):
+            if f or not v and math.copysign(1.0, v) < 0.0:
+                v -= f * rc
+        r[i] = v
+    D = np.empty((k, k + 1))
+    D[:, :k] = np.frombuffer(entry, count=k * k).reshape(k, k)
+    y = D[:, k]
+    y[:] = r
+    for c in range(k - 1, -1, -1):
+        at = c * (k + 1)                    # LU[at] is row c's diagonal
+        if c < k - 2:
+            dot = D[c, c + 1:k] @ y[c + 1:]
+        else:
+            dot = LU[at + 1] * y[c + 1] + 0.0 if c < k - 1 else 0.0
+        y[c] = (r[c] - dot) / LU[at]
+    return y
+
+
 def test_sparse_replay_is_the_dense_one_to_the_bit():
     # `_replay` applies only nonzero multipliers, sends a -0.0 row through
     # its full row, and leaves to numpy's dot only the U rows whose tail
     # holds two or more nonzeros. On systems with zeros of either sign
     # planted in A and in the right-hand side it must give the bytes and
     # strides of the dense replay and of the numpy elimination, and so
-    # must an entry whose plan is stripped (as one of more than 255 rows
-    # has none); a non-finite right-hand side must give the dense
+    # must the same entry on the full plan, which applies every
+    # multiplier; a non-finite right-hand side must give the dense
     # replay's bytes. Every plan must be the one read off its LU
     rng = np.random.default_rng(23)
     seen = Counter()
@@ -641,19 +676,22 @@ def _replay_cases(rng, seen):
         entry = _kernels._factor(A.tolist(), PIVOT_TOL)
         if entry is None:
             continue
-        plan = entry[8 * k * k + 4 * k:]
+        at = 8 * k * k + 4 * k
+        plan = entry[at:]
         assert plan == _plan_of(np.frombuffer(entry, count=k * k).reshape(k, k))
+        full = _kernels._full_plan(k)
+        assert full == _plan_of(np.ones((k, k)))
         seen.update("empty" if j == 0 else "dot" if j == 255 else "one" for j in plan[:k])
         seen["partial row"] += any(0 < n < i for i, n in enumerate(plan[k:2 * k]))
-        seen["full"] += plan[k:2 * k] == bytes(range(k))
+        seen["full"] += plan == full
         for _ in range(4):
             rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3, 1e-300], size=k)
             if rng.random() < 0.1:
                 rhs[rng.integers(k)] = rng.choice([np.inf, -np.inf, np.nan])
             got = _kernels._replay(entry, rhs.tolist())
-            dense = _kernels._replay_dense(entry, rhs.tolist())
-            stripped = _kernels._replay(entry[:8 * k * k + 4 * k], rhs.tolist())
-            for y in (got, stripped):
+            dense = _replay_dense(entry, rhs.tolist())
+            on_full = _kernels._replay(entry[:at] + full, rhs.tolist())
+            for y in (got, on_full):
                 assert y.tobytes() == dense.tobytes() and y.strides == dense.strides
             if not np.isfinite(dense).all():
                 seen["non-finite"] += 1
@@ -668,20 +706,23 @@ def _holds_negative_zero(values):
 
 
 def _plan_of(LU):
-    """The replay plan `_factor` documents, read off an LU array."""
+    """The replay plan `_factor` documents, read off an LU array: unsigned
+    bytes up to 255 rows, with 255 for a U tail of two or more nonzeros,
+    and unsigned ints past them, with 2**32 - 1."""
     k = len(LU)
+    code, more = ("B", 255) if k <= 255 else ("I", 2**32 - 1)
     tails = [np.flatnonzero(LU[i, i + 1:]) + i + 1 for i in range(k)]
     mults = [np.flatnonzero(LU[i, :i]) for i in range(k)]
-    return (bytes(0 if len(t) == 0 else int(t[0]) if len(t) == 1 else 255 for t in tails)
-            + bytes(len(c) for c in mults)
-            + b"".join(bytes(c.tolist()) for i, c in enumerate(mults) if len(c) < i))
+    return array(code, [0 if len(t) == 0 else int(t[0]) if len(t) == 1 else more for t in tails]
+                 + [len(c) for c in mults]
+                 + [j for i, c in enumerate(mults) if len(c) < i for j in c.tolist()]).tobytes()
 
 
 def test_a_system_past_255_rows_replays_densely():
-    # a plan's columns are bytes, so an entry of more than 255 rows has
-    # none. A KKT matrix of 250 units, a balance over the first 240 and
-    # box rows on the last 9, puts the one nonzero of the last U tails
-    # past column 255
+    # past 255 rows a plan's columns are unsigned ints. A KKT matrix of
+    # 250 units, a balance over the first 240 and box rows on the last 9,
+    # puts the one nonzero of the last U tails past column 255; a
+    # non-finite right-hand side takes the full plan
     rng = np.random.default_rng(5)
     n, k = 250, 10
     N = np.zeros((k, n))
@@ -692,13 +733,20 @@ def test_a_system_past_255_rows_replays_densely():
     K[:n, n:] = -N.T
     K[n:, :n] = N
     entry = _kernels._factor(K.tolist(), PIVOT_TOL)
-    assert len(entry) == 8 * (n + k) ** 2 + 4 * (n + k)
+    plan = entry[8 * (n + k) ** 2 + 4 * (n + k):]
+    assert plan == _plan_of(np.frombuffer(entry, count=(n + k) ** 2).reshape(n + k, n + k))
+    assert any(255 < j < n + k for j in array("I", plan)[:n + k])     # a tail's one column
     for _ in range(3):
         rhs = rng.choice([-0.0, 0.0, 1.0, -40.0, 0.3], size=n + k)
         want = _dense_elimination(K, rhs, PIVOT_TOL)
         for y in (_kernels._replay(entry, rhs.tolist()),
-                  _kernels.solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)):
+                  _solve_pivoted(K.tolist(), rhs.tolist(), PIVOT_TOL)):
             assert y.tobytes() == want.tobytes() and y.strides == want.strides
+    rhs[n] = np.inf
+    with np.errstate(all="ignore"):
+        got, want = _kernels._replay(entry, rhs.tolist()), _replay_dense(entry, rhs.tolist())
+    assert not np.isfinite(want).all()
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 def test_a_fleet_of_256_units_is_polished():

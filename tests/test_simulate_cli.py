@@ -39,7 +39,8 @@ def test_disturbance_periods_strictly_increasing():
 
 
 def test_disturbance_periods_must_be_integral():
-    for bad in (2.5, np.float64(3.9)):
+    # int() raises on nan, inf and None, and a str never equals its int
+    for bad in (2.5, np.float64(3.9), float("nan"), float("inf"), -np.inf, None, "2"):
         with pytest.raises(UcdError, match="not an integer"):
             DisturbanceScript(overrides=((bad, (1.0, 2.0)),))
     script = DisturbanceScript(overrides=((2.0, (1.0, 2.0)), (np.int64(3), (1.0, 2.0))))

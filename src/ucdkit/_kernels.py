@@ -263,19 +263,17 @@ class Rows:
     balance row flipped to the other side of its equality: its product
     sums differ from the unflipped ones in the sign of a zero, and no key
     carries the sign.
-    `normals` may be shared by every `Rows` of one C, and `pool`, one
-    float object per value of H^-1 and x0, by any number of them. A
-    `Rows` never writes its arrays.
+    `normals` may be shared by every `Rows` of one C. A `Rows` never
+    writes its arrays.
     """
 
     __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "steps", "polish")
 
-    def __init__(self, hdiag, glin, C, normals=None, pool=None):
+    def __init__(self, hdiag, glin, C, normals=None):
         self.C, self.shape, self.hdiag, self.glin = C, C.shape, hdiag, glin
         self.normals = {} if normals is None else normals   # row -> normal, a list
-        pool = {} if pool is None else pool
         hinv = 1.0 / hdiag
-        self.x0, self.hinv = ([_kept(v, pool) for v in a.tolist()] for a in (-glin * hinv, hinv))
+        self.x0, self.hinv = (-glin * hinv).tolist(), hinv.tolist()
         self.steps = {}     # bytes((p, *W)) -> step direction
         self.polish = {}    # bytes(W) -> _factor of W's KKT matrix, or None
 
@@ -285,17 +283,6 @@ class Rows:
         if npvec is None:
             npvec = self.normals[p] = self.C[p].tolist()
         return npvec
-
-
-def _kept(v, pool):
-    """The pool's float object of v's value. Nonzero floats that compare
-    equal have equal bits; a zero keeps its sign."""
-    if v:
-        return pool.setdefault(v, v)
-    return _NEG_ZERO if copysign(1.0, v) < 0.0 else _ZERO
-
-
-_ZERO, _NEG_ZERO = 0.0, -0.0
 
 
 def qp_core(hdiag, glin, rows, bvec, max_iter):

@@ -11,16 +11,14 @@ one-step argmin per period against the trained tail values; new initial
 states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
-across decisions; with ramps enforced each decision's candidates are
-read off the period's relaxed row (`oracle.Stages.candidates`).
+across decisions.
 
-A decision costs a fixed number of numpy calls per period, whatever the
-number of candidates: it reads them as stacked arrays
-(`oracle.Stages.stacked`), gathers their weights once and prices every
-tail in one stacked matmul. numpy runs each row of that matmul through
-the BLAS dot that np.dot(w, x) calls, so every value, argmin and
-trained weight has the bits of a candidate-by-candidate loop; einsum
-and a row sum of W * X round differently and are not used.
+A decision reads its candidates as one stage row (`oracle.Stages.row`),
+gathers their weights once and prices every tail in one stacked
+matmul. numpy runs each row of that matmul through the BLAS dot that
+np.dot(w, x) calls, so every value, argmin and trained weight has the
+bits of a candidate-by-candidate loop; einsum and a row sum of W * X
+round differently and are not used.
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
@@ -38,7 +36,7 @@ import numpy as np
 from .costs import switching_matrix
 from .errors import ModelMismatchError, UcdError
 from .oracle import Stages, tie_band
-from .qp import _check_dispatch, int_to_mode, mode_to_int
+from .qp import _check_dispatch, _commitments, int_to_mode, mode_to_int
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -184,7 +182,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     # ramp-relaxed candidates per period; also the existence check
     stages = Stages(s)
     for t in range(1, s.horizon + 1):
-        if not stages.candidates(t):
+        if not len(stages.row(t)[0]):
             raise UcdError(f"no feasible commitment at period t={t}; cannot train")
     # targets read rows of the full switching matrix, which is dropped
     # after training rather than kept with the scenario object's shared
@@ -197,14 +195,13 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     for t in range(s.horizon, 0, -1):
         # previous modes: anything at t=1 (callers may start from
         # arbitrary states), the feasible modes of t-1 afterwards
-        prev_modes = (range(1 << s.n_units) if t == 1
-                      else [mi for mi, _, _, _ in stages.candidates(t - 1)])
+        prev_modes = range(1 << s.n_units) if t == 1 else stages.row(t - 1)[0].tolist()
         # without ramp coupling both the dispatch and the tail term are
         # per-(t, I) constants, so every previous mode's target is one
         # minimum of Q + Jhat_{t+1} + kappa over the feasible modes, the
         # only ones that can attain it
         if not s.ramp_enforced:
-            _, ints, q, dispatches = stages.stacked(t)
+            ints, q, dispatches = stages.row(t)
             targets = (q + _tail_values(model, t + 1, ints, dispatches) + K[:, ints]).min(1)
         for ip in prev_modes:
             ip_bits = int_to_mode(ip, s.n_units)
@@ -274,38 +271,49 @@ def _tail_values(model, t, ints, dispatches):
 
 def _step(model, stages, t, kappa, p_prev):
     """One Bellman step from state (i_prev, p_prev) entering period t,
-    given `kappa`, row i_prev of the switching matrix: the feasible
-    candidates (mode int, mode, dispatch, Q), ascending mode int, and
-    their values Q + kappa + Jhat_{t+1}."""
-    cands, ints, q, dispatches = stages.stacked(t, p_prev)
-    return cands, q + kappa[ints] + _tail_values(model, t + 1, ints, dispatches)
+    given `kappa`, row i_prev of the switching matrix: the stage row
+    (`Stages.row`) and its values Q + kappa + Jhat_{t+1}."""
+    row = ints, q, dispatches = stages.row(t, p_prev)
+    return row, q + kappa[ints] + _tail_values(model, t + 1, ints, dispatches)
 
 
 def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     """The (mode, dispatch) minimizing the one-step value; ties break to
     the smallest mode as a binary integer, matching the oracles. A
     state from which no mode at t is feasible raises UcdError."""
-    kappa = stages.kappa_row(mode_to_int(i_prev, stages.s.n_units))
-    cands, values = _step(model, stages, t, kappa, p_prev)
-    if not cands:
+    n = stages.s.n_units
+    kappa = stages.kappa_row(mode_to_int(i_prev, n))
+    (ints, _, dispatches), values = _step(model, stages, t, kappa, p_prev)
+    if not len(ints):
         raise UcdError(f"no mode is feasible at t={t} from the state entering it "
                        f"(previous mode {''.join(str(int(b)) for b in i_prev)})")
-    _, mode, dispatch, _ = cands[tie_band(values)[1]]
-    return mode, dispatch
+    k = tie_band(values)[1]
+    return _commitments(n)[ints.item(k)], dispatches[k]
 
 
 def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
     """One closed-loop decision: `decide` on the model's stage table
     (`ValueModel.stages_for`). The dispatch is a copy, so a caller may
-    change it without touching the table. A previous dispatch other than
-    N or N+2 finite entries >= 0 raises ValueError, and a t that is not
-    a period ScenarioError (`Scenario.period`), even one equal to a
-    period whose row the table holds, such as 2.0.
+    change it without touching the table. A model of another unit count
+    or horizon than s raises ModelMismatchError (`_check_shape`), a
+    previous dispatch other than N or N+2 finite entries >= 0 ValueError,
+    and a t that is not a period ScenarioError (`Scenario.period`), even
+    one equal to a period whose row the table holds, such as 2.0.
     """
+    _check_shape(model.n_units, model.horizon, s)
     _check_dispatch(p_prev, s.n_units)
     s.period(t)
     mode, dispatch = decide(model, model.stages_for(s), t, i_prev, p_prev)
     return mode, dispatch.copy()
+
+
+def _check_shape(n_units, horizon, s):
+    """Raise ModelMismatchError unless a model of n_units units over
+    `horizon` periods fits scenario s; on another shape it would price a
+    tail it holds no weights for at 0."""
+    if (n_units, horizon) != (s.n_units, s.horizon):
+        raise ModelMismatchError(f"model has {n_units} units over {horizon} periods; "
+                                 f"the scenario has {s.n_units} over {s.horizon}")
 
 
 def save_model(model: ValueModel, path) -> None:
@@ -344,9 +352,10 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
 
     When a scenario is supplied, its fingerprint must match the one the
     model was trained on; pass force=True to override deliberately. Its
-    unit count and horizon must match even then, since a model of another
-    shape cannot be evaluated on it. A document that is not a well-formed
-    model raises ModelMismatchError.
+    unit count and horizon must match even then (`_check_shape`). A
+    document that is not a well-formed model raises ModelMismatchError:
+    among others, a unit count or horizon below 1, and a weight key
+    outside periods 1..horizon and modes 0..2^N-1.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -370,11 +379,11 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
             )
     n_units = _field(doc, "n_units", int)
     horizon = _field(doc, "horizon", int)
-    if scenario is not None and (n_units, horizon) != (scenario.n_units, scenario.horizon):
-        raise ModelMismatchError(
-            f"model has {n_units} units over {horizon} periods; the scenario "
-            f"has {scenario.n_units} over {scenario.horizon}"
-        )
+    if n_units < 1 or horizon < 1:
+        raise ModelMismatchError(f"model has {n_units} units over {horizon} periods; "
+                                 "both must be at least 1")
+    if scenario is not None:
+        _check_shape(n_units, horizon, scenario)
     spec = _field(doc, "basis", dict)
     coords = _field(spec, "coords", list)
     if (_field(spec, "family", str) != "quad"
@@ -383,13 +392,17 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
     basis = BasisSpec(coords=tuple(coords))
     weights = {}
     for key, vals in _field(doc, "weights", dict).items():
-        t_ip = re.fullmatch(r"([0-9]+):([0-9]+)", key)
+        t_ip = re.fullmatch(r"([0-9]{1,4300}):([0-9]{1,4300})", key)     # int()'s digit limit
         floats = isinstance(vals, list) and all(type(v) is float for v in vals)
         w = np.array(vals if floats else [], dtype=float)
         if t_ip is None or len(w) != basis.n_features or not np.isfinite(w).all():
             raise ModelMismatchError(f"weights {key!r}: expected a t:ip key and "
                                      f"{basis.n_features} finite floats")
-        weights[(int(t_ip[1]), int(t_ip[2]))] = w
+        t, ip = int(t_ip[1]), int(t_ip[2])
+        if not (1 <= t <= horizon and ip.bit_length() <= n_units):     # no 2^N built
+            raise ModelMismatchError(f"weights {key!r}: outside periods 1..{horizon} and "
+                                     f"modes 0..2^{n_units}-1")
+        weights[(t, ip)] = w
     return ValueModel(
         basis=basis, horizon=horizon, n_units=n_units,
         weights=weights, fingerprint=fingerprint, seed=_field(doc, "seed", int),

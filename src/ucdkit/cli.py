@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "enforced (default)")
     g.add_argument("--graph", action="store_true", help="layered-graph shortest path")
     q.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                   help="most evaluations: leaves reached plus children the "
-                        "bound cuts (schedules listed, with --dump-table)")
+                   help="most evaluations: leaves reached, children the bound cuts "
+                        "and dead ends (schedules and dead ends, with --dump-table)")
     q.add_argument("--dump-table", action="store_true",
                    help="CSV of every feasible schedule and its cost")
     q.set_defaults(func=cmd_oracle)
@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("scenario")
     q.add_argument("--model", required=True)
     q.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                   help="most schedules the exhaustive table may list")
+                   help="most evaluations of the exhaustive table: schedules "
+                        "listed plus dead ends")
     q.add_argument("--force", action="store_true")
     q.set_defaults(func=cmd_compare)
 

@@ -11,7 +11,7 @@ only on (t, I), so graph DP is a shortest path over 2^N nodes per layer,
 each layer one vectorised min over K + Q + V (K the switching matrix)
 on the layer's feasible modes.
 Each top-level call solves a ramp-relaxed (t, mode) at most once,
-through one `Stages`, which reads ramped candidate sets off those rows.
+through one `Stages`, whose stage rows (`Stages.row`) every walk reads.
 An exact tail from any state is `enumerate_tail`, on the caller's table
 or a new one; with ramps relaxed, `Stages.values()` holds every tail at
 once. Every argmin in the package goes through `tie_band`, which breaks
@@ -28,7 +28,8 @@ import numpy as np
 from .costs import quota_rebate, switching_cost, switching_matrix, switching_row
 from .errors import BudgetExceededError, UcdError
 from .hybrid import Schedule, schedule_text
-from .qp import _check_dispatch, _meets_ramps, _ramp_limits, _solved, int_to_mode, mode_to_int
+from .qp import (_check_dispatch, _commitments, _meets_ramps, _ramp_limits, _solved, int_to_mode,
+                 mode_to_int)
 from .scenario import Scenario, _per_object, _period_index
 
 __all__ = [
@@ -90,27 +91,25 @@ class Stages:
     """Per-period stage data of one scenario, for one top-level call or,
     as a model's table, across closed-loop decisions.
 
-    A period's ramp-relaxed row is solved on first use and cached, and
-    so is a row of the switching matrix, which every table of the same
-    scenario object shares (keyed like the QP templates). With ramps
-    enforced and p_prev given, only the row's modes can be feasible; a
-    relaxed candidate that meets its ramp rows from p_prev is returned
-    untouched, the table's own tuple (`qp._meets_ramps` says why), and
-    only the row's other modes are solved under ramps, on the lean path
-    of `qp._solved`; the twin check and those solves read one list of
-    ramp bounds per p_prev. The relaxed row goes through `qp.solve`, the
-    public path; the `qp` module docstring says what that costs, with
-    every table solving its own rows, and why it stays.
+    A stage row holds a period's feasible modes in one form, as
+    `qp._solved` returns it: the mode ints (intp, ascending), Q and the
+    dispatch matrix, one entry or row per mode. Graph DP, the exact
+    walks, training and every closed-loop decision read it (`row`); a
+    mode tuple is `qp._commitments(n)[mode int]`. So a decision prices
+    every candidate in a fixed number of numpy calls (`clho._step`), and
+    `values` and `best_next` read a row's feasible columns only: the
+    others are inf, a minimum is exact and the ints ascend, so each
+    keeps its bits and its argmin. A period's ramp-relaxed row is solved
+    on first use, through `qp.solve` (the `qp` module docstring says
+    why), and kept read-only; so is a row of the switching matrix,
+    shared by every table of the scenario object.
 
-    A row is kept in two forms: its candidate tuples, and read-only
-    arrays built once with it, the mode ints (intp, ascending), Q and
-    the dispatch matrix, whose rows are the tuples' dispatches, so each
-    dispatch is stored once. `stacked` hands out a candidate set in both
-    forms; a merged ramped list gets arrays of its own. So a closed-loop
-    decision prices every candidate in a fixed number of numpy calls,
-    whatever their count (`clho._step`), and `values` and `best_next`
-    read the row's feasible columns only: the others are inf, a minimum
-    is exact and the ints ascend, so each keeps its bits and its argmin.
+    With ramps enforced and p_prev given, only the relaxed row's modes
+    can be feasible, and a relaxed dispatch that meets its ramp rows
+    from p_prev is the ramped optimum (`qp._meets_ramps` says why). The
+    other modes are solved under ramps on the lean path of `qp._solved`
+    and take their places in a copy of the row, which drops those found
+    infeasible; with none, the relaxed row is returned.
     """
 
     def __init__(self, s: Scenario):
@@ -118,33 +117,31 @@ class Stages:
         self._rows = {}
         self._kappa = _per_object(_KAPPA_ROWS, s, dict)
 
-    def _row(self, t):
-        """The ramp-relaxed row at t in both forms, solved on first use."""
+    def row(self, t: int, p_prev=None):
+        """The stage row at t entered from dispatch p_prev (None for the
+        ramp-relaxed row): the table's own read-only arrays, or a new
+        merged row where a ramp row binds a relaxed twin."""
         row = self._rows.get(t)
         if row is None:
-            row = self._rows[t] = _stack(
-                _solved(self.s, t, None, range(1 << self.s.n_units)), self.s.n_units, True)
-        return row
-
-    def candidates(self, t: int, p_prev=None):
-        """Feasible (mode int, mode, dispatch, Q) at t, ascending mode int."""
-        row = self._row(t)[0]
+            row = self._rows[t] = _solved(self.s, t, None, range(1 << self.s.n_units))
+            for a in row:
+                a.flags.writeable = False
         limits = _ramp_limits(self.s, p_prev)
         if limits is None:
             return row
-        met = [_meets_ramps(c[1], c[2], limits) for c in row]
+        ints, q, dispatches = row
+        modes = _commitments(self.s.n_units)
+        met = [_meets_ramps(modes[v], d, limits)
+               for v, d in zip(ints.tolist(), dispatches.tolist())]
         if all(met):
             return row
-        solved = _solved(self.s, t, limits, [c[0] for c, ok in zip(row, met) if not ok])
-        return sorted([c for c, ok in zip(row, met) if ok] + solved, key=lambda c: c[0])
-
-    def stacked(self, t: int, p_prev=None):
-        """(candidates, mode ints, Q, dispatches): `candidates(t, p_prev)`
-        and the same candidates as arrays, one entry or row each; the
-        relaxed row's own, or new ones for a merged ramped list."""
-        cands = self.candidates(t, p_prev)
-        row = self._rows[t]
-        return row if cands is row[0] else _stack(cands, self.s.n_units)
+        keep = np.array(met)
+        again_ints, again_q, again_d = _solved(self.s, t, limits, ints[~keep].tolist())
+        at = ints.searchsorted(again_ints)
+        keep[at] = True
+        q, dispatches = q.copy(), dispatches.copy()
+        q[at], dispatches[at] = again_q, again_d
+        return ints[keep], q[keep], dispatches[keep]
 
     def kappa_row(self, i_prev: int) -> np.ndarray:
         """Row i_prev of the switching matrix, built on first use and
@@ -165,7 +162,7 @@ class Stages:
         K = switching_matrix(self.s)
         value = np.zeros((T + 2, 1 << self.s.n_units))
         for t in range(T, first - 1, -1):
-            _, ints, q, _ = self._row(t)
+            ints, q, _ = self.row(t)
             value[t] = (K[:, ints] + q + value[t + 1, ints]).min(1, initial=np.inf)
         return value
 
@@ -173,24 +170,9 @@ class Stages:
         """Mode int that opens the optimal ramp-relaxed tail entering t
         from previous mode i_prev, given the table from `values()`; mode
         0 when no tail is finite, where every mode ties at inf."""
-        _, ints, q, _ = self._row(t)
+        ints, q, _ = self.row(t)
         v = self.kappa_row(i_prev)[ints] + q + value[t + 1, ints]
         return int(ints[tie_band(v)[1]]) if np.isfinite(v).any() else 0
-
-
-def _stack(cands, n_units, shared=False):
-    """(candidates, mode ints, Q, dispatches) of a candidate list, the
-    arrays as intp, float and (len, n_units + 2) float. `shared`, for a
-    table's relaxed row: the arrays are read-only, and the candidates
-    returned are new tuples whose dispatches are rows of the matrix."""
-    ints = np.array([c[0] for c in cands], dtype=np.intp)
-    q = np.array([c[3] for c in cands], dtype=float)
-    dispatches = np.array([c[2] for c in cands] or np.empty((0, n_units + 2)), dtype=float)
-    if shared:
-        for a in (ints, q, dispatches):
-            a.flags.writeable = False
-        cands = [(v, mode, d, qv) for (v, mode, _, qv), d in zip(cands, dispatches)]
-    return cands, ints, q, dispatches
 
 
 class _Bound:
@@ -221,11 +203,11 @@ def _incumbent(s, t, ip, p_prev, stages, value):
     cost = 0.0
     for tt in range(t, s.horizon + 1):
         mi = stages.best_next(value, tt, ip)
-        step = _solved(s, tt, _ramp_limits(s, p_prev), (mi,))
-        if not step:
+        _, q, dispatches = _solved(s, tt, _ramp_limits(s, p_prev), (mi,))
+        if not len(q):
             return np.inf
-        _, _, p_prev, q = step[0]
-        cost += q + stages.kappa_row(ip).item(mi)
+        p_prev = dispatches[0]
+        cost += q.item(0) + stages.kappa_row(ip).item(mi)
         ip = mi
     return cost
 
@@ -235,16 +217,21 @@ def _best_tail(s, t, ip, p_prev, budget, stages, spent=0.0, bound=None):
     entering period t, having spent `spent` since the tail's start.
     Returns (stage cost sum, mode int sequence). With a `_Bound`, a child
     the bound cuts is skipped and each leaf offers its cost as the
-    incumbent; without one the walk is exhaustive. A leaf or a cut child
-    charges one evaluation."""
+    incumbent; without one the walk is exhaustive. A leaf, a cut child
+    and a dead end (a state with no feasible mode at t) each charge one
+    evaluation, so the budget bounds the walk."""
     if t > s.horizon:
         budget.charge()
         if bound is not None and spent < bound.incumbent:
             bound.incumbent = spent
         return 0.0, ()
+    ints, q, dispatches = stages.row(t, p_prev)
+    if not len(ints):
+        budget.charge()
+        return np.inf, None
     found, kappa = [], stages.kappa_row(ip)
-    for mi, _, dispatch, q in stages.candidates(t, p_prev):
-        step = q + kappa.item(mi)
+    for mi, qv, dispatch in zip(ints.tolist(), q.tolist(), dispatches):
+        step = qv + kappa.item(mi)
         if bound is not None and bound.cuts(spent + step, t + 1, mi):
             budget.charge()
             continue
@@ -262,8 +249,9 @@ def _best_tail(s, t, ip, p_prev, budget, stages, spent=0.0, bound=None):
 def enumerate_optimal(s: Scenario, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact optimum by walking the mode tree from the initial state:
     exhaustive with ramps relaxed, branch and bound with ramps enforced.
-    The budget caps the evaluations, one per leaf reached and one per
-    child the bound cuts; BudgetExceededError when it runs out."""
+    The budget caps the evaluations, one per leaf reached, per child the
+    bound cuts and per dead end (a state with no feasible mode), so it
+    bounds the walk; BudgetExceededError when it runs out."""
     b = _Budget(budget)
     cost, seq = _tail(Stages(s), 1, mode_to_int(s.initial_commitment), s.initial_dispatch, b)
     if seq is None:
@@ -311,10 +299,14 @@ def _tail(stages, t, ip, p_prev, budget):
 
 def enumerate_schedule_costs(s: Scenario, budget: int = DEFAULT_BUDGET):
     """Every feasible schedule as (text, total cost), in lexicographic
-    order. Costs include the quota rebate so they match run_schedule."""
+    order. Costs include the quota rebate so they match run_schedule.
+    The budget caps the evaluations, one per schedule listed and one per
+    dead end (a prefix with no feasible mode next); BudgetExceededError
+    when it runs out."""
     b = _Budget(budget)
     stages = Stages(s)
     rebate = quota_rebate(s)
+    modes = _commitments(s.n_units)
     out = []
 
     def walk(t, i_prev, p_prev, prefix, acc):
@@ -322,8 +314,12 @@ def enumerate_schedule_costs(s: Scenario, budget: int = DEFAULT_BUDGET):
             b.charge()
             out.append((schedule_text(prefix), float(acc - rebate)))
             return
-        for _, mode, dispatch, q in stages.candidates(t, p_prev):
-            step = q + switching_cost(s, i_prev, mode)
+        ints, q, dispatches = stages.row(t, p_prev)
+        if not len(ints):
+            b.charge()
+        for mi, qv, dispatch in zip(ints.tolist(), q.tolist(), dispatches):
+            mode = modes[mi]
+            step = qv + switching_cost(s, i_prev, mode)
             prefix.append(mode)
             walk(t + 1, mode, dispatch, prefix, acc + step)
             prefix.pop()
@@ -343,7 +339,7 @@ def graph_dp_optimal(s: Scenario) -> OracleResult:
                        "must not depend on the previous dispatch)")
     stages = Stages(s)
     for t in range(1, s.horizon + 1):
-        if not stages.candidates(t):
+        if not len(stages.row(t)[0]):
             raise UcdError(f"no feasible commitment at period t={t}")
     value = stages.values()
 

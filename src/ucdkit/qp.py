@@ -41,24 +41,19 @@ constants on each solve.
 Two paths solve a problem through one kernel call with its failure
 checks and KKT certificate (`_certified`), so both give the same bytes.
 `assemble` and `solve` are public and fully reported; `mode_dynamics`
-and ramp-relaxed rows take them. A relaxed row is not solved once per
-workflow: graph DP, `train` and a relaxed `simulate` each build a stage
-table, and so each solves the whole 2^N grid, on a large fleet mostly
-to an infeasible verdict. So the public path is kept cheap: `_record`
-builds each QpProblem and QpSolution by filling its __dict__, not
-through the frozen dataclass __init__ that sets field by field, and
-`solve` hands the kernel `h` as assembled. On an 8-unit relaxed grid
-(85% infeasible; warm, 2-CPU machine) a mode costs about 43 µs on the
-public path against 38 µs on the lean one; what is left is the two
-records and the violation of an infeasible verdict. Relaxed rows stay on `solve` for
-the benchmark: its tracer counts solves there, and its tests pin their
-number (2,304 for graph DP, `train` and `simulate` on relaxed
-example2_case1). A mode solved from a previous dispatch with ramps
-enforced (`mode_candidates` given p_prev; in `oracle`, the ramped
-candidates of `Stages.candidates` and the ramped incumbent) takes the
-lean path of `_solved`: its bounds go from the template straight to
-`_certified`, from ramp bounds computed once per previous dispatch
-(`_ramp_limits`), and no QpProblem or QpSolution is built.
+and ramp-relaxed rows take them. A mode solved from a previous dispatch
+with ramps enforced takes the lean path: its bounds go from the
+template straight to `_certified`, from ramp bounds computed once per
+previous dispatch (`_ramp_limits`), and no QpProblem or QpSolution is
+built. `_solved` solves a period's modes on either path and returns
+their stage row, the one form `oracle.Stages.row` hands out. Every stage
+table solves its own 2^N relaxed grid, on a large fleet mostly to
+infeasible verdicts, so the public path is kept cheap: `_record` fills
+each record's __dict__ rather than calling the frozen dataclass
+__init__, and `solve` hands the kernel `h` as assembled. Relaxed rows
+stay on `solve` for the benchmark: its tracer counts solves there, and
+its tests pin their number (2,304 for graph DP, `train` and `simulate`
+on relaxed example2_case1).
 """
 
 from __future__ import annotations
@@ -273,17 +268,15 @@ class _Store:
     """A scenario object's templates, and what they share: G holds no
     unit data, so every mode with as many committed units, the same DG
     and DR rows and the same ramp rows shares one G, one kernel form C
-    and one set of row normals, and every Rows interns its H^-1 and x0
-    floats in one pool. Making one validates the scenario (see the
-    module docstring)."""
+    and one set of row normals. Making one validates the scenario (see
+    the module docstring)."""
 
-    __slots__ = ("templates", "rows", "floats")
+    __slots__ = ("templates", "rows")
 
     def __init__(self, s):
         _require_valid(s)
         self.templates = {}     # (bits, dg on, dr on, ramped units) -> _Template
         self.rows = {}          # layout of G's rows -> (G, C, row normals)
-        self.floats = {}        # the Rows' float pool
 
     def filled(self, s, per, bits, limits):
         """(template, h): the template of mode `bits` at period data
@@ -401,7 +394,7 @@ class _Template:
         self.pmin_sum = sum(u.p_min for _, u in on)
         self.pmax_sum = sum(u.p_max for _, u in on)
         self.h, self.ramp_at = h, tuple(ramp_at)
-        self.rows = _kernels.Rows(self.hdiag, self.glin, C, normals, store.floats)
+        self.rows = _kernels.Rows(self.hdiag, self.glin, C, normals)
 
 
 def _read_only(a):
@@ -592,8 +585,8 @@ def mode_dynamics(s: Scenario, t: int, commitment, p_prev=None) -> np.ndarray:
 @cache
 def _commitments(n):
     """Every commitment of n units, indexed by its binary integer; built
-    once per n, so every candidate of every period and stage table holds
-    one of the same 2^n tuples."""
+    once per n, so every mode tuple read off a stage row is one of the
+    same 2^n tuples."""
     return [int_to_mode(v, n) for v in range(1 << n)]
 
 
@@ -601,19 +594,21 @@ def mode_candidates(s: Scenario, t: int, p_prev=None):
     """All feasible (commitment, dispatch, running_cost) triples at period t,
     ordered by the commitment read as a binary integer (unit 1 = MSB).
     p_prev is checked once per call, as in `assemble`."""
-    return [c[1:] for c in _solved(s, t, _ramp_limits(s, p_prev), range(1 << s.n_units))]
+    ints, q, dispatches = _solved(s, t, _ramp_limits(s, p_prev), range(1 << s.n_units))
+    modes = _commitments(s.n_units)
+    return [(modes[v], d, qv) for v, qv, d in zip(ints.tolist(), q.tolist(), dispatches)]
 
 
 def _solved(s, t, limits, modes):
-    """The feasible (mode int, commitment, dispatch, Q) of `modes`,
-    ascending mode ints, with the ramp rows of `limits` (`_ramp_limits`):
-    a relaxed row (limits None) through `solve`, ramped modes on the lean
-    path (see the module docstring)."""
+    """The stage row (mode ints, Q, dispatches: intp, float and (k, N+2)
+    float arrays) of the feasible modes among `modes` (ascending), with
+    the ramp rows of `limits` (`_ramp_limits`): relaxed modes (limits
+    None) through `solve`, ramped ones on the lean path."""
     n = s.n_units
     commitments = _commitments(n)
     per, store = s.period(t), _store(s)
     beq = float(per.demand)
-    out = []
+    ints, qs, dispatches = [], [], []
     for v in modes:
         bits = commitments[v]
         if limits is None:
@@ -626,5 +621,8 @@ def _solved(s, t, limits, modes):
             else:
                 dispatch = None if _idle_violation(h, beq) else np.zeros(n + 2)
         if dispatch is not None:
-            out.append((v, bits, dispatch, running_cost(s, bits, dispatch)))
-    return out
+            ints.append(v)
+            qs.append(running_cost(s, bits, dispatch))
+            dispatches.append(dispatch)
+    return (np.array(ints, dtype=np.intp), np.array(qs, dtype=float),
+            np.array(dispatches, dtype=float).reshape(len(ints), n + 2))

@@ -5,8 +5,8 @@ selected periods; the next decision then starts from the overridden state,
 which is the point of training state-dependent tail values: recovery needs
 no retraining. With ramps relaxed a rollout decides on a stage table of
 its own; with ramps enforced it decides on the model's table
-(`oracle.Stages.candidates`). Each override is scored against the exact
-tail from the disturbed state: read from the rollout's graph-DP value
+(`oracle.Stages.row`). Each override is scored against the exact tail
+from the disturbed state: read from the rollout's graph-DP value
 table when ramps are relaxed (the tail then depends on the mode alone),
 found by a branch and bound over the mode tree, on the same table and
 under a budget, when ramps are enforced.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clho import ValueModel, decide
+from .clho import ValueModel, _check_shape, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
 from .hybrid import Schedule, schedule_text
@@ -40,10 +40,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# evaluation budget of one exact tail when ramps are enforced: the
-# branch and bound stays far inside it with ramp limits at half of each
-# unit's p_max, but its bound goes loose as ramps tighten and the search
-# can then grow toward the whole mode tree
+# evaluation budget of one exact tail when ramps are enforced, counted as
+# `oracle.enumerate_optimal` counts: the branch and bound stays far inside
+# it with ramp limits at half of each unit's p_max, but its bound goes
+# loose as ramps tighten and the search can then grow toward the whole
+# mode tree
 TAIL_BUDGET = 200_000
 
 
@@ -146,6 +147,8 @@ class RunReport:
 def simulate(s: Scenario, model: ValueModel,
              script: DisturbanceScript | None = None) -> RunReport:
     """Roll the trained scheduler forward from the scenario's initial state.
+    A model whose fingerprint, unit count or horizon is not the
+    scenario's raises ModelMismatchError.
 
     Rows mark diverged=True exactly at scripted periods. For every override
     before the final period the realized tail is compared against the
@@ -159,6 +162,7 @@ def simulate(s: Scenario, model: ValueModel,
             "model fingerprint does not match the scenario; retrain or pass "
             "a matching model"
         )
+    _check_shape(model.n_units, model.horizon, s)
     script = script or DisturbanceScript()
     # every override is checked before the first decision
     forced = {}
@@ -174,13 +178,11 @@ def simulate(s: Scenario, model: ValueModel,
             ) from None
 
     report = RunReport(scenario_name=s.name, fingerprint=model.fingerprint)
-    # with ramps enforced every decision screens its candidates by the
-    # period's relaxed row in the model's table. With ramps relaxed the
-    # rollout keeps a table of its own only because the benchmark's
-    # traced-count test pins 2304 QP solves for graph DP + train +
-    # simulate on example2_case1, which the model's table would cut to
-    # 1536; when that pin moves, the split goes and every rollout decides
-    # on the model's table
+    # with ramps relaxed the rollout keeps a table of its own only because
+    # the benchmark's traced-count test pins 2304 QP solves for graph DP
+    # + train + simulate on example2_case1, which the model's table would
+    # cut to 1536; when that pin moves, every rollout decides on the
+    # model's table
     stages = model.stages_for(s) if s.ramp_enforced else Stages(s)
     i_prev = s.initial_commitment
     p_prev = np.asarray(s.initial_dispatch, dtype=float)

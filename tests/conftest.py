@@ -7,7 +7,7 @@ from ucdkit import load_bundled_scenario, quota_rebate, switching_cost, train
 from ucdkit.clho import _sample_states
 from ucdkit.hybrid import schedule_text
 from ucdkit.oracle import Stages
-from ucdkit.qp import mode_candidates
+from ucdkit.qp import int_to_mode, mode_candidates
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def _drawn_states(s, first_t, count=1, seed=0):
     states = []
     for t in range(first_t, s.horizon + 1):
         prev = ([s.initial_commitment] if t == 1
-                else [mode for _, mode, _, _ in stages.candidates(t - 1)])
+                else [int_to_mode(v, s.n_units) for v in stages.row(t - 1)[0].tolist()])
         for mode in prev:
             states += [(t, mode, p) for p in _sample_states(s, t, mode, rng, count)]
     return states

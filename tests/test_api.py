@@ -70,6 +70,30 @@ def test_every_private_definition_has_a_caller():
     assert unused == []
 
 
+def test_every_method_has_a_caller():
+    # the method-level twin of the test above: a method or property of a
+    # package class that no package code names outside its own body,
+    # as an attribute, is API no caller needs. Dunder methods are called
+    # by Python itself
+    refs = {}               # attribute name -> ids of the nodes that name it
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(id(node))
+    unused = []
+    for module, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    own = {id(n) for n in ast.walk(node)}
+                    if all(ref in own for ref in refs.get(node.name, ())):
+                        unused.append(f"{module}:{cls.name}.{node.name}")
+    assert unused == []
+
+
 def test_every_imported_name_is_read():
     # a name a module imports and never reads is a leftover; __init__
     # re-exports, and a name in a module's __all__ counts as read

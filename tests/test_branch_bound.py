@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import ucdkit.oracle
 from ucdkit import (
     DisturbanceScript,
     TrainConfig,
@@ -30,7 +31,7 @@ from ucdkit import (
 from ucdkit.costs import switching_cost
 from ucdkit.hybrid import int_to_mode, mode_to_int
 from ucdkit.oracle import DEFAULT_BUDGET, TIE_RTOL, Stages, _best_tail, _Bound, _Budget
-from ucdkit.qp import mode_candidates
+from ucdkit.qp import _ramp_limits, _solved, mode_candidates
 
 
 def _with_ramps(s, frac):
@@ -49,16 +50,17 @@ def _first_unit_ramped(s, limit):
 
 
 class _FullSolves:
-    """Stands in for `Stages` in the oracle's walk: each candidate set is
-    solved in full by `mode_candidates`, with no ramp-relaxed row read,
-    and each switching charge is `switching_cost`, not the table's row."""
+    """Stands in for `Stages` in the oracle's walk: each stage row is
+    solved in full, as `mode_candidates` solves it, with no ramp-relaxed
+    row read, and each switching charge is `switching_cost`, not the
+    table's row."""
 
     def __init__(self, s):
         self.s = s
         self.modes = [int_to_mode(v, s.n_units) for v in range(1 << s.n_units)]
 
-    def candidates(self, t, p_prev):
-        return [(mode_to_int(m), m, d, q) for m, d, q in mode_candidates(self.s, t, p_prev)]
+    def row(self, t, p_prev):
+        return _solved(self.s, t, _ramp_limits(self.s, p_prev), range(1 << self.s.n_units))
 
     def kappa_row(self, i_prev):
         return np.array([switching_cost(self.s, self.modes[i_prev], m) for m in self.modes])
@@ -177,25 +179,31 @@ def _random_states(s, count, seed):
 
 @pytest.mark.parametrize("frac", [0.05, 0.2, 0.5])
 @pytest.mark.parametrize("name", ["example1_case1", "example1_case4", "example2_case1"])
-def test_screened_candidates_equal_unscreened(name, frac, drawn_states):
+def test_screened_candidates_equal_unscreened(name, frac, drawn_states, monkeypatch):
     s = _with_ramps(load_bundled_scenario(name), frac)
     stages = Stages(s)
     stages.values()     # caches every relaxed row, so each call below screens
+    # a mode of the relaxed row that is handed to the row solver again
+    # was re-solved, a ramp row binding it; the others are relaxed twins
+    again = []
+    solved = ucdkit.oracle._solved
+
+    def counting(s, t, limits, modes):
+        again.extend(modes)
+        return solved(s, t, limits, modes)
+
+    monkeypatch.setattr(ucdkit.oracle, "_solved", counting)
     feasible = reused = resolved = 0
     for t, _, p_prev in drawn_states(s, 1) + _random_states(s, 40, seed=17):
-        got = stages.candidates(t, p_prev)
+        again.clear()
+        ints, q, dispatches = stages.row(t, p_prev)
         want = mode_candidates(s, t, p_prev)
-        assert [(mi, mode) for mi, mode, _, _ in got] == [(mode_to_int(m), m)
-                                                         for m, _, _ in want]
-        for (_, _, dispatch, q), (_, want_dispatch, want_q) in zip(got, want):
-            assert dispatch.tobytes() == want_dispatch.tobytes()
-            assert q == want_q
+        assert ints.tolist() == [mode_to_int(m) for m, _, _ in want]
+        assert [d.tobytes() for d in dispatches] == [d.tobytes() for _, d, _ in want]
+        assert q.tolist() == [qv for _, _, qv in want]
         feasible += bool(want)
-        # a relaxed twin returned as is is the table's own tuple; a mode
-        # of the row that is not was solved again, a ramp row binding it
-        twins = [any(c is r for c in got) for r in stages.candidates(t)]
-        reused += sum(twins)
-        resolved += twins.count(False)
+        reused += len(stages.row(t)[0]) - len(again)
+        resolved += len(again)
     assert feasible, "every state was infeasible; nothing was compared"
     assert reused and resolved, (reused, resolved)
 

@@ -210,6 +210,17 @@ def test_model_of_another_shape_is_refused_even_with_force(edit, e1c1, model_e1c
     assert (back.n_units, back.horizon) == (doc["n_units"], doc["horizon"])
 
 
+@pytest.mark.parametrize("edit", [{"horizon": 1}, {"n_units": 3}], ids=["horizon", "n_units"])
+def test_decisions_refuse_a_model_of_another_shape(edit, e1c4, model_e1c4):
+    # a model made in code has not been through load_model; simulate and
+    # schedule_step check its shape against the scenario all the same
+    model = dataclasses.replace(model_e1c4, **edit)
+    with pytest.raises(ModelMismatchError, match="the scenario has 2 over 6"):
+        simulate(e1c4, model)
+    with pytest.raises(ModelMismatchError, match="the scenario has 2 over 6"):
+        schedule_step(model, e1c4, 1, e1c4.initial_commitment, e1c4.initial_dispatch)
+
+
 def test_negative_seed_is_refused(e1c1):
     with pytest.raises(UcdError, match="seed must be >= 0"):
         train(e1c1, TrainConfig(seed=-1))
@@ -224,9 +235,18 @@ MALFORMED = {
                                                      doc["weights"].items()}},
     "nan-weight": lambda doc: {**doc, "weights": {"1:1": [float("nan")] * 5}},
     "bad-weight-key": lambda doc: {**doc, "weights": {"1-1": [0.0] * 5}},
+    "huge-weight-key": lambda doc: {**doc, "weights": {"1" * 5000 + ":1": [0.0] * 5}},
     "int-weight": lambda doc: {**doc, "weights": {"1:1": [0.0] * 4 + [10**400]}},
     "cubic-basis": lambda doc: {**doc, "basis": {**doc["basis"], "family": "cubic"}},
     "string-horizon": lambda doc: {**doc, "horizon": "6"},
+    # a shape its weights leave: a horizon cut to 1 would price every
+    # tail past t=1 at 0
+    "horizon-cut": lambda doc: {**doc, "horizon": 1},
+    "no-periods": lambda doc: {**doc, "horizon": 0},
+    "no-units": lambda doc: {**doc, "n_units": 0},
+    "period-0": lambda doc: {**doc, "weights": {**doc["weights"], "0:1": doc["weights"]["1:1"]}},
+    "period-7": lambda doc: {**doc, "weights": {**doc["weights"], "7:1": doc["weights"]["1:1"]}},
+    "mode-4": lambda doc: {**doc, "weights": {**doc["weights"], "1:4": doc["weights"]["1:1"]}},
 }
 
 
@@ -386,8 +406,8 @@ def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkey
     # 300 + 100: that mode is solved under ramps again on every call
     s = _ramped_e1c1(e1c1, limit=100.0)
     model = train(s, TrainConfig(samples=5, seed=3))
-    (twin,) = model.stages_for(s).candidates(4)
-    assert twin[1] == (1, 1) and twin[2][0] > 400.0
+    ints, _, dispatches = model.stages_for(s).row(4)
+    assert ints.tolist() == [0b11] and dispatches[0, 0] > 400.0
     want = decide(model, Stages(s), 4, (1, 1), p_prev)
     calls.clear()
     for _ in range(2):
@@ -415,8 +435,8 @@ def _count_solves(monkeypatch):
 def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch):
     s = _ramped_e1c1(e1c1)
     model = train(s, TrainConfig(samples=5, seed=3))
-    row = model.stages_for(s).candidates(2)
-    assert len(row) < 1 << s.n_units
+    ints, _, _ = model.stages_for(s).row(2)
+    assert len(ints) < 1 << s.n_units
     solves = _count_solves(monkeypatch)
     p_prev = np.array([300.0, 200.0, 0.0, 0.0])
     warm = schedule_step(model, s, 2, (1, 1), p_prev)

@@ -89,6 +89,19 @@ def test_budget_is_enforced(e1c1):
         enumerate_optimal(e1c1, budget=5)
 
 
+def test_budget_bounds_a_walk_of_dead_ends(e2c1):
+    # no mode meets the last period's demand, so every state entering it
+    # is a dead end; each charges an evaluation, and both walks stop at
+    # the budget instead of visiting the whole mode tree first
+    periods = list(e2c1.periods[:6])
+    periods[-1] = dataclasses.replace(periods[-1], demand=periods[-1].demand * 10)
+    s = dataclasses.replace(e2c1, periods=tuple(periods))
+    with pytest.raises(BudgetExceededError):
+        enumerate_optimal(s, budget=10)
+    with pytest.raises(BudgetExceededError):
+        enumerate_schedule_costs(s, budget=10)
+
+
 def test_ramped_exact_value_table_still_enumerates(e1c1):
     # ramp-enforced exact tails are enumerated, so the budget still binds
     ramped = dataclasses.replace(e1c1, ramp_enforced=True, name="e1c1_ramped")
@@ -276,8 +289,7 @@ def test_value_table_equals_enumerated_tails(name, first_t):
     value = stages.values()
     dispatch = np.zeros(s.n_units + 2)
     for t in range(first_t, s.horizon + 1):
-        prev = (range(1 << s.n_units) if t == 1
-                else [mi for mi, _, _, _ in stages.candidates(t - 1)])
+        prev = range(1 << s.n_units) if t == 1 else stages.row(t - 1)[0].tolist()
         for ip in prev:
             cost, _ = enumerate_tail(s, t, int_to_mode(ip, s.n_units), dispatch)
             assert value[t, ip] == cost, (t, ip)
@@ -305,40 +317,39 @@ def test_relaxed_exact_value_table_equals_enumeration(name, drawn_states):
         assert (value[t, ip], first) == (cost, seq[0] if seq else None), (t, i_prev)
 
 
-def _assert_stacked_is_the_list(cands, ints, q, dispatches, n_units):
-    assert ints.dtype == np.intp and ints.tolist() == [c[0] for c in cands]
-    assert (np.diff(ints) > 0).all()
-    assert q.tobytes() == np.array([c[3] for c in cands], dtype=float).tobytes()
-    assert dispatches.shape == (len(cands), n_units + 2)
-    assert [d.tobytes() for d in dispatches] == [c[2].tobytes() for c in cands]
+def _assert_row_is(row, cands, n_units):
+    """The stage row (mode ints, Q, dispatches) holds the triples of
+    `mode_candidates`, in their order, to the bit."""
+    ints, q, dispatches = row
+    assert ints.dtype == np.intp and (np.diff(ints) > 0).all()
+    assert ints.tolist() == [mode_to_int(m) for m, _, _ in cands]
+    assert q.dtype == float and q.tobytes() == np.array([c[2] for c in cands]).tobytes()
+    assert dispatches.dtype == float and dispatches.shape == (len(cands), n_units + 2)
+    assert [d.tobytes() for d in dispatches] == [c[1].tobytes() for c in cands]
 
 
-def test_stacked_rows_are_their_candidates(drawn_states):
-    # a relaxed row is kept as candidate tuples and as read-only arrays
-    # built once with it, whose dispatch rows are the tuples' dispatches
-    # (one copy); a merged ramped list gets arrays of its own on each call
+def test_stage_rows_are_one_set_of_arrays(drawn_states):
+    # a relaxed row is kept as read-only arrays, the same objects on each
+    # call; a merged ramped row gets arrays of its own on each call; both
+    # hold the full solve of their candidate set
     s = _with_ramps(load_bundled_scenario("example2_case1"), 0.5)
     stages = Stages(s)
     for t in range(1, s.horizon + 1):
-        row = stages.stacked(t)
-        assert row[0] is stages.candidates(t)
-        _assert_stacked_is_the_list(*row, s.n_units)
-        assert all(a is b for a, b in zip(stages.stacked(t), row))
-        for a in row[1:]:
+        row = stages.row(t)
+        _assert_row_is(row, mode_candidates(s, t), s.n_units)
+        assert all(a is b for a, b in zip(stages.row(t), row))
+        for a in row:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
-        assert all(c[2].base is row[3] for c in row[0])
     merged = 0
     for t, _, p_prev in drawn_states(s, 1, seed=4)[::5]:
-        got = stages.stacked(t, p_prev)
-        assert [(c[0], c[2].tobytes()) for c in got[0]] == [
-            (c[0], c[2].tobytes()) for c in stages.candidates(t, p_prev)]
-        _assert_stacked_is_the_list(*got, s.n_units)
-        if got[0] is not stages.stacked(t)[0]:
+        got = stages.row(t, p_prev)
+        _assert_row_is(got, mode_candidates(s, t, p_prev), s.n_units)
+        if got[0] is not stages.row(t)[0]:
             merged += 1
-            again = stages.stacked(t, p_prev)
+            again = stages.row(t, p_prev)
             assert not any(np.shares_memory(a, b)
-                           for a in got[1:] for b in stages.stacked(t)[1:] + again[1:])
+                           for a in got for b in stages.row(t) + again)
     assert merged > 10
 
 
@@ -355,14 +366,14 @@ def test_values_and_best_next_read_feasible_columns_bit_for_bit(name, e1c1_overl
     K = switching_matrix(s)
     for t in range(s.horizon, 0, -1):
         q = np.full(1 << s.n_units, np.inf)
-        for mi, _, _, qv in stages.candidates(t):
-            q[mi] = qv
+        ints, qs, _ = stages.row(t)
+        q[ints] = qs
         assert value[t].tobytes() == (K + q + value[t + 1]).min(1).tobytes(), t
         for ip in range(1 << s.n_units):
             assert stages.best_next(value, t, ip) == tie_band(K[ip] + q + value[t + 1])[1]
     if name == "overloaded":
-        assert np.isinf(value[1:5]).all() and not stages.candidates(4)
-        assert stages.candidates(3)[0][0] != 0 and stages.best_next(value, 3, 3) == 0
+        assert np.isinf(value[1:5]).all() and not len(stages.row(4)[0])
+        assert stages.row(3)[0][0] != 0 and stages.best_next(value, 3, 3) == 0
 
 
 def test_tables_of_one_scenario_share_read_only_switching_rows():

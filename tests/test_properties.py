@@ -393,7 +393,9 @@ def _relaxed_row_both_ways(s, t, lean_first):
     modes = range(1 << s.n_units)
 
     def row(limits):
-        return [(v, d.tobytes(), q.hex()) for v, _, d, q in _solved(s, t, limits, modes)]
+        ints, q, dispatches = _solved(s, t, limits, modes)
+        return [(v, d.tobytes(), qv.hex())
+                for v, qv, d in zip(ints.tolist(), q.tolist(), dispatches)]
 
     if lean_first:
         lean = row([])
@@ -702,18 +704,18 @@ def _reference_decision(model, stages, t, i_prev, p_prev):
     """The one-step argmin priced one candidate at a time, Q + kappa +
     float(np.dot(w, x)); None when no mode at t is feasible."""
     kappa = stages.kappa_row(mode_to_int(i_prev))
-    cands = stages.candidates(t, p_prev)
-    if not cands:
+    ints, q, dispatches = stages.row(t, p_prev)
+    if not len(ints):
         return None
     values = []
-    for mi, _, dispatch, q in cands:
+    for mi, qv, dispatch in zip(ints.tolist(), q.tolist(), dispatches):
         tail = 0.0
         if t < model.horizon:
             x = basis_matrix(model.basis, [dispatch])[0]
             tail = float(np.dot(model.weights[t + 1, mi], x))
-        values.append(q + kappa[mi] + tail)
-    _, mode, dispatch, _ = cands[tie_band(values)[1]]
-    return mode, dispatch.tobytes()
+        values.append(qv + kappa[mi] + tail)
+    k = tie_band(values)[1]
+    return int_to_mode(ints.item(k), len(i_prev)), dispatches[k].tobytes()
 
 
 @SUITE

@@ -14,11 +14,12 @@ first), so a ramp-relaxed period's dispatch QPs are solved at most once
 across decisions.
 
 A decision reads its candidates as one stage row (`oracle.Stages.row`),
-gathers their weights once and prices every tail in one stacked
-matmul. numpy runs each row of that matmul through the BLAS dot that
-np.dot(w, x) calls, so every value, argmin and trained weight has the
-bits of a candidate-by-candidate loop; einsum and a row sum of W * X
-round differently and are not used.
+gathers their weight rows in a fixed number of numpy calls (the
+`ValueModel` docstring tells how the weights are stored) and prices
+every tail in one stacked matmul. numpy runs each row of that matmul
+through the BLAS dot that np.dot(w, x) calls, so every value, argmin
+and trained weight has the bits of a candidate-by-candidate loop;
+einsum and a row sum of W * X round differently and are not used.
 
 The basis is quadratic-diagonal: a square and a linear feature
 per active dispatch coordinate plus a constant.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -105,12 +107,27 @@ class TrainConfig:
 
 @dataclass
 class ValueModel:
-    """Trained tail-cost approximation Jhat_t(P, I_prev) = w(t,I_prev) . phi(P)."""
+    """Trained tail-cost approximation Jhat_t(P, I_prev) = w(t,I_prev) . phi(P).
+
+    The weights of period t are one read-only pair in the stage row's
+    form, `weights[t] = (ints, W)`: `ints` holds the previous-mode ints
+    trained at t (intp, ascending) and row i of W (len(ints) x
+    n_features) the weights of ints[i]. It is the only store, and it
+    holds the trained rows alone, never a dense 2^N matrix. With ramps
+    relaxed a decision's candidates at t are exactly the previous modes
+    trained at t+1, and training keeps the stage row's own ints array,
+    so a decision on the trained model's table reads W whole; any other
+    candidate list (a ramped row, a loaded model's table) finds its rows
+    with one searchsorted into `ints` (`_tail_values`). Either way the
+    gather is a fixed number of numpy calls, whatever the number of
+    candidates, and hands the matmul the fitted floats in candidate
+    order. `save_model` writes one "t:ip" key per row, in (t, ip) order.
+    """
 
     basis: BasisSpec
     horizon: int
     n_units: int
-    weights: dict        # (t, mode int) -> np.ndarray of length n_features
+    weights: dict        # t -> (ints, W), see above
     fingerprint: str
     seed: int
     samples: int
@@ -130,15 +147,21 @@ class ValueModel:
         return self._stages
 
     def __eq__(self, other):
-        """Field by field, the weight arrays key by key; the stage table
+        """Field by field, the weights period by period; the stage table
         is a cache and takes no part."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (all(getattr(self, f.name) == getattr(other, f.name)
                     for f in fields(self) if f.compare and f.name != "weights")
                 and self.weights.keys() == other.weights.keys()
-                and all(np.array_equal(w, other.weights[k])
-                        for k, w in self.weights.items()))
+                and all(np.array_equal(a, b) for t, pair in self.weights.items()
+                        for a, b in zip(pair, other.weights[t])))
+
+
+def _period(ints, W):
+    """A period's weights as `ValueModel` keeps them: both read-only."""
+    ints.flags.writeable = W.flags.writeable = False
+    return ints, W
 
 
 def _sample_states(s: Scenario, t: int, i_prev_bits, rng, count):
@@ -164,6 +187,11 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     identical scenario and config reproduce the model bit for bit.
     """
     cfg = config or TrainConfig()
+    # the types `load_model` reads back, so every model trained can be reloaded
+    for name, kind, what in (("samples", int, "an int"), ("seed", int, "an int"),
+                             ("regularization", (int, float), "a number")):
+        if not _is(getattr(cfg, name), kind):
+            raise UcdError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
     if cfg.samples < 1:
         raise UcdError("training needs at least one sample per state")
     if cfg.seed < 0:
@@ -194,8 +222,10 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     rank_deficient = []
     for t in range(s.horizon, 0, -1):
         # previous modes: anything at t=1 (callers may start from
-        # arbitrary states), the feasible modes of t-1 afterwards
-        prev_modes = range(1 << s.n_units) if t == 1 else stages.row(t - 1)[0].tolist()
+        # arbitrary states), the feasible modes of t-1 afterwards, as the
+        # stage row's own array (see ValueModel)
+        prev = np.arange(1 << s.n_units, dtype=np.intp) if t == 1 else stages.row(t - 1)[0]
+        W = np.empty((len(prev), nf))
         # without ramp coupling both the dispatch and the tail term are
         # per-(t, I) constants, so every previous mode's target is one
         # minimum of Q + Jhat_{t+1} + kappa over the feasible modes, the
@@ -203,7 +233,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
         if not s.ramp_enforced:
             ints, q, dispatches = stages.row(t)
             targets = (q + _tail_values(model, t + 1, ints, dispatches) + K[:, ints]).min(1)
-        for ip in prev_modes:
+        for i, ip in enumerate(prev.tolist()):
             ip_bits = int_to_mode(ip, s.n_units)
             rng = np.random.default_rng((cfg.seed, t, ip))
             states = _sample_states(s, t, ip_bits, rng, cfg.samples)
@@ -242,7 +272,8 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
                 log.info("rank-deficient fit at t=%d, I_prev=%s (rank %d of %d); "
                          "minimum-norm solution used", t, "".join(map(str, ip_bits)),
                          rank, nf)
-            model.weights[(t, ip)] = w
+            W[i] = w
+        model.weights[t] = _period(prev, W)
 
     model.diagnostics = {
         "discarded": {f"{t}:{ip}": c for (t, ip), c in discarded.items()},
@@ -252,19 +283,24 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
     return model
 
 
+_NO_WEIGHTS = (np.empty(0, dtype=np.intp), None)
+
+
 def _tail_values(model, t, ints, dispatches):
     """Jhat_t at each dispatch row, entering t from the mode int of the
-    same index; 0 beyond the horizon. One stacked matmul with np.dot's
-    bits (see the module docstring)."""
+    same index; 0 beyond the horizon. The weight rows are W itself or
+    one searchsorted gather (see ValueModel), the tails one stacked
+    matmul with np.dot's bits (see the module docstring)."""
     if t > model.horizon or not len(ints):
         return np.zeros(len(ints))
-    try:
-        W = np.array([model.weights[t, mi] for mi in ints.tolist()])
-    except KeyError as exc:
-        raise ModelMismatchError(
-            f"model holds no weights for t={t}, "
-            f"I_prev={''.join(map(str, int_to_mode(exc.args[0][1], model.n_units)))}"
-        ) from None
+    known, W = model.weights.get(t, _NO_WEIGHTS)
+    if ints is not known:
+        at = known.searchsorted(ints)
+        if not len(known) or known.take(at, mode="clip").tolist() != ints.tolist():
+            absent = ints[~np.isin(ints, known)].item(0)
+            raise ModelMismatchError(f"model holds no weights for t={t}, I_prev="
+                                     f"{''.join(map(str, int_to_mode(absent, model.n_units)))}")
+        W = W.take(at, axis=0)
     X = basis_matrix(model.basis, dispatches)
     return (W[:, None, :] @ X[:, :, None])[:, 0, 0]
 
@@ -329,8 +365,9 @@ def save_model(model: ValueModel, path) -> None:
         "regularization": model.regularization,
         "basis": {"family": "quad", "coords": list(model.basis.coords)},
         "weights": {
-            f"{t}:{ip}": [float(v) for v in w]
-            for (t, ip), w in sorted(model.weights.items())
+            f"{t}:{ip}": w
+            for t, (ints, W) in sorted(model.weights.items())
+            for ip, w in zip(ints.tolist(), W.tolist())
         },
         "diagnostics": model.diagnostics,
     }
@@ -339,10 +376,15 @@ def save_model(model: ValueModel, path) -> None:
         fh.write("\n")
 
 
+def _is(value, kind):
+    """isinstance(value, kind), where a boolean is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _field(doc, key, kind):
-    """doc[key] when it holds a `kind`; a JSON boolean is never a number."""
+    """doc[key] when it holds a `kind` (`_is`)."""
     value = doc.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is(value, kind):
         raise ModelMismatchError(f"model field {key!r} is missing or ill-typed")
     return value
 
@@ -354,8 +396,9 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
     model was trained on; pass force=True to override deliberately. Its
     unit count and horizon must match even then (`_check_shape`). A
     document that is not a well-formed model raises ModelMismatchError:
-    among others, a unit count or horizon below 1, and a weight key
-    outside periods 1..horizon and modes 0..2^N-1.
+    among others, a unit count or horizon below 1, a weight key outside
+    periods 1..horizon and modes 0..2^N-1, and diagnostics that are not
+    an object (a missing one loads as {}).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -390,23 +433,27 @@ def load_model(path, scenario: Scenario | None = None, force: bool = False) -> V
             or not all(type(c) is int and 0 <= c < n_units + 2 for c in coords)):
         raise ModelMismatchError(f"unsupported basis {spec!r}")
     basis = BasisSpec(coords=tuple(coords))
-    weights = {}
+    periods = {}        # t -> {ip: floats}; a later key for the same row wins
+    bits = min(n_units, 63)         # no 2^N built; a mode int is an intp
     for key, vals in _field(doc, "weights", dict).items():
         t_ip = re.fullmatch(r"([0-9]{1,4300}):([0-9]{1,4300})", key)     # int()'s digit limit
-        floats = isinstance(vals, list) and all(type(v) is float for v in vals)
-        w = np.array(vals if floats else [], dtype=float)
-        if t_ip is None or len(w) != basis.n_features or not np.isfinite(w).all():
+        if (t_ip is None or not isinstance(vals, list) or len(vals) != basis.n_features
+                or not all(type(v) is float and math.isfinite(v) for v in vals)):
             raise ModelMismatchError(f"weights {key!r}: expected a t:ip key and "
                                      f"{basis.n_features} finite floats")
         t, ip = int(t_ip[1]), int(t_ip[2])
-        if not (1 <= t <= horizon and ip.bit_length() <= n_units):     # no 2^N built
+        if not (1 <= t <= horizon and ip.bit_length() <= bits):
             raise ModelMismatchError(f"weights {key!r}: outside periods 1..{horizon} and "
-                                     f"modes 0..2^{n_units}-1")
-        weights[(t, ip)] = w
+                                     f"modes 0..2^{bits}-1")
+        periods.setdefault(t, {})[ip] = vals
+    weights = {}
+    for t, rows in periods.items():
+        ips = sorted(rows)
+        weights[t] = _period(np.array(ips, dtype=np.intp), np.array([rows[ip] for ip in ips]))
     return ValueModel(
         basis=basis, horizon=horizon, n_units=n_units,
         weights=weights, fingerprint=fingerprint, seed=_field(doc, "seed", int),
         samples=_field(doc, "samples", int),
         regularization=float(_field(doc, "regularization", (int, float))),
-        diagnostics=doc.get("diagnostics", {}),
+        diagnostics=_field(doc, "diagnostics", dict) if "diagnostics" in doc else {},
     )

@@ -122,7 +122,8 @@ def cmd_train(args) -> int:
                       regularization=args.regularization)
     model = train(s, cfg)
     save_model(model, args.out)
-    log.info("trained %d weight vectors, wrote %s", len(model.weights), args.out)
+    log.info("trained %d weight rows, wrote %s",
+             sum(len(ints) for ints, _ in model.weights.values()), args.out)
     print(args.out)
     return 0
 

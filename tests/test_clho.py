@@ -1,10 +1,15 @@
 """Value training and closed-loop scheduling."""
 
 import dataclasses
+import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ucdkit.oracle
 import ucdkit.qp
@@ -15,10 +20,12 @@ from ucdkit import (
     ScenarioError,
     TrainConfig,
     UcdError,
+    ValueModel,
     assemble,
     default_basis,
     enumerate_optimal,
     enumerate_tail,
+    load_bundled_scenario,
     load_model,
     mode_candidates,
     save_model,
@@ -30,6 +37,8 @@ from ucdkit import (
 from ucdkit.clho import _tail_values, basis_matrix, decide
 from ucdkit.hybrid import mode_to_int
 from ucdkit.oracle import Stages
+
+from test_qp import _with_ramps
 
 
 def test_default_basis_sizes(e1c1, e2c1):
@@ -59,12 +68,16 @@ def test_basis_matrix_rows_are_basis_vectors():
     assert basis_matrix(BasisSpec(), states).tolist() == [[1.0]] * 3
 
 
+def _weight_bytes(model):
+    """Each period's (ints, W) as dtype, shape and bytes, by period."""
+    return {t: [(a.dtype, a.shape, a.tobytes()) for a in pair]
+            for t, pair in sorted(model.weights.items())}
+
+
 def test_training_is_bitwise_deterministic(e1c4):
     a = train(e1c4, TrainConfig(samples=40, seed=5))
     b = train(e1c4, TrainConfig(samples=40, seed=5))
-    assert set(a.weights) == set(b.weights)
-    for k in a.weights:
-        assert np.array_equal(a.weights[k], b.weights[k])
+    assert _weight_bytes(a) == _weight_bytes(b)
 
 
 def test_seed_changes_samples_not_quality(e1c1):
@@ -96,6 +109,20 @@ def test_missing_state_raises(model_e1c1):
     with pytest.raises(ModelMismatchError, match="t=3, I_prev=00"):
         # period 3 never has (0, 0) as a feasible previous mode
         _tail_value(model_e1c1, 3, (0, 0), np.zeros(4))
+
+
+def test_absent_rows_name_the_first_one():
+    # candidates the period's ints do not cover raise for their first
+    # absent row, wherever it lies: before, between or past the stored
+    # rows, or in a period that holds none
+    model = ValueModel(basis=BasisSpec(), horizon=3, n_units=3,
+                       weights={2: (np.array([1, 3, 5]), np.array([[1.0], [2.0], [3.0]]))},
+                       fingerprint="", seed=0, samples=1, regularization=0.0)
+    for t, ints, absent in ((2, [0, 1], "000"), (2, [1, 2, 3, 4], "010"),
+                            (2, [3, 5, 6, 7], "110"), (3, [3, 5], "011")):
+        with pytest.raises(ModelMismatchError, match=f"no weights for t={t}, I_prev={absent}$"):
+            _tail_values(model, t, np.array(ints), np.zeros((len(ints), 5)))
+    assert _tail_values(model, 2, np.array([1, 5]), np.zeros((2, 5))).tolist() == [1.0, 3.0]
 
 
 def test_closed_loop_matches_oracle_from_both_starts(e1c1, model_e1c1):
@@ -168,9 +195,33 @@ def test_model_round_trip_bitwise(e1c4, model_e1c4, tmp_path):
     back = load_model(path, scenario=e1c4)
     assert back.fingerprint == model_e1c4.fingerprint
     assert back.basis == model_e1c4.basis
-    assert set(back.weights) == set(model_e1c4.weights)
-    for k in back.weights:
-        assert np.array_equal(back.weights[k], model_e1c4.weights[k])
+    assert _weight_bytes(back) == _weight_bytes(model_e1c4)
+
+
+# sha256 of save_model's bytes, recorded before the weights were kept one
+# (ints, W) pair per period: today's models keep their bytes. Like
+# KERNEL_GOLDEN in test_qp.py, they follow the numpy/LAPACK build, whose
+# least-squares fits give the weights' last bits.
+SAVED_MODEL_GOLDEN = {
+    "example1_case4": "548fae420a67cbe27a0defe53946c2f8f922243567fdf413da22d09fa601f33d",
+    "example2_case1": "cda62aaea011260c8bf26552b9b9e12e24bfd509a970d71f6d98d9f5abd55dc0",
+    "example2_case1_ramps0.5": "b98ad97cd975299a34fff88600ec646245073260e2a6d007202698201fc49ef8",
+}
+
+
+def test_saved_model_bytes_are_pinned(tmp_path):
+    e2c1 = load_bundled_scenario("example2_case1")
+    cases = {
+        "example1_case4": (load_bundled_scenario("example1_case4"), TrainConfig()),
+        "example2_case1": (e2c1, TrainConfig(samples=20, seed=1)),
+        "example2_case1_ramps0.5": (_with_ramps(e2c1, 0.5), TrainConfig(samples=2)),
+    }
+    got = {}
+    for name, (s, cfg) in cases.items():
+        path = tmp_path / f"{name}.json"
+        save_model(train(s, cfg), path)
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == SAVED_MODEL_GOLDEN
 
 
 def test_fingerprint_guard(e1c1, e1c4, model_e1c1, tmp_path):
@@ -226,6 +277,35 @@ def test_negative_seed_is_refused(e1c1):
         train(e1c1, TrainConfig(seed=-1))
 
 
+@pytest.mark.parametrize("config", [
+    TrainConfig(seed=True), TrainConfig(regularization=True), TrainConfig(samples=2.5),
+    TrainConfig(samples=3.0), TrainConfig(seed=1.5), TrainConfig(samples="3"),
+    TrainConfig(samples=np.int64(3)), TrainConfig(regularization=np.float32(0.0)),
+])
+def test_configs_load_model_could_not_read_back_are_refused(e1c1, config):
+    with pytest.raises(UcdError, match="must be an int|must be a number"):
+        train(e1c1, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, True, 2.5, 3.0, "3", None, np.int64(2), 0, -1]),
+       st.sampled_from([0, 7, 2**70, True, False, 1.5, -1, np.int64(2), "1", None]),
+       st.sampled_from([0.0, 0, 1e-6, 1, np.float64(1e-6), True, False, float("nan"),
+                        float("inf"), -1.0, np.float32(0.0), "0", None]))
+def test_every_config_train_accepts_round_trips(e1c1, samples, seed, regularization):
+    # whatever `train` accepts, `save_model` writes and `load_model`
+    # reads back as the same model; the rest raises UcdError
+    try:
+        model = train(e1c1, TrainConfig(samples=samples, seed=seed,
+                                        regularization=regularization))
+    except UcdError:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.json")
+        save_model(model, path)
+        assert load_model(path, scenario=e1c1) == model
+
+
 MALFORMED = {
     "not-a-model": lambda doc: {"hello": 1},
     "not-utf8": lambda doc: b"\xff\xfe{",
@@ -247,6 +327,13 @@ MALFORMED = {
     "period-0": lambda doc: {**doc, "weights": {**doc["weights"], "0:1": doc["weights"]["1:1"]}},
     "period-7": lambda doc: {**doc, "weights": {**doc["weights"], "7:1": doc["weights"]["1:1"]}},
     "mode-4": lambda doc: {**doc, "weights": {**doc["weights"], "1:4": doc["weights"]["1:1"]}},
+    # a mode int past 63 bits would not fit the intp a period's ints hold
+    "mode-2^64": lambda doc: {**doc, "n_units": 70,
+                              "weights": {f"1:{2**64}": doc["weights"]["1:1"]}},
+    "int-diagnostics": lambda doc: {**doc, "diagnostics": 5},
+    "list-diagnostics": lambda doc: {**doc, "diagnostics": [1, 2]},
+    "string-diagnostics": lambda doc: {**doc, "diagnostics": "x"},
+    "null-diagnostics": lambda doc: {**doc, "diagnostics": None},
 }
 
 
@@ -258,6 +345,15 @@ def test_not_a_model_document(case, model_e1c1, tmp_path):
     p.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
     with pytest.raises(ModelMismatchError):
         load_model(p)
+
+
+def test_missing_diagnostics_load_as_empty(model_e1c1, tmp_path):
+    p = tmp_path / "m.json"
+    save_model(model_e1c1, p)
+    doc = json.loads(p.read_text())
+    del doc["diagnostics"]
+    p.write_text(json.dumps(doc))
+    assert load_model(p).diagnostics == {}
 
 
 def test_training_needs_samples(e1c1):
@@ -563,8 +659,12 @@ def test_model_equals_its_saved_copy_until_a_weight_changes(model_e1c4, e1c4, tm
     copy = load_model(path, scenario=e1c4)
     assert model_e1c4._stages is not None and copy._stages is None
     assert copy == model_e1c4 and model_e1c4 == copy
-    key = next(iter(copy.weights))
-    copy.weights[key] = copy.weights[key].copy()
-    copy.weights[key][-1] += 1.0
+    t = next(iter(copy.weights))
+    ints, W = copy.weights[t]
+    W = W.copy()
+    W[0, -1] += 1.0
+    copy.weights[t] = (ints, W)
+    assert copy != model_e1c4
+    copy.weights[t] = (ints[:-1], W[:-1])
     assert copy != model_e1c4
     assert model_e1c4 != "not a model"

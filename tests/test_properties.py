@@ -34,6 +34,7 @@ from ucdkit import (
     int_to_mode,
     kappa,
     load_bundled_scenario,
+    load_model,
     mode_dynamics,
     run_schedule,
     save_model,
@@ -664,20 +665,26 @@ def test_stacked_tails_are_the_per_candidate_dots(k, n_coords, seed):
     # `_tail_values` prices every candidate in one stacked matmul; each
     # tail must be float(np.dot(w, x)) of its own row, to the bit, over
     # weights and features spread across many magnitudes, with 1 to 23
-    # features (the constant-only basis included)
+    # features (the constant-only basis included), whether the candidates
+    # are the period's stored ints (W read whole) or some of its rows
+    # (gathered by searchsorted)
     rng = np.random.default_rng(seed)
     n_units = 10
     basis = BasisSpec(coords=tuple(sorted(
         rng.choice(n_units + 2, n_coords, replace=False).tolist())))
-    ints = np.sort(rng.choice(1 << n_units, k, replace=False))
-    W = rng.normal(size=(k, basis.n_features)) * 10.0 ** rng.uniform(-4, 4, (k, basis.n_features))
-    dispatches = rng.uniform(0.0, 500.0, (k, n_units + 2)) * (rng.random((k, n_units + 2)) < 0.8)
+    known = np.sort(rng.choice(1 << n_units, k + rng.integers(0, 40), replace=False))
+    shape = (len(known), basis.n_features)
+    W = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, shape)
     model = ValueModel(basis=basis, horizon=3, n_units=n_units,
-                       weights={(2, mi): w for mi, w in zip(ints.tolist(), W)},
+                       weights={2: (known, W)},
                        fingerprint="", seed=0, samples=1, regularization=0.0)
-    got = _tail_values(model, 2, ints, dispatches)
-    want = [float(np.dot(w, x)) for w, x in zip(W, basis_matrix(basis, dispatches))]
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    pick = np.sort(rng.choice(len(known), k, replace=False))
+    for ints, rows in ((known, W), (known[pick], W[pick])):
+        dispatches = rng.uniform(0.0, 500.0, (len(ints), n_units + 2)) * (
+            rng.random((len(ints), n_units + 2)) < 0.8)
+        got = _tail_values(model, 2, ints, dispatches)
+        want = [float(np.dot(w, x)) for w, x in zip(rows, basis_matrix(basis, dispatches))]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def _seeded_fleet(n_units, seed):
@@ -690,14 +697,22 @@ def _seeded_fleet(n_units, seed):
 
 
 @pytest.fixture(scope="module")
-def decision_models():
-    """(scenario, trained model): the bundled fleets, a seeded 8-unit
-    fleet and example2_case1 with ramps enforced, whose decisions read
-    merged ramped candidate lists."""
+def decision_models(tmp_path_factory):
+    """(scenario, model): the bundled fleets, a seeded 8-unit fleet and
+    example2_case1 with ramps enforced, whose decisions read merged
+    ramped candidate lists, each trained and then saved and reloaded. A
+    trained model's relaxed candidates are its own stored ints; a
+    reloaded one finds their rows by lookup."""
     fleets = [load_bundled_scenario(name) for name in BUNDLED_SCENARIOS]
     fleets += [_seeded_fleet(8, 7), _with_ramps(load_bundled_scenario("example2_case1"), 0.5)]
-    return [(s, train(s, TrainConfig(samples=5 if s.ramp_enforced else 20, seed=1)))
-            for s in fleets]
+    trained = [(s, train(s, TrainConfig(samples=5 if s.ramp_enforced else 20, seed=1)))
+               for s in fleets]
+    path = tmp_path_factory.mktemp("models") / "m.json"
+    reloaded = []
+    for s, model in trained:
+        save_model(model, path)
+        reloaded.append((s, load_model(path, scenario=s)))
+    return trained + reloaded
 
 
 def _reference_decision(model, stages, t, i_prev, p_prev):
@@ -712,7 +727,8 @@ def _reference_decision(model, stages, t, i_prev, p_prev):
         tail = 0.0
         if t < model.horizon:
             x = basis_matrix(model.basis, [dispatch])[0]
-            tail = float(np.dot(model.weights[t + 1, mi], x))
+            known, W = model.weights[t + 1]
+            tail = float(np.dot(W[known.tolist().index(mi)], x))
         values.append(qv + kappa[mi] + tail)
     k = tie_band(values)[1]
     return int_to_mode(ints.item(k), len(i_prev)), dispatches[k].tobytes()
@@ -743,3 +759,29 @@ def test_decisions_are_the_per_candidate_argmin(decision_models, data):
     assert (mode, dispatch.tobytes()) == want
     mode, dispatch = schedule_step(model, s, t, i_prev, p_prev)
     assert (mode, dispatch.tobytes()) == want
+
+
+def test_weights_retain_less_than_a_row_dict():
+    # the weights of a seeded 8-unit relaxed model at samples=20 are
+    # 1,103 rows of 21 floats; a copy of them kept as a dict of one array
+    # per (t, mode int) retained 346,448 bytes (tracemalloc, Python 3.11,
+    # numpy 2.4). A copy of the (ints, W) pair per period must retain
+    # less; a dense 2^N matrix per period (24 x 256 x 21 floats, 1.03 MB)
+    # cannot
+    import copy
+    import gc
+    import tracemalloc
+
+    model = train(_seeded_fleet(8, 7), TrainConfig(samples=20))
+    assert sum(len(ints) for ints, _ in model.weights.values()) == 1103
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weights = copy.deepcopy(model.weights)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert weights.keys() == model.weights.keys()
+    assert retained < 346_448, retained

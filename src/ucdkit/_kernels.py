@@ -21,9 +21,8 @@ Larger ones are factored (`_factor`) and replayed once (`_replay`); the
 polish factors its KKT matrix once per working set and replays it on
 each right-hand side.
 
-What a call computes from the rows and H alone is kept in a `Rows`
-(see there), which a caller passes for C and may reuse: H^-1, x0, row
-normals, step directions and polish factorizations, and no Gram entries.
+What a call computes from the rows and H alone is kept in a `Rows`,
+which a caller passes for C and may reuse; `Rows` tells what it keeps.
 """
 
 from __future__ import annotations
@@ -264,7 +263,7 @@ class Rows:
     sums differ from the unflipped ones in the sign of a zero, and no key
     carries the sign.
     `normals` may be shared by every `Rows` of one C. A `Rows` never
-    writes its arrays.
+    writes its arrays. `qp` keeps one per mode template (`qp._Template`).
     """
 
     __slots__ = ("C", "shape", "hdiag", "glin", "hinv", "x0", "normals", "steps", "polish")

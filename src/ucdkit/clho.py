@@ -1,8 +1,8 @@
 """Closed-loop scheduling on a trained value approximation.
 
-Training runs backward over the horizon. For each period t and each
-candidate previous mode, it samples dispatch states, evaluates the exact
-one-step target
+Training runs backward over periods T..2, the tails a decision reads
+(none reads Jhat_1). For each period t and each previous mode feasible
+at t-1, it samples dispatch states, evaluates the exact one-step target
 
     y(P) = min_I  Q(f_I(P), I) + kappa(I_prev, I) + Jhat_{t+1}(f_I(P), I)
 
@@ -109,19 +109,21 @@ class TrainConfig:
 class ValueModel:
     """Trained tail-cost approximation Jhat_t(P, I_prev) = w(t,I_prev) . phi(P).
 
-    The weights of period t are one read-only pair in the stage row's
-    form, `weights[t] = (ints, W)`: `ints` holds the previous-mode ints
-    trained at t (intp, ascending) and row i of W (len(ints) x
-    n_features) the weights of ints[i]. It is the only store, and it
-    holds the trained rows alone, never a dense 2^N matrix. With ramps
-    relaxed a decision's candidates at t are exactly the previous modes
-    trained at t+1, and training keeps the stage row's own ints array,
-    so a decision on the trained model's table reads W whole; any other
-    candidate list (a ramped row, a loaded model's table) finds its rows
-    with one searchsorted into `ints` (`_tail_values`). Either way the
-    gather is a fixed number of numpy calls, whatever the number of
-    candidates, and hands the matmul the fitted floats in candidate
-    order. `save_model` writes one "t:ip" key per row, in (t, ip) order.
+    `train` fills periods 2..T; a file saved while it fitted period 1
+    loads with it, unread. The weights of period t are one read-only
+    pair in the stage row's form, `weights[t] = (ints, W)`: `ints` holds
+    the previous-mode ints trained at t (intp, ascending) and row i of W
+    (len(ints) x n_features) the weights of ints[i]. It is the only
+    store, and it holds the trained rows alone, never a dense 2^N
+    matrix. With ramps relaxed a decision's candidates at t are exactly
+    the previous modes trained at t+1, and training keeps the stage
+    row's own ints array, so a decision on the trained model's table
+    reads W whole; any other candidate list (a ramped row, a loaded
+    model's table) finds its rows with one searchsorted into `ints`
+    (`_tail_values`). Either way the gather is a fixed number of numpy
+    calls, whatever the number of candidates, and hands the matmul the
+    fitted floats in candidate order. `save_model` writes one "t:ip" key
+    per row, in (t, ip) order.
     """
 
     basis: BasisSpec
@@ -220,11 +222,8 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
 
     discarded = {}
     rank_deficient = []
-    for t in range(s.horizon, 0, -1):
-        # previous modes: anything at t=1 (callers may start from
-        # arbitrary states), the feasible modes of t-1 afterwards, as the
-        # stage row's own array (see ValueModel)
-        prev = np.arange(1 << s.n_units, dtype=np.intp) if t == 1 else stages.row(t - 1)[0]
+    for t in range(s.horizon, 1, -1):      # no decision reads Jhat_1
+        prev = stages.row(t - 1)[0]         # t-1's feasible modes (see ValueModel)
         W = np.empty((len(prev), nf))
         # without ramp coupling both the dispatch and the tail term are
         # per-(t, I) constants, so every previous mode's target is one
@@ -371,9 +370,17 @@ def save_model(model: ValueModel, path) -> None:
         },
         "diagnostics": model.diagnostics,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(doc, path, "model document")
+
+
+def _write_json(doc, path, what):
+    """doc as JSON at path, indent 1 and a final newline; UcdError if unwritable."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise UcdError(f"cannot write {what}: {exc}") from exc
 
 
 def _is(value, kind):

@@ -85,7 +85,7 @@ def parse_schedule(text: str, n_units: int, horizon: int | None = None) -> Sched
             raise UcdError("digit schedule form requires 3 or fewer units")
         modes = []
         for ch in text:
-            v = int(ch, 10) if ch.isdigit() else -1
+            v = "0123456789".find(ch)       # ASCII digits only; -1 otherwise
             if not 0 <= v < (1 << n_units):
                 raise UcdError(f"bad schedule digit {ch!r} for {n_units} units")
             modes.append(int_to_mode(v, n_units))

@@ -19,24 +19,10 @@ The reserve rows only carry coefficients on the dg/dr coordinates; their
 thermal part is a constant, so with neither resource present they degenerate
 to pure feasibility checks, which the kernel handles as zero-normal rows.
 
-Templates. Most of a problem depends on its mode alone: the free
-columns, the cost terms, the labels, the committed p_min and p_max sums,
-`G` and the kernel's form of it. `assemble` builds these once per
-scenario object, commitment, DG and DR presence and set of units with
-ramp rows, and afterwards fills only the period's `h` and `beq`; `solve`
-builds only the kernel's right-hand side. The template also carries the
-kernel's per-mode constants, step directions and polish factorizations
-(`_kernels.Rows`). Each is the expression an uncached solve evaluates,
-so every result keeps its bits. Templates are keyed on the scenario
-object's identity and dropped when it is collected; an equal but
-distinct scenario (a re-parse, a `dataclasses.replace`) gets its own.
-A scenario object's first template checks it with `validate_scenario`,
-so every solver refuses an invalid scenario built in code with the
-ScenarioError a parse raises. `hdiag`, `glin` and `G` of an assembled
-problem are shared with every problem of its template and read-only;
-`h` is its own. A problem not made by `assemble` (built by hand, or
-changed with `dataclasses.replace`) has no template and gets new kernel
-constants on each solve.
+Templates. `assemble` fills only the period's `h` and `beq` into the
+mode's template: `_Store` says what templates are keyed on, `_Template`
+what one holds and why results keep their bits, `_kernels.Rows` what
+the kernel keeps.
 
 Two paths solve a problem through one kernel call with its failure
 checks and KKT certificate (`_certified`), so both give the same bytes.
@@ -145,7 +131,7 @@ def assemble(s: Scenario, t: int, commitment, p_prev=None) -> QpProblem:
     p_prev supplies the previous dispatch for ramp coupling; passing None
     assembles the ramp-relaxed subproblem regardless of the scenario flag.
     Everything but the period's bounds `h` and `beq` comes from the mode's
-    template (see the module docstring). A commitment `mode_to_int`
+    template (`_Template`). A commitment `mode_to_int`
     refuses raises its ValueError, and so does a p_prev that ramp rows are
     built from other than N or N+2 finite entries >= 0.
     """
@@ -265,11 +251,15 @@ _TEMPLATES = {}
 
 
 class _Store:
-    """A scenario object's templates, and what they share: G holds no
-    unit data, so every mode with as many committed units, the same DG
-    and DR rows and the same ramp rows shares one G, one kernel form C
-    and one set of row normals. Making one validates the scenario (see
-    the module docstring)."""
+    """A scenario object's templates, and what they share. A store is
+    kept per scenario object and dropped with it (`_TEMPLATES`), so an
+    equal but distinct one (a re-parse, a `dataclasses.replace`) gets
+    its own. Its templates are keyed on commitment, DG and DR presence
+    and the units with ramp rows. G holds no unit data, so modes with as
+    many committed units and the same DG, DR and ramp rows share one G,
+    kernel form C and set of row normals. Making a store validates the
+    scenario, so every solver refuses an invalid one built in code with
+    the ScenarioError a parse raises."""
 
     __slots__ = ("templates", "rows")
 
@@ -308,8 +298,13 @@ def _store(s):
 
 class _Template:
     """What a dispatch QP takes from its mode alone: the free columns,
-    cost terms, row labels, `G`, the kernel's `Rows`, and `h` with its
-    period entries left at 0.0 and their positions."""
+    cost terms, row labels, committed p_min and p_max sums, `G`, the
+    kernel's `Rows` and `h` with its period entries left at 0.0 and
+    their positions. Each is the expression an uncached solve evaluates,
+    so every result keeps its bits. `hdiag`, `glin` and `G` are shared
+    by the template's problems and read-only; `h` is each problem's own.
+    A problem not made by `assemble` (built by hand, or changed with
+    `dataclasses.replace`) gets new kernel constants on each solve."""
 
     __slots__ = ("bits", "free", "hdiag", "glin", "const", "pmin_sum", "pmax_sum",
                  "G", "labels", "h", "ramp_at", "dg_row", "dr_row", "rows")

@@ -15,13 +15,12 @@ under a budget, when ramps are enforced.
 from __future__ import annotations
 
 import io
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clho import ValueModel, _check_shape, decide
+from .clho import ValueModel, _check_shape, _write_json, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
 from .hybrid import Schedule, schedule_text
@@ -139,9 +138,7 @@ class RunReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        _write_json(self.to_dict(), path, "run report")
 
 
 def simulate(s: Scenario, model: ValueModel,

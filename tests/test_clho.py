@@ -80,6 +80,51 @@ def test_training_is_bitwise_deterministic(e1c4):
     assert _weight_bytes(a) == _weight_bytes(b)
 
 
+@pytest.mark.parametrize("name, ramps", [
+    ("example2_case1", None), ("example1_case4", 0.2),
+    # every state sampled entering t=1 from mode 11 was infeasible here,
+    # so training raised while it still fitted period 1
+    ("example1_case4", 0.1),
+], ids=["relaxed", "ramped-0.2", "ramped-0.1"])
+def test_train_fits_the_periods_a_decision_reads(name, ramps):
+    # a decision at t reads Jhat_{t+1}: periods 2..T, each over the
+    # ramp-relaxed feasible modes of t-1
+    s = load_bundled_scenario(name)
+    if ramps is not None:
+        s = _with_ramps(s, ramps)
+    model = train(s, TrainConfig(samples=2))
+    assert sorted(model.weights) == list(range(2, s.horizon + 1))
+    stages = Stages(s)
+    for t, (ints, _) in model.weights.items():
+        assert ints.tolist() == stages.row(t - 1)[0].tolist()
+    keys = [*model.diagnostics["discarded"], *model.diagnostics["rank_deficient"]]
+    assert not [k for k in keys if k.startswith("1:")]
+
+
+def test_a_file_with_period_one_rows_decides_as_one_without(e1c4, model_e1c4, drawn_states,
+                                                           tmp_path):
+    # files saved while training fitted period 1 hold its rows first;
+    # they load, and no decision reads them
+    path = tmp_path / "m.json"
+    save_model(model_e1c4, path)
+    doc = json.loads(path.read_text())
+    doc["weights"] = {**{f"1:{ip}": [1e6 * (ip + 1)] * 5 for ip in range(4)},
+                      **doc["weights"]}
+    doc["diagnostics"]["rank_deficient"][:0] = ["1:0", "1:1", "1:2"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, indent=1) + "\n")
+    new, held = load_model(path, scenario=e1c4), load_model(old, scenario=e1c4)
+    assert sorted(held.weights) == [1, *sorted(new.weights)]
+    for t, i_prev, p_prev in drawn_states(e1c4, 1, count=2, seed=4):
+        want = schedule_step(new, e1c4, t, i_prev, p_prev)
+        got = schedule_step(held, e1c4, t, i_prev, p_prev)
+        assert (got[0], got[1].tobytes()) == (want[0], want[1].tobytes())
+    script = DisturbanceScript.parse(["t=2:200,150"])
+    for sc in (None, script):
+        assert (json.dumps(simulate(e1c4, held, sc).to_dict())
+                == json.dumps(simulate(e1c4, new, sc).to_dict()))
+
+
 def test_seed_changes_samples_not_quality(e1c1):
     # example 1 tail targets are state-independent, so any seed trains an
     # exact model and the rollout matches the oracle
@@ -96,7 +141,8 @@ def _tail_value(model, t, mode, dispatch):
 
 
 def test_value_matches_exact_tails(e1c1, model_e1c1, drawn_states):
-    for t, i_prev, p_prev in drawn_states(e1c1, 1, count=3, seed=2):
+    # from t=2, the first period whose tail a decision reads
+    for t, i_prev, p_prev in drawn_states(e1c1, 2, count=3, seed=2):
         want, _ = enumerate_tail(e1c1, t, i_prev, p_prev)
         assert _tail_value(model_e1c1, t, i_prev, p_prev) == pytest.approx(want, abs=1e-6)
 
@@ -198,14 +244,16 @@ def test_model_round_trip_bitwise(e1c4, model_e1c4, tmp_path):
     assert _weight_bytes(back) == _weight_bytes(model_e1c4)
 
 
-# sha256 of save_model's bytes, recorded before the weights were kept one
-# (ints, W) pair per period: today's models keep their bytes. Like
-# KERNEL_GOLDEN in test_qp.py, they follow the numpy/LAPACK build, whose
-# least-squares fits give the weights' last bits.
+# sha256 of save_model's bytes. Each is the file written while training
+# still fitted period 1, with its "1:*" keys taken out of `weights`,
+# `diagnostics.discarded` and `diagnostics.rank_deficient` and dumped the
+# same way: no other byte moved. Like KERNEL_GOLDEN in test_qp.py, they
+# follow the numpy/LAPACK build, whose least-squares fits give the
+# weights' last bits.
 SAVED_MODEL_GOLDEN = {
-    "example1_case4": "548fae420a67cbe27a0defe53946c2f8f922243567fdf413da22d09fa601f33d",
-    "example2_case1": "cda62aaea011260c8bf26552b9b9e12e24bfd509a970d71f6d98d9f5abd55dc0",
-    "example2_case1_ramps0.5": "b98ad97cd975299a34fff88600ec646245073260e2a6d007202698201fc49ef8",
+    "example1_case4": "854c2015dab95cb3702ab2cef02a1cc2de14d9f149f7a373ec08108bb2b95745",
+    "example2_case1": "3b02096e99a0aceaebe5209f8026662ccefb21cb9158579b197316b708c26170",
+    "example2_case1_ramps0.5": "5a3714cf3288c0de47bb1e9728551e616e79c542455a11d1b6ee2b36c4537b13",
 }
 
 
@@ -324,12 +372,12 @@ MALFORMED = {
     "horizon-cut": lambda doc: {**doc, "horizon": 1},
     "no-periods": lambda doc: {**doc, "horizon": 0},
     "no-units": lambda doc: {**doc, "n_units": 0},
-    "period-0": lambda doc: {**doc, "weights": {**doc["weights"], "0:1": doc["weights"]["1:1"]}},
-    "period-7": lambda doc: {**doc, "weights": {**doc["weights"], "7:1": doc["weights"]["1:1"]}},
-    "mode-4": lambda doc: {**doc, "weights": {**doc["weights"], "1:4": doc["weights"]["1:1"]}},
+    "period-0": lambda doc: {**doc, "weights": {**doc["weights"], "0:1": doc["weights"]["2:1"]}},
+    "period-7": lambda doc: {**doc, "weights": {**doc["weights"], "7:1": doc["weights"]["2:1"]}},
+    "mode-4": lambda doc: {**doc, "weights": {**doc["weights"], "2:4": doc["weights"]["2:1"]}},
     # a mode int past 63 bits would not fit the intp a period's ints hold
     "mode-2^64": lambda doc: {**doc, "n_units": 70,
-                              "weights": {f"1:{2**64}": doc["weights"]["1:1"]}},
+                              "weights": {f"2:{2**64}": doc["weights"]["2:1"]}},
     "int-diagnostics": lambda doc: {**doc, "diagnostics": 5},
     "list-diagnostics": lambda doc: {**doc, "diagnostics": [1, 2]},
     "string-diagnostics": lambda doc: {**doc, "diagnostics": "x"},

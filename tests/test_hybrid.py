@@ -49,6 +49,15 @@ def test_parse_schedule_rejects_garbage():
         parse_schedule("122", 2, horizon=6)
 
 
+@pytest.mark.parametrize("text", ["1\u00b2", "\u0661\u0662\u0662\u0663\u0663\u0663", "12\uff13"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+def test_parse_schedule_reads_ascii_digits_only(text):
+    # str.isdigit() holds for these; int() reads the last two as 122333
+    # and 123 and refuses the first with its own ValueError
+    with pytest.raises(UcdError, match="bad schedule digit"):
+        parse_schedule(text, 2)
+
+
 def test_run_schedule_dispatch_sequence(e1c1):
     traj = run_schedule(e1c1, "122333")
     d = [rec.dispatch for rec in traj.periods]

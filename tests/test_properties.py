@@ -763,17 +763,17 @@ def test_decisions_are_the_per_candidate_argmin(decision_models, data):
 
 def test_weights_retain_less_than_a_row_dict():
     # the weights of a seeded 8-unit relaxed model at samples=20 are
-    # 1,103 rows of 21 floats; a copy of them kept as a dict of one array
-    # per (t, mode int) retained 346,448 bytes (tracemalloc, Python 3.11,
-    # numpy 2.4). A copy of the (ints, W) pair per period must retain
-    # less; a dense 2^N matrix per period (24 x 256 x 21 floats, 1.03 MB)
-    # cannot
+    # 847 rows of 21 floats (1,103 while training fitted period 1); a copy
+    # of the 1,103 kept as a dict of one array per (t, mode int) retained
+    # 346,448 bytes (tracemalloc, Python 3.11, numpy 2.4). A copy of the
+    # (ints, W) pair per period must retain less; a dense 2^N matrix per
+    # period (23 x 256 x 21 floats, 0.99 MB) cannot
     import copy
     import gc
     import tracemalloc
 
     model = train(_seeded_fleet(8, 7), TrainConfig(samples=20))
-    assert sum(len(ints) for ints, _ in model.weights.values()) == 1103
+    assert sum(len(ints) for ints, _ in model.weights.values()) == 847
     gc.collect()
     tracemalloc.start()
     try:

@@ -299,6 +299,29 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (done.returncode, done.stdout) == (0, "ok: 2 units, 6 periods\n")
 
 
+def test_cli_unwritable_outputs_are_domain_errors(tmp_path, capsys, model_e1c1):
+    missing = tmp_path / "missing"
+    scn = _scenario_arg("example1_case1")
+    rc = main(["train", scn, "--out", str(missing / "m.json"), "--samples", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cannot write model document") and "Traceback" not in err
+    model = str(tmp_path / "m.json")
+    save_model(model_e1c1, model)
+    rc = main(["simulate", scn, "--model", model, "--report", str(missing / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cannot write run report") and "Traceback" not in err
+
+
+def test_cli_run_refuses_a_digit_that_is_not_ascii(capsys):
+    for text in ("1\u00b23333", "\u0661\u0662\u0662\u0663\u0663\u0663"):
+        rc = main(["run", "example1_case1", text])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: bad schedule digit")
+
+
 def test_cli_model_mismatch_is_domain_error(tmp_path, capsys, e1c1, model_e1c1):
     model = str(tmp_path / "m.json")
     save_model(model_e1c1, model)

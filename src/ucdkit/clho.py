@@ -11,7 +11,10 @@ one-step argmin per period against the trained tail values; new initial
 states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
-across decisions.
+across decisions. A table a model builds for its own scenario (a
+loaded model's, say) solves each period before T over the previous
+modes trained at the next period alone, the modes training found
+feasible there (`ValueModel.stages_for`).
 
 A decision reads its candidates as one stage row (`oracle.Stages.row`),
 gathers their weight rows in a fixed number of numpy calls (the
@@ -122,8 +125,10 @@ class ValueModel:
     model's table) finds its rows with one searchsorted into `ints`
     (`_tail_values`). Either way the gather is a fixed number of numpy
     calls, whatever the number of candidates, and hands the matmul the
-    fitted floats in candidate order. `save_model` writes one "t:ip" key
-    per row, in (t, ip) order.
+    fitted floats in candidate order. Those ints are also the only modes
+    that a table the model builds for its own scenario solves at t-1
+    (`stages_for`). `save_model` writes one "t:ip" key per row, in
+    (t, ip) order.
     """
 
     basis: BasisSpec
@@ -142,10 +147,21 @@ class ValueModel:
         """The model's stage table, rebuilt when it was made for another
         scenario object. Identity is the key, not the fingerprint: a
         Scenario is frozen, and an object's first fingerprint (a YAML
-        dump, kept per object after that) costs more than a decision on
-        cached rows."""
+        dump) costs more than a decision on cached rows. A rebuild reads
+        the fingerprint, kept per object (`load_model(path, s)` has
+        computed it). When it is the model's, row t < T is solved over
+        the previous modes trained at t+1, which training took from row
+        t itself; row T, and every row of another fingerprint's table
+        (a forced load), over all 2^N. So a model that holds no weights
+        for a feasible mode (a hand-edited file, a feasibility flip
+        across BLAS builds) decides without it, where a full row would
+        raise ModelMismatchError."""
         if self._stages is None or self._stages.s is not s:
-            self._stages = Stages(s)
+            trained = {}
+            if self.fingerprint == scenario_fingerprint(s):
+                trained = {t - 1: ints.tolist() for t, (ints, _) in self.weights.items()
+                           if t > 1}
+            self._stages = Stages(s, trained)
         return self._stages
 
     def __eq__(self, other):

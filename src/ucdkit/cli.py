@@ -18,7 +18,7 @@ from . import __version__
 from .clho import TrainConfig, load_model, save_model, schedule_step, train
 from .costs import running_cost, switching_cost
 from .errors import ScenarioError, UcdError
-from .hybrid import run_schedule, schedule_text, trajectory_csv
+from .hybrid import _ascii_number, run_schedule, schedule_text, trajectory_csv
 from .oracle import DEFAULT_BUDGET, enumerate_optimal, enumerate_schedule_costs, graph_dp_optimal
 from .qp import _full_dispatch, assemble, mode_to_int, solve
 from .scenario import BUNDLED_SCENARIOS, load_bundled_scenario, parse_scenario
@@ -49,7 +49,7 @@ def _parse_mode(text: str, n_units: int):
 
 def _parse_state(text: str, n_units: int) -> np.ndarray:
     try:
-        vals = [float(v) for v in text.split(",")]
+        vals = [_ascii_number(v, float) for v in text.split(",")]
     except ValueError as exc:
         raise UcdError(f"bad state vector {text!r}: {exc}") from exc
     try:
@@ -62,12 +62,25 @@ def _parse_state(text: str, n_units: int) -> np.ndarray:
         ) from None
 
 
+def _ascii_type(kind):
+    """argparse type of an int or float option, in ASCII digits
+    (`_ascii_number`); every numeric option takes one."""
+
+    def parse(text: str):
+        try:
+            return _ascii_number(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+    return parse
+
+
+_int, _float = _ascii_type(int), _ascii_type(float)
+
+
 def _positive_int(text: str) -> int:
     """argparse type of an enumeration budget: a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -209,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("dispatch", help="optimal dispatch for one period and mode")
     q.add_argument("scenario")
-    q.add_argument("--t", type=int, required=True, help="period, 1-indexed")
+    q.add_argument("--t", type=_int, required=True, help="period, 1-indexed")
     q.add_argument("--mode", required=True, help="commitment bits, e.g. 11")
     q.add_argument("--prev", help="previous dispatch, comma separated")
     q.set_defaults(func=cmd_dispatch)
@@ -232,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("train", help="fit the value approximation")
     q.add_argument("scenario")
     q.add_argument("--out", required=True, help="model JSON path")
-    q.add_argument("--samples", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--regularization", type=float, default=0.0)
+    q.add_argument("--samples", type=_int, default=100)
+    q.add_argument("--seed", type=_int, default=0)
+    q.add_argument("--regularization", type=_float, default=0.0)
     q.set_defaults(func=cmd_train)
 
     q = sub.add_parser("schedule", help="closed-loop plan from a state")
     q.add_argument("scenario")
     q.add_argument("--model", required=True)
-    q.add_argument("--from-t", type=int, default=1, dest="from_t")
+    q.add_argument("--from-t", type=_int, default=1, dest="from_t")
     q.add_argument("--state", help="dispatch entering from-t, comma separated")
     q.add_argument("--prev-mode", dest="prev_mode",
                    help="commitment entering from-t (default: inferred)")

@@ -94,6 +94,16 @@ def parse_schedule(text: str, n_units: int, horizon: int | None = None) -> Sched
     return Schedule(modes=tuple(modes))
 
 
+def _ascii_number(text: str, kind):
+    """kind(text), kind int or float, for text in ASCII without
+    underscores: both builtins also read other Unicode digits and
+    underscores between digits, as CLI numbers may not (parse_schedule's
+    digits are ASCII too). ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number in ASCII digits")
+    return kind(text)
+
+
 @dataclass(frozen=True)
 class PeriodRecord:
     t: int

@@ -110,11 +110,18 @@ class Stages:
     other modes are solved under ramps on the lean path of `qp._solved`
     and take their places in a copy of the row, which drops those found
     infeasible; with none, the relaxed row is returned.
+
+    `modes` maps a period to the ascending mode ints its relaxed row is
+    solved over, all 2^N where it has none: a model's own table passes
+    its trained modes (`clho.ValueModel.stages_for`), every other table
+    none. A mode's solve does not depend on which others are solved, so
+    a row over a superset of its feasible modes keeps its bytes.
     """
 
-    def __init__(self, s: Scenario):
+    def __init__(self, s: Scenario, modes=None):
         self.s = s
         self._rows = {}
+        self._modes = modes or {}
         self._kappa = _per_object(_KAPPA_ROWS, s, dict)
 
     def row(self, t: int, p_prev=None):
@@ -123,7 +130,8 @@ class Stages:
         merged row where a ramp row binds a relaxed twin."""
         row = self._rows.get(t)
         if row is None:
-            row = self._rows[t] = _solved(self.s, t, None, range(1 << self.s.n_units))
+            modes = self._modes.get(t, range(1 << self.s.n_units))
+            row = self._rows[t] = _solved(self.s, t, None, modes)
             for a in row:
                 a.flags.writeable = False
         limits = _ramp_limits(self.s, p_prev)

@@ -23,7 +23,7 @@ import numpy as np
 from .clho import ValueModel, _check_shape, _write_json, decide
 from .costs import emission, quota_rebate, running_cost, switching_cost
 from .errors import BudgetExceededError, ModelMismatchError, UcdError
-from .hybrid import Schedule, schedule_text
+from .hybrid import Schedule, _ascii_number, schedule_text
 from .oracle import (DEFAULT_BUDGET, Stages, enumerate_schedule_costs, enumerate_tail,
                      tie_band)
 from .qp import _check_dispatch, _full_dispatch, mode_to_int
@@ -77,15 +77,16 @@ class DisturbanceScript:
 
     @classmethod
     def parse(cls, specs) -> "DisturbanceScript":
-        """Each spec reads "t=2:200,150"; values in dispatch order."""
+        """Each spec reads "t=2:200,150", in ASCII digits
+        (`hybrid._ascii_number`); values in dispatch order."""
         overrides = []
         for spec in specs:
             head, sep, tail = spec.partition(":")
             if not sep or not head.strip().startswith("t="):
                 raise UcdError(f"bad disturbance {spec!r}; expected t=K:v1,v2,...")
             try:
-                t = int(head.strip()[2:])
-                values = tuple(float(v) for v in tail.split(","))
+                t = _ascii_number(head.strip()[2:], int)
+                values = tuple(_ascii_number(v, float) for v in tail.split(","))
             except ValueError as exc:
                 raise UcdError(f"bad disturbance {spec!r}: {exc}") from exc
             overrides.append((t, values))

@@ -587,15 +587,16 @@ def test_ramped_decisions_solve_only_the_relaxed_row(e1c1, tmp_path, monkeypatch
     # every twin in the row meets its ramp rows (see the test above)
     assert solves == []
     # a loaded model's table is empty: its first decision at t solves
-    # relaxed row t and no ramped QP, since every twin meets its ramp rows,
-    # and the next decision there solves nothing
+    # relaxed row t over the previous modes trained at t+1 and no ramped
+    # QP, since every twin meets its ramp rows, and the next decision
+    # there solves nothing
     path = tmp_path / "m.json"
     save_model(model, path)
     cold = load_model(path, scenario=s)
     solves.clear()
     relaxed = _count_rows(monkeypatch, relaxed_only=True)
     assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
-    assert len(solves) == 1 << s.n_units
+    assert len(solves) == len(cold.weights[3][0]) == 3
     assert relaxed == [2]
     solves.clear()
     assert _same_decision(schedule_step(cold, s, 2, (1, 1), p_prev), warm)
@@ -644,6 +645,84 @@ def test_scored_ramped_override_solves_no_relaxed_row_twice(e1c1, tmp_path,
     assert cold.oracle_comparison == warm.oracle_comparison
     (scored,) = warm.oracle_comparison
     assert scored["gap"] is not None and scored["gap"] >= -1e-6
+
+
+def _relaxed_rows(monkeypatch):
+    """t -> the mode ints of each ramp-relaxed row the stage-row solver
+    is handed at t, in call order."""
+    rows = {}
+    solved = ucdkit.oracle._solved
+
+    def counting(s, t, prev, modes):
+        modes = list(modes)
+        if prev is None:
+            rows.setdefault(t, []).append(modes)
+        return solved(s, t, prev, modes)
+
+    monkeypatch.setattr(ucdkit.oracle, "_solved", counting)
+    return rows
+
+
+def _outcome(call, *args):
+    """A decision as (mode, dispatch bytes), or the UcdError it raised."""
+    try:
+        mode, dispatch = call(*args)
+    except UcdError as exc:
+        return type(exc).__name__, str(exc)
+    return mode, dispatch.tobytes()
+
+
+def _report(s, model, script):
+    """A rollout's report as JSON text, or the UcdError it raised."""
+    try:
+        return json.dumps(simulate(s, model, script).to_dict())
+    except UcdError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name, ramps, samples", [
+    ("example2_case1", None, 20), ("example1_case4", 0.2, 100),
+], ids=["relaxed", "ramped-0.2"])
+def test_loaded_model_solves_only_its_trained_modes(name, ramps, samples, drawn_states,
+                                                    tmp_path, monkeypatch):
+    s = load_bundled_scenario(name)
+    if ramps is not None:
+        s = _with_ramps(s, ramps)
+    model = train(s, TrainConfig(samples=samples))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    cold = load_model(path, scenario=s)
+    states = drawn_states(s, 1, count=2, seed=5)
+    rows = _relaxed_rows(monkeypatch)
+    for t, i_prev, p_prev in states:
+        assert (_outcome(schedule_step, cold, s, t, i_prev, p_prev)
+                == _outcome(schedule_step, model, s, t, i_prev, p_prev)), (t, i_prev)
+    # row t < T over the previous modes trained at t+1, row T in full,
+    # each solved once; the trained model's table solved nothing
+    want = {t: [cold.weights[t + 1][0].tolist()] for t in range(1, s.horizon)}
+    want[s.horizon] = [list(range(1 << s.n_units))]
+    assert rows == want
+    override = [0.5 * (u.p_min + u.p_max) for u in s.units]
+    for script in (None, DisturbanceScript(((3, override),))):
+        assert _report(s, cold, script) == _report(s, model, script)
+
+    # fallbacks that still solve every row in full: a forced load on a
+    # scenario with one period's demand changed, and a hand-built model
+    # of no fingerprint; each decides as a table of full rows does
+    periods = list(s.periods)
+    periods[2] = dataclasses.replace(periods[2], demand=periods[2].demand + 5.0)
+    moved = dataclasses.replace(s, periods=tuple(periods))
+    forced = load_model(path, scenario=moved, force=True)
+    bare = ValueModel(basis=cold.basis, horizon=cold.horizon, n_units=cold.n_units,
+                      weights=cold.weights, fingerprint="", seed=0, samples=1,
+                      regularization=0.0)
+    for m, sc in ((forced, moved), (bare, s)):
+        rows.clear()
+        for t, i_prev, p_prev in states:
+            assert (_outcome(schedule_step, m, sc, t, i_prev, p_prev)
+                    == _outcome(decide, m, Stages(sc), t, i_prev, p_prev)), (t, i_prev)
+        full = list(range(1 << s.n_units))
+        assert {t: r[0] for t, r in rows.items()} == dict.fromkeys(range(1, s.horizon + 1), full)
 
 
 @pytest.mark.parametrize("name", ["example2_case1", "example1_case4"])

@@ -1,5 +1,6 @@
 """Closed-loop simulation reports and the command line surface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from ucdkit import (
     simulate,
     train,
 )
-from ucdkit.cli import main
+from ucdkit.cli import build_parser, main
 
 
 def test_disturbance_parse_forms():
@@ -320,6 +321,67 @@ def test_cli_run_refuses_a_digit_that_is_not_ascii(capsys):
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert captured.err.startswith("error: bad schedule digit")
+
+
+# one template per number the CLI reads; "{}" is the number's first digit,
+# and exit 2 marks an argparse type, exit 1 an "error:" line
+@pytest.mark.parametrize("argv, code", [
+    (["dispatch", "--t", "{}", "--mode", "11"], 2),
+    (["oracle", "--budget", "{}0000"], 2),
+    (["compare", "--model", "{model}", "--budget", "{}0000"], 2),
+    (["train", "--out", "{out}", "--samples", "{}"], 2),
+    (["train", "--out", "{out}", "--seed", "{}"], 2),
+    (["train", "--out", "{out}", "--regularization", "{}.5"], 2),
+    (["schedule", "--model", "{model}", "--from-t", "{}"], 2),
+    (["schedule", "--model", "{model}", "--from-t", "3", "--state", "{}00,200"], 1),
+    (["dispatch", "--t", "2", "--mode", "11", "--prev", "300,{}00"], 1),
+    (["simulate", "--model", "{model}", "--disturb", "t={}:200,150"], 1),
+    (["simulate", "--model", "{model}", "--disturb", "t=2:{}00,150"], 1),
+], ids=["dispatch-t", "oracle-budget", "compare-budget", "train-samples", "train-seed",
+        "train-regularization", "schedule-from-t", "schedule-state", "dispatch-prev",
+        "disturb-t", "disturb-values"])
+def test_cli_reads_numbers_in_ascii_digits_only(argv, code, tmp_path, capsys, model_e1c1):
+    # int() and float() also read other Unicode digits and underscores
+    model, out = tmp_path / "m.json", tmp_path / "out.json"
+    save_model(model_e1c1, model)
+    scn = _scenario_arg("example1_case1")
+
+    def run(first):
+        args = [argv[0], scn, *(a.format(first, model=model, out=out) for a in argv[1:])]
+        try:
+            return main(args)
+        except SystemExit as exc:
+            return exc.code
+
+    for first in ("\u0663", "\uff13", "0_3"):      # Arabic-Indic, fullwidth, underscored 3
+        rc = run(first)
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (code, ""), first
+        assert ("argument --" if code == 2 else "error: ") in captured.err
+        assert not out.exists()
+    assert run("3") == 0
+
+
+def test_every_numeric_option_takes_an_ascii_type():
+    # a numeric default needs a type, and every type refuses what a bare
+    # int or float would read as 3 or 10
+    parser = build_parser()
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser, *(p for sub in subparsers for p in sub.choices.values())]
+    typed = []
+    for p in parsers:
+        for action in p._actions:
+            numeric = type(action.default) in (int, float)
+            assert action.type is not None or not numeric, action.option_strings
+            if action.type is None:
+                continue
+            typed += action.option_strings
+            assert action.type("3") == 3
+            for text in ("\u0663", "\uff13", "1_0"):
+                with pytest.raises(argparse.ArgumentTypeError, match="invalid"):
+                    action.type(text)
+    assert sorted(set(typed)) == ["--budget", "--from-t", "--regularization", "--samples",
+                                  "--seed", "--t"]
 
 
 def test_cli_model_mismatch_is_domain_error(tmp_path, capsys, e1c1, model_e1c1):

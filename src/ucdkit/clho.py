@@ -14,7 +14,10 @@ first), so a ramp-relaxed period's dispatch QPs are solved at most once
 across decisions. A table a model builds for its own scenario (a
 loaded model's, say) solves each period before T over the previous
 modes trained at the next period alone, the modes training found
-feasible there (`ValueModel.stages_for`).
+feasible there (`ValueModel.stages_for`). With ramps relaxed, a
+decision on such a table at a period whose row is unbuilt is a bounded
+decision (`_Priced`): it solves only the candidates that a floor on
+their value cannot rule out.
 
 A decision reads its candidates as one stage row (`oracle.Stages.row`),
 gathers their weight rows in a fixed number of numpy calls (the
@@ -40,8 +43,8 @@ import numpy as np
 
 from .costs import switching_matrix
 from .errors import ModelMismatchError, UcdError
-from .oracle import Stages, tie_band
-from .qp import _check_dispatch, _commitments, int_to_mode, mode_to_int
+from .oracle import TIE_RTOL, Stages, tie_band
+from .qp import _boxes, _check_dispatch, _commitments, _q_floors, int_to_mode, mode_to_int
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -140,8 +143,10 @@ class ValueModel:
     samples: int
     regularization: float
     diagnostics: dict = field(default_factory=dict)
-    # stage table reused by schedule_step; never saved, never compared
+    # stage table reused by schedule_step, and the bounded decisions'
+    # state per period on it (`_Priced`); never saved, never compared
     _stages: Stages | None = field(default=None, init=False, repr=False, compare=False)
+    _priced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stages_for(self, s: Scenario) -> Stages:
         """The model's stage table, rebuilt when it was made for another
@@ -151,17 +156,20 @@ class ValueModel:
         the fingerprint, kept per object (`load_model(path, s)` has
         computed it). When it is the model's, row t < T is solved over
         the previous modes trained at t+1, which training took from row
-        t itself; row T, and every row of another fingerprint's table
-        (a forced load), over all 2^N. So a model that holds no weights
-        for a feasible mode (a hand-edited file, a feasibility flip
-        across BLAS builds) decides without it, where a full row would
-        raise ModelMismatchError."""
+        t itself, and row T over all 2^N; with ramps relaxed, a decision
+        at a period whose row is unbuilt solves only the candidates a
+        bound cannot rule out (`_Priced`). Every row of another
+        fingerprint's table (a forced load) is solved over all 2^N. So a
+        model that holds no weights for a feasible mode (a hand-edited
+        file, a feasibility flip across BLAS builds) decides without it,
+        where a full row would raise ModelMismatchError."""
         if self._stages is None or self._stages.s is not s:
             trained = {}
             if self.fingerprint == scenario_fingerprint(s):
-                trained = {t - 1: ints.tolist() for t, (ints, _) in self.weights.items()
-                           if t > 1}
+                trained = {t - 1: ints for t, (ints, _) in self.weights.items() if t > 1}
+                trained[s.horizon] = np.arange(1 << s.n_units, dtype=np.intp)
             self._stages = Stages(s, trained)
+            self._priced = {}
         return self._stages
 
     def __eq__(self, other):
@@ -301,13 +309,9 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
 _NO_WEIGHTS = (np.empty(0, dtype=np.intp), None)
 
 
-def _tail_values(model, t, ints, dispatches):
-    """Jhat_t at each dispatch row, entering t from the mode int of the
-    same index; 0 beyond the horizon. The weight rows are W itself or
-    one searchsorted gather (see ValueModel), the tails one stacked
-    matmul with np.dot's bits (see the module docstring)."""
-    if t > model.horizon or not len(ints):
-        return np.zeros(len(ints))
+def _weight_rows(model, t, ints):
+    """The weight rows of Jhat_t for the previous-mode ints `ints`: W
+    itself or one searchsorted gather (see ValueModel)."""
     known, W = model.weights.get(t, _NO_WEIGHTS)
     if ints is not known:
         at = known.searchsorted(ints)
@@ -316,8 +320,131 @@ def _tail_values(model, t, ints, dispatches):
             raise ModelMismatchError(f"model holds no weights for t={t}, I_prev="
                                      f"{''.join(map(str, int_to_mode(absent, model.n_units)))}")
         W = W.take(at, axis=0)
-    X = basis_matrix(model.basis, dispatches)
+    return W
+
+
+def _dots(W, X):
+    """Row i of W dotted with row i of X, for every i in one stacked
+    matmul with np.dot's bits (see the module docstring)."""
     return (W[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
+def _tail_values(model, t, ints, dispatches):
+    """Jhat_t at each dispatch row, entering t from the mode int of the
+    same index; 0 beyond the horizon."""
+    if t > model.horizon or not len(ints):
+        return np.zeros(len(ints))
+    return _dots(_weight_rows(model, t, ints), basis_matrix(model.basis, dispatches))
+
+
+def _tail_floors(basis, W, lo, hi):
+    """(floor, size) per row i: a floor on W[i] . phi(x) over the box
+    lo[i] <= x <= hi[i] (dispatch coordinates as columns), and the sum of
+    the magnitudes of its terms there. The basis is separable: each
+    coordinate adds w2 x^2 + w1 x, whose minimum over an interval lies
+    at an end or, when w2 > 0, at the clipped stationary point, so the
+    floor is the constant plus the least of those three per coordinate.
+    Rounding the stationary point raises its value by a second-order
+    amount only (see `_Priced` for the margin)."""
+    c = list(basis.coords)
+    k = len(c)
+    lo, hi = lo[:, c], hi[:, c]
+    w2, w1, w0 = W[:, :k], W[:, k:2 * k], W[:, 2 * k]
+    bowl = w2 > 0.0
+    x = np.where(bowl, np.minimum(np.maximum(-w1 / np.where(bowl, 2.0 * w2, 1.0), lo), hi), lo)
+    least = np.minimum(np.minimum((w2 * lo + w1) * lo, (w2 * hi + w1) * hi), (w2 * x + w1) * x)
+    top = np.maximum(np.abs(lo), np.abs(hi))
+    return least.sum(1) + w0, ((np.abs(w2) * top + np.abs(w1)) * top).sum(1) + np.abs(w0)
+
+
+def _margin(n_units, size):
+    """The rounding margin of a floor whose terms' magnitudes sum to
+    `size`, on a fleet of n_units (`_Priced` argues it)."""
+    return 4 * (2 * n_units + 20) * 2.0 ** -53 * size
+
+
+class _Priced:
+    """A bounded decision's state at one period t of a model's own table
+    (`ValueModel.stages_for`) with ramps relaxed, used while the
+    period's row is unbuilt (`oracle.Stages.pending`).
+
+    A decision from previous mode i_prev takes the tie-band argmin of
+    (Q + kappa) + Jhat_{t+1} over the candidates, the modes row t would
+    be solved over. Each candidate's value has a floor: Q's
+    (`qp._q_floors`), plus kappa, plus Jhat_{t+1}'s least value over the
+    mode's box (`_tail_floors`), less a rounding margin. The decision
+    prices candidates in floor order and solves each, alone through the
+    table (`Stages.mode`), only while its floor is at most
+    best + TIE_RTOL * max(1, |best|), best the least value priced so
+    far; the first floor past that ends the pricing. A candidate left
+    unpriced has a value at least its floor, above the band of the
+    least value priced and so above the final band, since x + band(x)
+    never decreases (`oracle._Bound.cuts`). The argmin and its dispatch
+    are therefore a full row's, to the bit, and so is the row that a
+    full-row reader builds later. The floors and margins without kappa
+    (`low`) are kept, and so is each solved candidate's Q and tail (Q
+    inf for an infeasible mode), so a later decision at t adds its kappa
+    and solves only what that admits. Values round as `_step` rounds
+    them, (Q + kappa) + tail.
+
+    The margin. The floors bound a certified dispatch's value in real
+    numbers: `qp._boxes` widens each box, and `qp._q_floors` the demand,
+    by the slack a KKT certificate allows (KKT_TOL on each row and on
+    the balance, FEAS_TOL below it for a mode with nothing to dispatch).
+    What is left is rounding. Each float on the way (running_cost's Q,
+    the tail's dot, (Q + kappa) + tail; the Q floor, the tail floor and
+    their sum; `low` and `low` + kappa) is a sum of at most 2N + 20
+    rounded terms, so it lies within (2N + 20) u (1 + o(1)) times the sum
+    of their magnitudes of its real value, in any summation order, u
+    the unit roundoff 2^-53. `size` bounds every such magnitude sum:
+    that of `qp._q_floors`, of `_tail_floors` and the largest switching
+    charge. Three of those errors separate a floor from the value it
+    bounds (the value's, the floor's, the key's), so the margin
+    4 (2N + 20) u size (`_margin`) covers them with room to spare. It
+    is derived, not fitted."""
+
+    __slots__ = ("ints", "W", "low", "q", "tail", "todo")
+
+    def __init__(self, model, s, t, ints):
+        on, lo, hi = _boxes(s, t, ints)
+        floor, size = _q_floors(s, t, on, lo, hi)
+        self.W = None
+        if t < model.horizon:
+            self.W = _weight_rows(model, t + 1, ints)
+            tail, tail_size = _tail_floors(model.basis, self.W, on * lo, on * hi)
+            floor, size = floor + tail, size + tail_size
+        switch = sum(max(u.c_bank, u.c_fix + u.c_shut) for u in s.units)
+        self.ints = ints
+        self.low = floor - _margin(s.n_units, size + switch)
+        self.q = np.full(len(ints), np.inf)
+        self.tail = np.zeros(len(ints))
+        self.todo = np.ones(len(ints), dtype=bool)
+
+    def step(self, model, stages, t, kappa):
+        """(ints, values): the solved feasible candidates at t, ascending,
+        and their values from the previous mode of switching row
+        `kappa`, after solving what this decision's floors admit."""
+        k = kappa[self.ints]
+        keys = np.where(self.todo, self.low + k, np.inf)    # the unsolved
+        values = (self.q + k) + self.tail
+        best = values.min()
+        while True:
+            i = int(keys.argmin())      # the least floor, first on a tie
+            key = keys.item(i)
+            if key == np.inf or key > best + TIE_RTOL * max(1.0, abs(best)):
+                break
+            keys[i] = np.inf
+            self.todo[i] = False
+            solved = stages.mode(t, self.ints.item(i))
+            if solved is None:
+                continue
+            self.q[i], dispatch = solved
+            if self.W is not None:
+                self.tail[i] = _dots(self.W[i:i + 1], basis_matrix(model.basis, dispatch[None]))[0]
+            values[i] = (self.q[i] + k[i]) + self.tail[i]
+            best = min(best, values[i])
+        keep = self.q < np.inf
+        return self.ints[keep], values[keep]
 
 
 def _step(model, stages, t, kappa, p_prev):
@@ -330,16 +457,31 @@ def _step(model, stages, t, kappa, p_prev):
 
 def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     """The (mode, dispatch) minimizing the one-step value; ties break to
-    the smallest mode as a binary integer, matching the oracles. A
-    state from which no mode at t is feasible raises UcdError."""
-    n = stages.s.n_units
+    the smallest mode as a binary integer, matching the oracles. A t
+    that is not a period raises ScenarioError (`Scenario.period`), even
+    one equal to a period whose row the table holds, such as 2.0, and a
+    state from which no mode at t is feasible UcdError. On the model's
+    own table, with ramps relaxed and row t unbuilt, the decision is
+    bounded (`_Priced`), with the same answer."""
+    s = stages.s
+    s.period(t)
+    n = s.n_units
     kappa = stages.kappa_row(mode_to_int(i_prev, n))
-    (ints, _, dispatches), values = _step(model, stages, t, kappa, p_prev)
+    ints = stages.pending(t) if stages is model._stages else None
+    if ints is None:
+        (ints, _, dispatches), values = _step(model, stages, t, kappa, p_prev)
+    else:
+        priced = model._priced.get(t)
+        if priced is None:
+            priced = model._priced[t] = _Priced(model, s, t, ints)
+        ints, values = priced.step(model, stages, t, kappa)
+        dispatches = None
     if not len(ints):
         raise UcdError(f"no mode is feasible at t={t} from the state entering it "
                        f"(previous mode {''.join(str(int(b)) for b in i_prev)})")
     k = tie_band(values)[1]
-    return _commitments(n)[ints.item(k)], dispatches[k]
+    v = ints.item(k)
+    return _commitments(n)[v], stages.mode(t, v)[1] if dispatches is None else dispatches[k]
 
 
 def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
@@ -348,12 +490,10 @@ def schedule_step(model: ValueModel, s: Scenario, t: int, i_prev, p_prev):
     change it without touching the table. A model of another unit count
     or horizon than s raises ModelMismatchError (`_check_shape`), a
     previous dispatch other than N or N+2 finite entries >= 0 ValueError,
-    and a t that is not a period ScenarioError (`Scenario.period`), even
-    one equal to a period whose row the table holds, such as 2.0.
+    and a t that is not a period ScenarioError (`decide`).
     """
     _check_shape(model.n_units, model.horizon, s)
     _check_dispatch(p_prev, s.n_units)
-    s.period(t)
     mode, dispatch = decide(model, model.stages_for(s), t, i_prev, p_prev)
     return mode, dispatch.copy()
 

@@ -111,17 +111,23 @@ class Stages:
     and take their places in a copy of the row, which drops those found
     infeasible; with none, the relaxed row is returned.
 
-    `modes` maps a period to the ascending mode ints its relaxed row is
-    solved over, all 2^N where it has none: a model's own table passes
-    its trained modes (`clho.ValueModel.stages_for`), every other table
-    none. A mode's solve does not depend on which others are solved, so
-    a row over a superset of its feasible modes keeps its bytes.
+    `modes` maps a period to the ascending mode ints (an intp array) its
+    relaxed row is solved over, all 2^N where it has none: a model's own
+    table passes its candidates (`clho.ValueModel.stages_for`), every
+    other table none. A mode's solve does not depend on which others are
+    solved, so a row over a superset of its feasible modes keeps its
+    bytes. So does a row built from modes solved one at a time: on such
+    a table with ramps relaxed, a decision solves only the candidates
+    its bound cannot rule out (`clho._Priced`), each through `mode`, and
+    the first full-row reader (`row`, so `values`, `best_next` and every
+    ramped twin) solves the rest and merges them.
     """
 
     def __init__(self, s: Scenario, modes=None):
         self.s = s
         self._rows = {}
         self._modes = modes or {}
+        self._parts = {}        # t -> {mode int: (Q, dispatch) or None}, row t unbuilt
         self._kappa = _per_object(_KAPPA_ROWS, s, dict)
 
     def row(self, t: int, p_prev=None):
@@ -130,8 +136,7 @@ class Stages:
         merged row where a ramp row binds a relaxed twin."""
         row = self._rows.get(t)
         if row is None:
-            modes = self._modes.get(t, range(1 << self.s.n_units))
-            row = self._rows[t] = _solved(self.s, t, None, modes)
+            row = self._rows[t] = self._relaxed(t)
             for a in row:
                 a.flags.writeable = False
         limits = _ramp_limits(self.s, p_prev)
@@ -150,6 +155,41 @@ class Stages:
         q, dispatches = q.copy(), dispatches.copy()
         q[at], dispatches[at] = again_q, again_d
         return ints[keep], q[keep], dispatches[keep]
+
+    def _relaxed(self, t):
+        """Relaxed row t, `_solved` over the period's modes; a mode
+        already solved alone (`mode`) takes its place in it as solved."""
+        modes = self._modes.get(t)
+        modes = range(1 << self.s.n_units) if modes is None else modes.tolist()
+        part = self._parts.pop(t, None)
+        if not part:
+            return _solved(self.s, t, None, modes)
+        ints, q, dispatches = _solved(self.s, t, None, [v for v in modes if v not in part])
+        part.update(zip(ints.tolist(), zip(q.tolist(), dispatches)))
+        ints = [v for v in modes if part.get(v) is not None]
+        return (np.array(ints, dtype=np.intp), np.array([part[v][0] for v in ints], dtype=float),
+                np.array([part[v][1] for v in ints], dtype=float).reshape(len(ints),
+                                                                          self.s.n_units + 2))
+
+    def pending(self, t: int):
+        """The modes that relaxed row t is to be solved over, while that
+        row is unbuilt on a ramp-relaxed table given them (a model's own);
+        else None."""
+        if self.s.ramp_enforced or t in self._rows:
+            return None
+        return self._modes.get(t)
+
+    def mode(self, t: int, v: int):
+        """(Q, dispatch) of mode int v at t with ramps relaxed, None when
+        it is infeasible: solved alone through `_solved` on first use and
+        kept, read-only, until row t is built from it. For a row not yet
+        built (`pending`)."""
+        part = self._parts.setdefault(t, {})
+        if v not in part:
+            ints, q, dispatches = _solved(self.s, t, None, (v,))
+            dispatches.flags.writeable = False
+            part[v] = (q.item(0), dispatches[0]) if len(ints) else None
+        return part[v]
 
     def kappa_row(self, i_prev: int) -> np.ndarray:
         """Row i_prev of the switching matrix, built on first use and

@@ -32,14 +32,20 @@ with ramps enforced takes the lean path: its bounds go from the
 template straight to `_certified`, from ramp bounds computed once per
 previous dispatch (`_ramp_limits`), and no QpProblem or QpSolution is
 built. `_solved` solves a period's modes on either path and returns
-their stage row, the one form `oracle.Stages.row` hands out. Every stage
-table solves its own 2^N relaxed grid, on a large fleet mostly to
-infeasible verdicts, so the public path is kept cheap: `_record` fills
-each record's __dict__ rather than calling the frozen dataclass
-__init__, and `solve` hands the kernel `h` as assembled. Relaxed rows
+their stage row, the one form `oracle.Stages.row` hands out. Graph DP,
+training and a relaxed rollout each solve their own 2^N relaxed grid,
+on a large fleet mostly to infeasible verdicts, so the public path is
+kept cheap: `_record` fills each record's __dict__ rather than calling
+the frozen dataclass __init__, and `solve` hands the kernel `h` as
+assembled. Relaxed rows
 stay on `solve` for the benchmark: its tracer counts solves there, and
 its tests pin their number (2,304 for graph DP, `train` and `simulate`
 on relaxed example2_case1).
+
+`_q_floors` prices a floor on the relaxed Q of many modes of a period
+at once, in a fixed number of numpy calls, from the boxes `_boxes`
+gives; a loaded model's bounded decisions (`clho._Priced`) solve only
+the modes that floor cannot rule out.
 """
 
 from __future__ import annotations
@@ -261,12 +267,13 @@ class _Store:
     scenario, so every solver refuses an invalid one built in code with
     the ScenarioError a parse raises."""
 
-    __slots__ = ("templates", "rows")
+    __slots__ = ("templates", "rows", "terms")
 
     def __init__(self, s):
         _require_valid(s)
         self.templates = {}     # (bits, dg on, dr on, ramped units) -> _Template
         self.rows = {}          # layout of G's rows -> (G, C, row normals)
+        self.terms = _cost_terms(s)
 
     def filled(self, s, per, bits, limits):
         """(template, h): the template of mode `bits` at period data
@@ -296,6 +303,23 @@ def _store(s):
     return _per_object(_TEMPLATES, s, lambda: _Store(s))
 
 
+def _cost_terms(s):
+    """(hdiag, glin, const, glin_size, const_size), read-only arrays: the
+    objective terms 0.5 hdiag x^2 + glin x of each dispatch coordinate
+    (the units, then DG and DR) and each unit's constant, then the sums
+    of the magnitudes of the terms that running_cost adds up for glin x
+    and const at x = 1. `_Template` takes a mode's terms from here and
+    `_q_floors` every mode's, so both read the same floats."""
+    p_e = s.cet.price
+    units, vr = s.units, (s.dg, s.dr)
+    return tuple(_read_only(np.array(v, dtype=float)) for v in (
+        [2.0 * (u.a + p_e * u.alpha) for u in units] + [2.0 * r.a for r in vr],
+        [u.b + p_e * u.beta for u in units] + [r.b for r in vr],
+        [u.c + p_e * u.gamma for u in units],
+        [abs(u.b) + p_e * abs(u.beta) for u in units] + [abs(r.b) for r in vr],
+        [abs(u.c) + p_e * abs(u.gamma) for u in units]))
+
+
 class _Template:
     """What a dispatch QP takes from its mode alone: the free columns,
     cost terms, row labels, committed p_min and p_max sums, `G`, the
@@ -311,21 +335,13 @@ class _Template:
 
     def __init__(self, s, bits, dg_on, dr_on, ramped, store):
         n_units = s.n_units
-        p_e = s.cet.price
         on = [(n, s.units[n]) for n in range(n_units) if bits[n]]
         nc = len(on)
         free = [n for n, _ in on] + [n_units] * dg_on + [n_units + 1] * dr_on
         nf = len(free)
 
-        hdiag = [2.0 * (u.a + p_e * u.alpha) for _, u in on]
-        glin = [u.b + p_e * u.beta for _, u in on]
-        if dg_on:
-            hdiag.append(2.0 * s.dg.a)
-            glin.append(s.dg.b)
-        if dr_on:
-            hdiag.append(2.0 * s.dr.a)
-            glin.append(s.dr.b)
-        const = sum(u.c + p_e * u.gamma for _, u in on)
+        terms_h, terms_g, terms_c = store.terms[:3]
+        const = sum(terms_c[[n for n, _ in on]].tolist())
         const += s.dg.c + s.dr.c
 
         # rows in order, G x <= h; G is +1 at the flat indices in `plus`, -1
@@ -383,8 +399,8 @@ class _Template:
             store.rows[layout] = (_read_only(G), _kernel_form(G), {})
         self.G, C, normals = store.rows[layout]
         self.bits, self.free, self.labels = bits, tuple(free), tuple(labels)
-        self.hdiag = _read_only(np.array(hdiag, dtype=float))
-        self.glin = _read_only(np.array(glin, dtype=float))
+        self.hdiag = _read_only(terms_h[free])
+        self.glin = _read_only(terms_g[free])
         self.const = float(const)
         self.pmin_sum = sum(u.p_min for _, u in on)
         self.pmax_sum = sum(u.p_max for _, u in on)
@@ -621,3 +637,86 @@ def _solved(s, t, limits, modes):
             dispatches.append(dispatch)
     return (np.array(ints, dtype=np.intp), np.array(qs, dtype=float),
             np.array(dispatches, dtype=float).reshape(len(ints), n + 2))
+
+
+# the certificate holds each box row's slack and the balance residual to
+# KKT_TOL as it rounds them; a box row's slack is one coordinate less a
+# bound, rounded by at most an ulp of KKT_TOL, so twice KKT_TOL covers it
+_WIDEN = 2.0 * KKT_TOL
+
+
+def _boxes(s, t, ints):
+    """(on, lo, hi): which dispatch coordinates (columns: the units, DG,
+    DR) each mode int of `ints` (rows) leaves free at t, as 0.0 or 1.0,
+    and each coordinate's box, widened by _WIDEN: [p_min, p_max] for a
+    unit, [0, cap] for DG and DR. A certified ramp-relaxed dispatch of
+    a mode lies in on * lo <= x <= on * hi, with every coordinate the
+    mode holds at exactly 0 in [0, 0]."""
+    n = s.n_units
+    per = s.period(t)
+    caps = [per.dg_max, per.dr_max]
+    on = np.empty((len(ints), n + 2))
+    on[:, :n] = (np.asarray(ints)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    on[:, n:] = [cap > 0.0 for cap in caps]
+    lo = np.array([u.p_min for u in s.units] + [0.0, 0.0]) - _WIDEN
+    hi = np.array([u.p_max for u in s.units] + caps) + _WIDEN
+    return on, lo, hi
+
+
+def _q_floors(s, t, on, lo, hi):
+    """(floor, size) per mode of the boxes (on, lo, hi) that `_boxes`
+    gives at t: a floor on the Q of every certified ramp-relaxed
+    dispatch of the mode (inf where none exists), and a sum of the
+    magnitudes of the terms that Q and this floor are computed from.
+
+    A certified dispatch x lies in the mode's box and has
+    |sum x - demand| <= eps (eps below). Dropping every other row leaves
+    min Q(x) over that set, whose Lagrangian dual at any lambda,
+
+        g(lambda) = sum_j min over [lo_j, hi_j] of (f_j(x_j) - lambda x_j)
+                    + lambda demand - |lambda| eps + const,
+
+    is a floor by weak duality (f_j a free coordinate's terms from
+    `_cost_terms`). Each coordinate's minimizer is its clipped
+    stationary point, so sum x(lambda) is piecewise linear with kinks at
+    the coordinates' breakpoints. One product of the mode-bit matrix
+    with every coordinate's minimizer at every breakpoint gives each
+    mode's sums there, the bracket that holds the demand, and lambda by
+    linear interpolation inside it. There x(lambda) is the optimum of a
+    mode whose only active rows are its bounds and the balance, so the
+    floor falls short of such a mode's Q by the widening's price alone.
+    A mode whose box sums miss the demand by more than eps has no
+    certified dispatch, and its floor is inf.
+
+    eps is 2 KKT_TOL plus 4(N + 4) u (demand + sum of the caps), u the
+    unit roundoff 2^-53: the certificate bounds its own rounded sum of
+    x, within (N + 1) u sum |x| of the real one, and the box sums here
+    round too. Rounding in the floor
+    itself is left to the caller's margin (`clho._Priced`), scaled by
+    `size`; rounding the clipped minimizers raises a term by a
+    second-order amount only, far below that margin."""
+    n = s.n_units
+    h, g, const, g_size, c_size = _store(s).terms
+    demand = float(s.period(t).demand)
+    eps = _WIDEN + (n + 4) * 2.0 ** -51 * (demand + hi.sum())
+    # every coordinate's minimizer (rows) at every breakpoint (columns);
+    # Python sorts the few breakpoints, as numpy's sort would page in
+    # half a megabyte of sort kernels that nothing else here uses
+    kinks = np.array(sorted((g + h * lo).tolist() + (g + h * hi).tolist()))
+    at = np.minimum(np.maximum((kinks - g[:, None]) / h[:, None], lo[:, None]), hi[:, None])
+    sums = on @ at
+    k = np.minimum(np.maximum((sums < demand).sum(1), 1), len(kinks) - 1)
+    rows = np.arange(len(on))
+    s0, s1, l0, l1 = sums[rows, k - 1], sums[rows, k], kinks[k - 1], kinks[k]
+    rise = s1 > s0
+    inside = l0 + (demand - s0) / np.where(rise, s1 - s0, 1.0) * (l1 - l0)
+    lam = np.minimum(np.maximum(np.where(rise, inside, l1), l0), l1)
+    x = np.minimum(np.maximum((lam[:, None] - g) / h, on * lo), on * hi)
+    box_lo, box_hi = (on @ np.stack([lo, hi], 1)).T
+    floor = (on[:, :n] @ const + (s.dg.c + s.dr.c) + ((0.5 * h * x + g) * x).sum(1)
+             + lam * (demand - x.sum(1)) - np.abs(lam) * eps)
+    floor[(demand - eps > box_hi) | (box_lo - eps > demand)] = np.inf
+    # running_cost's terms at x, |x| <= hi (lo >= -_WIDEN, p_min <= p_max)
+    size = (on @ ((0.5 * h * hi + g_size) * hi) + on[:, :n] @ c_size
+            + abs(s.dg.c) + abs(s.dr.c) + np.abs(lam) * (box_hi + demand + eps))
+    return floor, size

@@ -140,9 +140,10 @@ class Scenario:
 # parsing
 
 def _period_index(t, last):
-    """t as an int where it is an integer in 1..last, else ScenarioError."""
+    """t as an int where it is an integer in 1..last, else ScenarioError;
+    a bool is not a period, as it is not a number to `_as_float`."""
     try:
-        i = operator.index(t)
+        i = 0 if isinstance(t, bool) else operator.index(t)
     except TypeError:
         i = 0
     if not 1 <= i <= last:

@@ -35,6 +35,7 @@ from ucdkit import (
     train,
 )
 from ucdkit.clho import _tail_values, basis_matrix, decide
+from ucdkit.scenario import scenario_fingerprint
 from ucdkit.hybrid import mode_to_int
 from ucdkit.oracle import Stages
 
@@ -508,11 +509,15 @@ def test_wrong_length_previous_modes_are_rejected(e1c1, model_e1c1):
 
 def test_a_period_that_is_not_an_integer_is_refused(e1c1, model_e1c1):
     # 2.0 passes a range check, and a table that holds row 2 would read
-    # it as period 2; every entry point refuses a t that is not an
-    # integer with the ScenarioError of a t outside the horizon
+    # it as period 2, as True would read as period 1; every entry point
+    # refuses a t that is not an integer with the ScenarioError of a t
+    # outside the horizon
     p_prev = np.array([300.0, 0.0, 0.0, 0.0])
-    for bad in (2.5, 2.0, np.float64(2.0), "2", 0, 7):
+    table = Stages(e1c1)
+    table.row(2)
+    for bad in (2.5, 2.0, np.float64(2.0), "2", 0, 7, True):
         for call in (lambda: schedule_step(model_e1c1, e1c1, bad, (1, 0), p_prev),
+                     lambda: decide(model_e1c1, table, bad, (1, 0), p_prev),
                      lambda: assemble(e1c1, bad, (1, 0)),
                      lambda: mode_candidates(e1c1, bad)):
             with pytest.raises(ScenarioError, match="not an integer in the horizon 1..6"):
@@ -523,12 +528,33 @@ def test_a_period_that_is_not_an_integer_is_refused(e1c1, model_e1c1):
         assert assemble(e1c1, ok, (1, 0)).h.tobytes() == assemble(e1c1, 2, (1, 0)).h.tobytes()
 
 
-def test_a_dead_end_names_its_period_and_previous_mode(e1c1_overloaded, model_e1c1):
+def test_a_dead_end_names_its_period_and_previous_mode(e1c1_overloaded, model_e1c1,
+                                                       tmp_path, monkeypatch):
     # the message names the previous mode, not a commitment at t
+    want = "no mode is feasible at t=4 from the state entering it (previous mode 11)"
+    p_prev = np.array([300.0, 350.0])
     with pytest.raises(UcdError) as e:
-        decide(model_e1c1, Stages(e1c1_overloaded), 4, (1, 1), np.array([300.0, 350.0]))
-    assert str(e.value) == ("no mode is feasible at t=4 from the state entering it "
-                            "(previous mode 11)")
+        decide(model_e1c1, Stages(e1c1_overloaded), 4, (1, 1), p_prev)
+    assert str(e.value) == want
+    # a loaded model's own table decides there by its floors: no
+    # candidate's box reaches the demand, so none is solved
+    path = tmp_path / "m.json"
+    save_model(dataclasses.replace(model_e1c1, fingerprint=scenario_fingerprint(e1c1_overloaded)),
+               path)
+    loaded = load_model(path, scenario=e1c1_overloaded)
+    stages = loaded.stages_for(e1c1_overloaded)
+    assert stages.pending(4) is not None
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(UcdError) as e:
+        decide(loaded, stages, 4, (1, 1), p_prev)
+    assert str(e.value) == want
+    assert solves == []
+    # a mode solved alone joins the row a full-row reader builds, which
+    # is `_solved`'s, empty here
+    assert stages.mode(4, 0b11) is None
+    want_row = ucdkit.qp._solved(e1c1_overloaded, 4, None, stages.pending(4).tolist())
+    assert [(a.dtype, a.shape) for a in stages.row(4)] == [(a.dtype, a.shape) for a in want_row]
+    assert stages.row(4)[2].shape == (0, 4)
 
 
 def test_training_refuses_a_period_without_a_feasible_mode(e1c1_overloaded):
@@ -680,6 +706,16 @@ def _report(s, model, script):
         return type(exc).__name__, str(exc)
 
 
+# the modes that the relaxed case's decisions solve at each period, in
+# solve order: 41 solves, where full rows over the trained modes took 188
+_BOUNDED_SOLVES = {
+    1: [24], 2: [24], 3: [24], 4: [24], 5: [24], 6: [26], 7: [26], 8: [25, 26, 28],
+    9: [27, 29, 30], 10: [27, 31, 29], 11: [31], 12: [31], 13: [27, 29, 31],
+    14: [27, 30, 29], 15: [26, 28], 16: [24], 17: [24], 18: [26, 25, 28],
+    19: [25, 30, 27], 20: [31], 21: [30], 22: [26, 28], 23: [24], 24: [22, 24],
+}
+
+
 @pytest.mark.parametrize("name, ramps, samples", [
     ("example2_case1", None, 20), ("example1_case4", 0.2, 100),
 ], ids=["relaxed", "ramped-0.2"])
@@ -701,7 +737,14 @@ def test_loaded_model_solves_only_its_trained_modes(name, ramps, samples, drawn_
     # each solved once; the trained model's table solved nothing
     want = {t: [cold.weights[t + 1][0].tolist()] for t in range(1, s.horizon)}
     want[s.horizon] = [list(range(1 << s.n_units))]
-    assert rows == want
+    if ramps is None:
+        # with ramps relaxed the decisions are bounded: they solve one
+        # mode at a time, in floor order, and only the candidates that
+        # their floors cannot rule out, each once
+        assert rows == {t: [[v] for v in modes] for t, modes in _BOUNDED_SOLVES.items()}
+        assert all(set(modes) <= set(want[t][0]) for t, modes in _BOUNDED_SOLVES.items())
+    else:
+        assert rows == want
     override = [0.5 * (u.p_min + u.p_max) for u in s.units]
     for script in (None, DisturbanceScript(((3, override),))):
         assert _report(s, cold, script) == _report(s, model, script)

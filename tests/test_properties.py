@@ -45,11 +45,12 @@ from ucdkit import (
 )
 from ucdkit import _kernels
 from ucdkit.cli import main
-from ucdkit.clho import _tail_values, basis_matrix, decide
+from ucdkit.clho import _margin, _tail_floors, _tail_values, basis_matrix, decide
 from ucdkit.costs import running_cost, switching_cost
 from ucdkit.oracle import Stages, tie_band
-from ucdkit.qp import KKT_TOL, _solved, mode_candidates, mode_to_int
+from ucdkit.qp import KKT_TOL, _boxes, _q_floors, _solved, mode_candidates, mode_to_int
 
+from test_clho import _outcome
 from test_costs import startup_cost_reference
 from test_qp import _tiled_fleet, _with_ramps
 
@@ -750,11 +751,19 @@ def test_decisions_are_the_per_candidate_argmin(decision_models, data):
                        for u, on, f in zip(s.units, i_prev, frac)]
                       + [frac[n] * per.dg_max, frac[n + 1] * per.dr_max])
     stages = model.stages_for(s)
+    # first, while a reloaded model's relaxed row t may be unbuilt, so
+    # the decision may be a bounded one; the reference builds the row
+    try:
+        first = schedule_step(model, s, t, i_prev, p_prev)
+    except UcdError:
+        first = None
     want = _reference_decision(model, stages, t, i_prev, p_prev)
     if want is None:
+        assert first is None
         with pytest.raises(UcdError):
             schedule_step(model, s, t, i_prev, p_prev)
         return
+    assert (first[0], first[1].tobytes()) == want
     mode, dispatch = decide(model, stages, t, i_prev, p_prev)
     assert (mode, dispatch.tobytes()) == want
     mode, dispatch = schedule_step(model, s, t, i_prev, p_prev)
@@ -785,3 +794,105 @@ def test_weights_retain_less_than_a_row_dict():
         tracemalloc.stop()
     assert weights.keys() == model.weights.keys()
     assert retained < 346_448, retained
+
+
+@pytest.fixture(scope="module")
+def saved_decision_models(decision_models, tmp_path_factory):
+    """(scenario, trained model, path of its saved copy) for each relaxed
+    fleet of `decision_models`."""
+    folder = tmp_path_factory.mktemp("saved")
+    saved = []
+    for i, (s, model) in enumerate(decision_models[:len(decision_models) // 2]):
+        if not s.ramp_enforced:
+            path = folder / f"m{i}.json"
+            save_model(model, path)
+            saved.append((s, model, path))
+    return saved
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_bounded_decisions_are_the_full_rows_decisions(saved_decision_models, data):
+    # a freshly reloaded model decides at a period whose row is unbuilt
+    # by bounds, solving modes one at a time (`clho._Priced`); along a
+    # random sequence of states, with a full-row reader part-way, every
+    # decision must be the trained model's, to the dispatch bytes, and
+    # every row the table holds must be `_solved`'s over its modes
+    s, trained, path = data.draw(st.sampled_from(saved_decision_models))
+    n = s.n_units
+    model = load_model(path, scenario=s)
+    stages = model.stages_for(s)
+    states = data.draw(st.lists(st.tuples(st.integers(1, s.horizon), st.integers(0, (1 << n) - 1)),
+                                min_size=1, max_size=12))
+    cut = data.draw(st.integers(0, len(states)))
+    first = data.draw(st.integers(max(1, s.horizon - 2), s.horizon))
+    p_prev = np.zeros(n + 2)
+    for k, (t, ip) in enumerate(states):
+        if k == cut:
+            # full-row readers: the last periods' rows, then the rows of
+            # the periods decided so far, built from their solved modes
+            value = stages.values(first)
+            for tt, ii in states[:k]:
+                stages.best_next(value, tt, ii)
+        i_prev = int_to_mode(ip, n)
+        assert (_outcome(schedule_step, model, s, t, i_prev, p_prev)
+                == _outcome(schedule_step, trained, s, t, i_prev, p_prev)), (t, ip)
+    for t in range(1, s.horizon + 1):
+        if stages.pending(t) is None:
+            modes = (model.weights[t + 1][0].tolist() if t < s.horizon
+                     else list(range(1 << n)))
+            got, want = stages.row(t), _solved(s, t, None, modes)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+                (a.dtype, a.shape, a.tobytes()) for a in want], t
+
+
+_BUNDLED_TABLES = {}
+
+
+@st.composite
+def bound_cases(draw):
+    """(scenario, table, t): a bundled fleet with its shared table, or a
+    `relaxed_states` fleet of 2-4 units with DG and DR each on or off and
+    a table of its own, at one of its periods."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(BUNDLED_SCENARIOS))
+        if name not in _BUNDLED_TABLES:
+            _BUNDLED_TABLES[name] = Stages(load_bundled_scenario(name))
+        stages = _BUNDLED_TABLES[name]
+        return stages.s, stages, draw(st.integers(1, stages.s.horizon))
+    s, t = draw(relaxed_states())
+    return s, Stages(s), t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bound_cases(), st.integers(0, 2**32 - 1))
+def test_floors_less_their_margins_bound_what_they_bound(case, seed):
+    # a bounded decision rules a candidate out on its floor alone: less
+    # its margin, the Q floor must be at most the stage-row Q of every
+    # feasible mode, whose dispatch lies in the mode's box, and the tail
+    # floor at most Jhat at every dispatch in that box, for any weights
+    # (squares <= 0 and exact zeros included) and boxes of width 0
+    s, stages, t = case
+    n = s.n_units
+    every = np.arange(1 << n)
+    on, lo, hi = _boxes(s, t, every)
+    floor, size = _q_floors(s, t, on, lo, hi)
+    ints, q, dispatches = stages.row(t)
+    assert np.all(floor[ints] - _margin(n, size[ints]) <= q)
+    lo, hi = on * lo, on * hi
+    assert np.all(lo[ints] <= dispatches) and np.all(dispatches <= hi[ints])
+    rng = np.random.default_rng(seed)
+    basis = BasisSpec(coords=tuple(range(n + 2)))
+    shape = (len(every), basis.n_features)
+    W = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    W[:, :n + 2] *= rng.random((len(every), n + 2)) < 0.8
+    hi = np.where(rng.random(lo.shape) < 0.3, lo, hi)
+    tail, tail_size = _tail_floors(basis, W, lo, hi)
+    for _ in range(3):
+        frac = np.where(rng.random(lo.shape) < 0.3, rng.integers(0, 2, lo.shape),
+                        rng.random(lo.shape))
+        x = np.where(frac == 1.0, hi, np.minimum(lo + frac * (hi - lo), hi))
+        jhat = [float(np.dot(w, phi)) for w, phi in zip(W, basis_matrix(basis, x))]
+        assert np.all(tail - _margin(n, tail_size) <= jhat)

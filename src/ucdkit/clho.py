@@ -11,13 +11,7 @@ one-step argmin per period against the trained tail values; new initial
 states or mid-horizon disturbances need no retraining. A model keeps the
 stage table of the scenario it last decided on (training's own, at
 first), so a ramp-relaxed period's dispatch QPs are solved at most once
-across decisions. A table a model builds for its own scenario (a
-loaded model's, say) solves each period before T over the previous
-modes trained at the next period alone, the modes training found
-feasible there (`ValueModel.stages_for`). With ramps relaxed, a
-decision on such a table at a period whose row is unbuilt is a bounded
-decision (`_Priced`): it solves only the candidates that a floor on
-their value cannot rule out.
+across decisions, and a decision on it may be bounded (`_Priced`).
 
 A decision reads its candidates as one stage row (`oracle.Stages.row`),
 gathers their weight rows in a fixed number of numpy calls (the
@@ -44,7 +38,7 @@ import numpy as np
 from .costs import switching_matrix
 from .errors import ModelMismatchError, UcdError
 from .oracle import TIE_RTOL, Stages, tie_band
-from .qp import _boxes, _check_dispatch, _commitments, _q_floors, int_to_mode, mode_to_int
+from .qp import _check_dispatch, _commitments, _q_floors, int_to_mode, mode_to_int
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = [
@@ -156,13 +150,12 @@ class ValueModel:
         the fingerprint, kept per object (`load_model(path, s)` has
         computed it). When it is the model's, row t < T is solved over
         the previous modes trained at t+1, which training took from row
-        t itself, and row T over all 2^N; with ramps relaxed, a decision
-        at a period whose row is unbuilt solves only the candidates a
-        bound cannot rule out (`_Priced`). Every row of another
-        fingerprint's table (a forced load) is solved over all 2^N. So a
-        model that holds no weights for a feasible mode (a hand-edited
-        file, a feasibility flip across BLAS builds) decides without it,
-        where a full row would raise ModelMismatchError."""
+        t itself, and row T over all 2^N; decisions on the table may be
+        bounded (`_Priced`). Every row of another fingerprint's table (a
+        forced load) is solved over all 2^N. So a model that holds no
+        weights for a feasible mode (a hand-edited file, a feasibility
+        flip across BLAS builds) decides without it, where a full row
+        would raise ModelMismatchError."""
         if self._stages is None or self._stages.s is not s:
             trained = {}
             if self.fingerprint == scenario_fingerprint(s):
@@ -266,7 +259,7 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
                 ys[:] = targets[ip]
             else:
                 for k in range(cfg.samples):
-                    _, values = _step(model, stages, t, K[ip], states[k])
+                    values = _step(model, t, K[ip], stages.row(t, states[k]))
                     if len(values):
                         ys[k] = values.min()
                     else:
@@ -309,16 +302,22 @@ def train(s: Scenario, config: TrainConfig | None = None) -> ValueModel:
 _NO_WEIGHTS = (np.empty(0, dtype=np.intp), None)
 
 
-def _weight_rows(model, t, ints):
+def _weight_rows(model, t, ints, strict=True):
     """The weight rows of Jhat_t for the previous-mode ints `ints`: W
-    itself or one searchsorted gather (see ValueModel)."""
+    itself or one searchsorted gather (see ValueModel). The first int
+    without a row raises ModelMismatchError or, if not strict, every
+    such int gets a row of nan."""
     known, W = model.weights.get(t, _NO_WEIGHTS)
     if ints is not known:
         at = known.searchsorted(ints)
         if not len(known) or known.take(at, mode="clip").tolist() != ints.tolist():
-            absent = ints[~np.isin(ints, known)].item(0)
-            raise ModelMismatchError(f"model holds no weights for t={t}, I_prev="
-                                     f"{''.join(map(str, int_to_mode(absent, model.n_units)))}")
+            held = np.isin(ints, known)
+            if not strict:
+                W = np.zeros((len(ints), model.basis.n_features)) if W is None else W
+                return np.where(held[:, None], W.take(at, 0, mode="clip"), np.nan)
+            absent = int_to_mode(ints[~held].item(0), model.n_units)
+            raise ModelMismatchError(f"model holds no weights for t={t}, "
+                                     f"I_prev={''.join(map(str, absent))}")
         W = W.take(at, axis=0)
     return W
 
@@ -337,122 +336,155 @@ def _tail_values(model, t, ints, dispatches):
     return _dots(_weight_rows(model, t, ints), basis_matrix(model.basis, dispatches))
 
 
-def _tail_floors(basis, W, lo, hi):
+def _tail_floors(basis, W, on, bounds):
     """(floor, size) per row i: a floor on W[i] . phi(x) over the box
-    lo[i] <= x <= hi[i] (dispatch coordinates as columns), and the sum of
-    the magnitudes of its terms there. The basis is separable: each
-    coordinate adds w2 x^2 + w1 x, whose minimum over an interval lies
-    at an end or, when w2 > 0, at the clipped stationary point, so the
-    floor is the constant plus the least of those three per coordinate.
-    Rounding the stationary point raises its value by a second-order
-    amount only (see `_Priced` for the margin)."""
+    on[i] * bounds (`qp._q_floors`), |bounds[0]| <= bounds[1], and a bound
+    on its terms' magnitudes there. A coordinate adds w2 x^2 + w1 x, least
+    at the clipped stationary point if w2 > 0, else at an end (no higher
+    than a point inside); rounding that point costs second order only."""
     c = list(basis.coords)
     k = len(c)
-    lo, hi = lo[:, c], hi[:, c]
-    w2, w1, w0 = W[:, :k], W[:, k:2 * k], W[:, 2 * k]
-    bowl = w2 > 0.0
-    x = np.where(bowl, np.minimum(np.maximum(-w1 / np.where(bowl, 2.0 * w2, 1.0), lo), hi), lo)
-    least = np.minimum(np.minimum((w2 * lo + w1) * lo, (w2 * hi + w1) * hi), (w2 * x + w1) * x)
-    top = np.maximum(np.abs(lo), np.abs(hi))
-    return least.sum(1) + w0, ((np.abs(w2) * top + np.abs(w1)) * top).sum(1) + np.abs(w0)
+    w2, w1 = W[:, :k], W[:, k:2 * k]
+    at = np.zeros((3, len(W), k))
+    lo, hi, x = at                      # the ends and the clipped point
+    if k < bounds.shape[1]:
+        on, bounds = on[:, c], bounds[:, c]
+    np.multiply(on, bounds[:, None], out=at[:2])
+    np.divide(w1, -2.0 * w2, out=x, where=w2 > 0.0)
+    np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+    top = bounds[1].tolist()
+    return (((w2 * at + w1) * at).min(0).sum(1) + W[:, 2 * k],
+            np.dot(np.abs(W), [v * v for v in top] + top + [1.0]))
 
 
 def _margin(n_units, size):
     """The rounding margin of a floor whose terms' magnitudes sum to
     `size`, on a fleet of n_units (`_Priced` argues it)."""
-    return 4 * (2 * n_units + 20) * 2.0 ** -53 * size
+    return 4 * (3 * n_units + 20) * 2.0 ** -53 * size
+
+
+def _floors(model, s, t, ints, W, limits=None):
+    """Floors on Q + Jhat_{t+1} less their margins (`_Priced`) for the
+    mode ints `ints` at t, under ramp `limits`; W their weight rows."""
+    on, bounds, floor, size = _q_floors(s, t, ints, limits)
+    size += sum(max(u.c_bank, u.c_fix + u.c_shut) for u in s.units)     # kappa's
+    if W is not None:
+        tail, tail_size = _tail_floors(model.basis, W, on, bounds)
+        floor, size = floor + tail, tail_size + size
+    return floor - _margin(s.n_units, size)
+
+
+def _bounded(keys, values, price):
+    """A bounded decision's loop (`_Priced`): values[i] = price(i), inf if
+    infeasible, for the least key while it is in the least value's band."""
+    best = values.min(initial=np.inf)
+    while True:
+        i = int(keys.argmin())
+        key = keys.item(i)
+        if key == np.inf or key > best + TIE_RTOL * max(1.0, abs(best)):
+            return
+        keys[i] = np.inf
+        values[i] = price(i)
+        best = min(best, values.item(i))
 
 
 class _Priced:
-    """A bounded decision's state at one period t of a model's own table
-    (`ValueModel.stages_for`) with ramps relaxed, used while the
-    period's row is unbuilt (`oracle.Stages.pending`).
+    """A bounded decision's state at period t of a model's own table
+    (`ValueModel.stages_for`), ramps relaxed and row t unbuilt
+    (`oracle.Stages.pending`).
 
-    A decision from previous mode i_prev takes the tie-band argmin of
-    (Q + kappa) + Jhat_{t+1} over the candidates, the modes row t would
-    be solved over. Each candidate's value has a floor: Q's
-    (`qp._q_floors`), plus kappa, plus Jhat_{t+1}'s least value over the
-    mode's box (`_tail_floors`), less a rounding margin. The decision
-    prices candidates in floor order and solves each, alone through the
-    table (`Stages.mode`), only while its floor is at most
-    best + TIE_RTOL * max(1, |best|), best the least value priced so
-    far; the first floor past that ends the pricing. A candidate left
-    unpriced has a value at least its floor, above the band of the
-    least value priced and so above the final band, since x + band(x)
-    never decreases (`oracle._Bound.cuts`). The argmin and its dispatch
-    are therefore a full row's, to the bit, and so is the row that a
-    full-row reader builds later. The floors and margins without kappa
-    (`low`) are kept, and so is each solved candidate's Q and tail (Q
-    inf for an infeasible mode), so a later decision at t adds its kappa
-    and solves only what that admits. Values round as `_step` rounds
-    them, (Q + kappa) + tail.
+    A bounded decision takes the tie-band argmin of (Q + kappa) +
+    Jhat_{t+1} without solving every candidate. It solves them in the
+    order of their floors, Q's (`qp._q_floors`) + kappa + Jhat_{t+1}'s
+    least value over the mode's box (`_tail_floors`) - a margin, while
+    the floor is at most best + TIE_RTOL * max(1, |best|), best the least
+    value so far (`_bounded`). An unsolved candidate's value is at least
+    its floor, above that band and so the final one, as x + band(x) never
+    decreases (`oracle._Bound.cuts`): the argmin and its dispatch are a
+    full row's, to the bit. Here the candidates are the modes row t is
+    to be solved over, solved through the table (`Stages.mode`) so that
+    a full-row reader builds a full row's bytes; the floors less kappa
+    (`low`) and each solved Q (inf if infeasible) and tail are kept for
+    the next decision at t. With ramps enforced (`_ramped`) they are the
+    relaxed twins (`Stages.twins`): one that meets its ramp rows is
+    priced exactly, a miss floored over its box cut to the ramp windows
+    and solved under ramps. Values round as `_step` rounds them.
 
     The margin. The floors bound a certified dispatch's value in real
-    numbers: `qp._boxes` widens each box, and `qp._q_floors` the demand,
-    by the slack a KKT certificate allows (KKT_TOL on each row and on
-    the balance, FEAS_TOL below it for a mode with nothing to dispatch).
-    What is left is rounding. Each float on the way (running_cost's Q,
-    the tail's dot, (Q + kappa) + tail; the Q floor, the tail floor and
-    their sum; `low` and `low` + kappa) is a sum of at most 2N + 20
-    rounded terms, so it lies within (2N + 20) u (1 + o(1)) times the sum
-    of their magnitudes of its real value, in any summation order, u
-    the unit roundoff 2^-53. `size` bounds every such magnitude sum:
-    that of `qp._q_floors`, of `_tail_floors` and the largest switching
-    charge. Three of those errors separate a floor from the value it
-    bounds (the value's, the floor's, the key's), so the margin
-    4 (2N + 20) u size (`_margin`) covers them with room to spare. It
-    is derived, not fitted."""
+    numbers (`qp._q_floors` widens by a KKT certificate's slack), less
+    rounding: each float on the way (Q, the tail's dot, (Q + kappa) +
+    tail; either floor, their sum less the margin, plus kappa) sums at
+    most 3N + 20 rounded terms, so it is within (3N + 20) u (1 + o(1))
+    times their magnitudes' sum of its real value, u = 2^-53. size bounds
+    every such sum (`qp._q_floors`', `_tail_floors`' per row, and the
+    largest switching charge); three such errors (the value's, the
+    floor's, the key's) separate a floor from its value, which the
+    margin 4 (3N + 20) u size (`_margin`) covers: derived, not fitted."""
 
-    __slots__ = ("ints", "W", "low", "q", "tail", "todo")
+    __slots__ = ("ints", "W", "low", "q", "tail")
 
     def __init__(self, model, s, t, ints):
-        on, lo, hi = _boxes(s, t, ints)
-        floor, size = _q_floors(s, t, on, lo, hi)
-        self.W = None
-        if t < model.horizon:
-            self.W = _weight_rows(model, t + 1, ints)
-            tail, tail_size = _tail_floors(model.basis, self.W, on * lo, on * hi)
-            floor, size = floor + tail, size + tail_size
-        switch = sum(max(u.c_bank, u.c_fix + u.c_shut) for u in s.units)
         self.ints = ints
-        self.low = floor - _margin(s.n_units, size + switch)
-        self.q = np.full(len(ints), np.inf)
-        self.tail = np.zeros(len(ints))
-        self.todo = np.ones(len(ints), dtype=bool)
+        self.W = _weight_rows(model, t + 1, ints) if t < model.horizon else None
+        self.low = _floors(model, s, t, ints, self.W)
+        self.q, self.tail = np.full(len(ints), np.inf), np.zeros(len(ints))
 
     def step(self, model, stages, t, kappa):
-        """(ints, values): the solved feasible candidates at t, ascending,
-        and their values from the previous mode of switching row
-        `kappa`, after solving what this decision's floors admit."""
+        """(ints, values, None) of the solved feasible candidates, from the
+        previous mode of switching row `kappa`, after solving what the
+        floors admit; their dispatches are the table's (`Stages.mode`)."""
         k = kappa[self.ints]
-        keys = np.where(self.todo, self.low + k, np.inf)    # the unsolved
         values = (self.q + k) + self.tail
-        best = values.min()
-        while True:
-            i = int(keys.argmin())      # the least floor, first on a tie
-            key = keys.item(i)
-            if key == np.inf or key > best + TIE_RTOL * max(1.0, abs(best)):
-                break
-            keys[i] = np.inf
-            self.todo[i] = False
+
+        def price(i):
+            self.low[i] = np.inf            # solved, never priced again
             solved = stages.mode(t, self.ints.item(i))
             if solved is None:
-                continue
+                return np.inf
             self.q[i], dispatch = solved
             if self.W is not None:
                 self.tail[i] = _dots(self.W[i:i + 1], basis_matrix(model.basis, dispatch[None]))[0]
-            values[i] = (self.q[i] + k[i]) + self.tail[i]
-            best = min(best, values[i])
+            return (self.q[i] + k[i]) + self.tail[i]
+
+        _bounded(self.low + k, values, price)
         keep = self.q < np.inf
-        return self.ints[keep], values[keep]
+        return self.ints[keep], values[keep], None
 
 
-def _step(model, stages, t, kappa, p_prev):
-    """One Bellman step from state (i_prev, p_prev) entering period t,
-    given `kappa`, row i_prev of the switching matrix: the stage row
-    (`Stages.row`) and its values Q + kappa + Jhat_{t+1}."""
-    row = ints, q, dispatches = stages.row(t, p_prev)
-    return row, q + kappa[ints] + _tail_values(model, t + 1, ints, dispatches)
+def _ramped(model, stages, t, kappa, row, limits, met):
+    """(ints, values, dispatches) of a bounded decision with ramps enforced
+    (`_Priced`). A twin without weights has the floor -inf: it is solved
+    first and, if feasible, raises ModelMismatchError as a full row does."""
+    ints, q, dispatches = row
+    k = kappa[ints]
+    miss = ~np.array(met)
+    W = _weight_rows(model, t + 1, ints, strict=False) if t < model.horizon else None
+    values = q + k + (0.0 if W is None else _dots(W, basis_matrix(model.basis, dispatches)))
+    keys = np.full(len(ints), np.inf)
+    keys[miss] = k[miss] + _floors(model, stages.s, t, ints[miss],
+                                   None if W is None else W[miss], limits)
+    keys[np.isnan(values)] = -np.inf        # a twin without weights
+    values[miss | (keys == -np.inf)] = np.inf
+    out = dispatches.copy()
+
+    def price(i):
+        solved = (q.item(i), dispatches[i]) if met[i] else stages.mode(t, ints.item(i), limits)
+        if solved is None:
+            return np.inf
+        out[i] = solved[1]          # `_tail_values` raises where absent
+        return (solved[0] + k[i]) + _tail_values(model, t + 1, ints[i:i + 1], out[i:i + 1])[0]
+
+    _bounded(keys, values, price)
+    keep = values < np.inf
+    return ints[keep], values[keep], out[keep]
+
+
+def _step(model, t, kappa, row):
+    """One Bellman step into period t: the values Q + kappa + Jhat_{t+1}
+    of stage row `row` (`Stages.row`), kappa the switching row of the
+    previous mode."""
+    ints, q, dispatches = row
+    return q + kappa[ints] + _tail_values(model, t + 1, ints, dispatches)
 
 
 def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
@@ -461,21 +493,25 @@ def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
     that is not a period raises ScenarioError (`Scenario.period`), even
     one equal to a period whose row the table holds, such as 2.0, and a
     state from which no mode at t is feasible UcdError. On the model's
-    own table, with ramps relaxed and row t unbuilt, the decision is
-    bounded (`_Priced`), with the same answer."""
+    own table a decision may be bounded (`_Priced`), with the same
+    answer."""
     s = stages.s
     s.period(t)
     n = s.n_units
     kappa = stages.kappa_row(mode_to_int(i_prev, n))
-    ints = stages.pending(t) if stages is model._stages else None
-    if ints is None:
-        (ints, _, dispatches), values = _step(model, stages, t, kappa, p_prev)
+    own = stages is model._stages
+    ints = stages.pending(t) if own else None
+    if ints is not None:
+        if t not in model._priced:
+            model._priced[t] = _Priced(model, s, t, ints)
+        ints, values, dispatches = model._priced[t].step(model, stages, t, kappa)
     else:
-        priced = model._priced.get(t)
-        if priced is None:
-            priced = model._priced[t] = _Priced(model, s, t, ints)
-        ints, values = priced.step(model, stages, t, kappa)
-        dispatches = None
+        row, limits, met = stages.twins(t, p_prev)
+        if own and met is not None:
+            ints, values, dispatches = _ramped(model, stages, t, kappa, row, limits, met)
+        else:
+            row = ints, _, dispatches = row if met is None else stages.row(t, p_prev)
+            values = _step(model, t, kappa, row)
     if not len(ints):
         raise UcdError(f"no mode is feasible at t={t} from the state entering it "
                        f"(previous mode {''.join(str(int(b)) for b in i_prev)})")

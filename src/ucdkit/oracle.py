@@ -105,22 +105,19 @@ class Stages:
     shared by every table of the scenario object.
 
     With ramps enforced and p_prev given, only the relaxed row's modes
-    can be feasible, and a relaxed dispatch that meets its ramp rows
-    from p_prev is the ramped optimum (`qp._meets_ramps` says why). The
-    other modes are solved under ramps on the lean path of `qp._solved`
-    and take their places in a copy of the row, which drops those found
-    infeasible; with none, the relaxed row is returned.
+    can be feasible (`twins`): the ramped optimum of a mode whose relaxed
+    dispatch meets its ramp rows from p_prev is that dispatch
+    (`qp._meets_ramps`), and the others, solved under ramps on the lean
+    path, take their places in a copy of the row without those found
+    infeasible.
 
     `modes` maps a period to the ascending mode ints (an intp array) its
     relaxed row is solved over, all 2^N where it has none: a model's own
     table passes its candidates (`clho.ValueModel.stages_for`), every
     other table none. A mode's solve does not depend on which others are
     solved, so a row over a superset of its feasible modes keeps its
-    bytes. So does a row built from modes solved one at a time: on such
-    a table with ramps relaxed, a decision solves only the candidates
-    its bound cannot rule out (`clho._Priced`), each through `mode`, and
-    the first full-row reader (`row`, so `values`, `best_next` and every
-    ramped twin) solves the rest and merges them.
+    bytes, and so does one that the first full-row reader builds from
+    the modes a bounded decision (`clho._Priced`) solved alone (`mode`).
     """
 
     def __init__(self, s: Scenario, modes=None):
@@ -139,15 +136,10 @@ class Stages:
             row = self._rows[t] = self._relaxed(t)
             for a in row:
                 a.flags.writeable = False
-        limits = _ramp_limits(self.s, p_prev)
-        if limits is None:
+        _, limits, met = (row, None, None) if p_prev is None else self.twins(t, p_prev)
+        if met is None:
             return row
         ints, q, dispatches = row
-        modes = _commitments(self.s.n_units)
-        met = [_meets_ramps(modes[v], d, limits)
-               for v, d in zip(ints.tolist(), dispatches.tolist())]
-        if all(met):
-            return row
         keep = np.array(met)
         again_ints, again_q, again_d = _solved(self.s, t, limits, ints[~keep].tolist())
         at = ints.searchsorted(again_ints)
@@ -155,6 +147,18 @@ class Stages:
         q, dispatches = q.copy(), dispatches.copy()
         q[at], dispatches[at] = again_q, again_d
         return ints[keep], q[keep], dispatches[keep]
+
+    def twins(self, t: int, p_prev):
+        """(row, limits, met): the relaxed row at t, the ramp rows p_prev
+        sets (`qp._ramp_limits`) and whether each mode's relaxed dispatch
+        meets them (`qp._meets_ramps`), None if every one does."""
+        row = self._rows.get(t) or self.row(t)
+        limits = _ramp_limits(self.s, p_prev)
+        if limits is None:
+            return row, None, None
+        modes = _commitments(self.s.n_units)
+        met = [_meets_ramps(modes[v], d, limits) for v, d in zip(row[0].tolist(), row[2].tolist())]
+        return row, limits, None if all(met) else met
 
     def _relaxed(self, t):
         """Relaxed row t, `_solved` over the period's modes; a mode
@@ -179,14 +183,13 @@ class Stages:
             return None
         return self._modes.get(t)
 
-    def mode(self, t: int, v: int):
-        """(Q, dispatch) of mode int v at t with ramps relaxed, None when
-        it is infeasible: solved alone through `_solved` on first use and
-        kept, read-only, until row t is built from it. For a row not yet
-        built (`pending`)."""
-        part = self._parts.setdefault(t, {})
+    def mode(self, t: int, v: int, limits=None):
+        """(Q, dispatch) of mode int v at t, None if infeasible, solved alone
+        (`_solved`), read-only: under ramp `limits` on each call, or relaxed
+        on first use and kept until unbuilt row t (`pending`) is built."""
+        part = self._parts.setdefault(t, {}) if limits is None else {}
         if v not in part:
-            ints, q, dispatches = _solved(self.s, t, None, (v,))
+            ints, q, dispatches = _solved(self.s, t, limits, (v,))
             dispatches.flags.writeable = False
             part[v] = (q.item(0), dispatches[0]) if len(ints) else None
         return part[v]

@@ -42,10 +42,7 @@ stay on `solve` for the benchmark: its tracer counts solves there, and
 its tests pin their number (2,304 for graph DP, `train` and `simulate`
 on relaxed example2_case1).
 
-`_q_floors` prices a floor on the relaxed Q of many modes of a period
-at once, in a fixed number of numpy calls, from the boxes `_boxes`
-gives; a loaded model's bounded decisions (`clho._Priced`) solve only
-the modes that floor cannot rule out.
+`_q_floors` prices floors on Q for bounded decisions (`clho._Priced`).
 """
 
 from __future__ import annotations
@@ -304,20 +301,21 @@ def _store(s):
 
 
 def _cost_terms(s):
-    """(hdiag, glin, const, glin_size, const_size), read-only arrays: the
-    objective terms 0.5 hdiag x^2 + glin x of each dispatch coordinate
-    (the units, then DG and DR) and each unit's constant, then the sums
-    of the magnitudes of the terms that running_cost adds up for glin x
-    and const at x = 1. `_Template` takes a mode's terms from here and
-    `_q_floors` every mode's, so both read the same floats."""
+    """(hdiag, glin, const, coords, const_size): read-only arrays of the
+    objective terms 0.5 hdiag x^2 + glin x and the constant of each
+    dispatch coordinate (the units, DG, DR); coords, per coordinate, its
+    hdiag, glin, the magnitudes running_cost adds up for glin x at x = 1
+    and const; and the sum of those it adds up for the constants.
+    `_Template` and `_q_floors` read the same floats here."""
     p_e = s.cet.price
     units, vr = s.units, (s.dg, s.dr)
-    return tuple(_read_only(np.array(v, dtype=float)) for v in (
-        [2.0 * (u.a + p_e * u.alpha) for u in units] + [2.0 * r.a for r in vr],
-        [u.b + p_e * u.beta for u in units] + [r.b for r in vr],
-        [u.c + p_e * u.gamma for u in units],
-        [abs(u.b) + p_e * abs(u.beta) for u in units] + [abs(r.b) for r in vr],
-        [abs(u.c) + p_e * abs(u.gamma) for u in units]))
+    h = [2.0 * (u.a + p_e * u.alpha) for u in units] + [2.0 * r.a for r in vr]
+    g = [u.b + p_e * u.beta for u in units] + [r.b for r in vr]
+    const = [u.c + p_e * u.gamma for u in units] + [r.c for r in vr]
+    g_size = [abs(u.b) + p_e * abs(u.beta) for u in units] + [abs(r.b) for r in vr]
+    return (*(_read_only(np.array(v, dtype=float)) for v in (h, g, const)),
+            list(zip(h, g, g_size, const)),
+            sum(abs(u.c) + p_e * abs(u.gamma) for u in units) + abs(s.dg.c) + abs(s.dr.c))
 
 
 class _Template:
@@ -639,84 +637,87 @@ def _solved(s, t, limits, modes):
             np.array(dispatches, dtype=float).reshape(len(ints), n + 2))
 
 
-# the certificate holds each box row's slack and the balance residual to
-# KKT_TOL as it rounds them; a box row's slack is one coordinate less a
-# bound, rounded by at most an ulp of KKT_TOL, so twice KKT_TOL covers it
+# the certificate holds each box or ramp row's slack and the balance residual
+# to KKT_TOL as it rounds them; a row's slack is one coordinate less a bound,
+# rounded by at most an ulp of KKT_TOL, so twice KKT_TOL covers it
 _WIDEN = 2.0 * KKT_TOL
 
 
-def _boxes(s, t, ints):
-    """(on, lo, hi): which dispatch coordinates (columns: the units, DG,
-    DR) each mode int of `ints` (rows) leaves free at t, as 0.0 or 1.0,
-    and each coordinate's box, widened by _WIDEN: [p_min, p_max] for a
-    unit, [0, cap] for DG and DR. A certified ramp-relaxed dispatch of
-    a mode lies in on * lo <= x <= on * hi, with every coordinate the
-    mode holds at exactly 0 in [0, 0]."""
-    n = s.n_units
+@cache
+def _free_columns(n):
+    """Row v: 1.0 at each dispatch coordinate mode int v of n units leaves
+    free, and at DG and DR (a period without one boxes it in [0, 0])."""
+    v = np.arange(1 << n)[:, None] << 2 | 3
+    return _read_only((v >> np.arange(n + 1, -1, -1) & 1).astype(float))
+
+
+def _q_floors(s, t, ints, limits=None):
+    """(on, bounds, floor, size) for the mode ints `ints` at t, ramps
+    relaxed or under the ramp rows of `limits` (`_ramp_limits`).
+
+    bounds bounds each dispatch coordinate (the units, DG, DR), widened
+    by _WIDEN: [p_min, p_max] cut to the ramp window for a unit, [0, cap]
+    for DG and DR where the period offers them, else [0, 0]. on (rows:
+    the modes) marks each mode's free coordinates as 1.0. A certified
+    dispatch lies in its mode's box, on * bounds (|x| <= bounds[1] if not
+    empty), and floor bounds its Q: inf where none exists, -inf where a
+    committed unit's window is empty. size bounds every mode's sum of
+    the magnitudes of the terms of Q and of the floor.
+
+    With |sum x - demand| <= eps and every other row dropped, the
+    Lagrangian dual g(lambda), the least of f(x) - lambda (sum x -
+    demand) - |lambda| eps over the box (f the mode's terms from
+    `_cost_terms`), is a floor at any lambda. Each coordinate's minimizer
+    is its clipped stationary point, so g's slope, demand - sum x(lambda)
+    with eps aside, is piecewise linear between the coordinates'
+    breakpoints; one product of `on` with every minimizer at every
+    breakpoint gives each mode's sums there. g is a plain sum at the
+    first breakpoint, where every coordinate is at its lower bound, and
+    each gap adds the slope's integral up to where the sums reach the
+    demand; g there is the Q of a mode whose only active rows are its
+    bounds and the balance. |lambda| eps is taken at its largest. Where
+    the box's sums (the breakpoints -inf and inf) miss the demand by
+    more than eps, no certified dispatch exists.
+
+    eps is 2 KKT_TOL + 4(N + 4) u (demand + sum bounds[1]), u = 2^-53:
+    the certificate's rounded sum of x is within (N + 1) u sum |x| of the
+    real one, and the box sums here round too. The floor's rounding is
+    the caller's margin (`clho._Priced`); rounding a gap's share only
+    moves lambda, a breakpoint or a minimizer g by a second-order amount."""
+    h, g, _, coords, const_size = _store(s).terms
     per = s.period(t)
-    caps = [per.dg_max, per.dr_max]
-    on = np.empty((len(ints), n + 2))
-    on[:, :n] = (np.asarray(ints)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    on[:, n:] = [cap > 0.0 for cap in caps]
-    lo = np.array([u.p_min for u in s.units] + [0.0, 0.0]) - _WIDEN
-    hi = np.array([u.p_max for u in s.units] + caps) + _WIDEN
-    return on, lo, hi
-
-
-def _q_floors(s, t, on, lo, hi):
-    """(floor, size) per mode of the boxes (on, lo, hi) that `_boxes`
-    gives at t: a floor on the Q of every certified ramp-relaxed
-    dispatch of the mode (inf where none exists), and a sum of the
-    magnitudes of the terms that Q and this floor are computed from.
-
-    A certified dispatch x lies in the mode's box and has
-    |sum x - demand| <= eps (eps below). Dropping every other row leaves
-    min Q(x) over that set, whose Lagrangian dual at any lambda,
-
-        g(lambda) = sum_j min over [lo_j, hi_j] of (f_j(x_j) - lambda x_j)
-                    + lambda demand - |lambda| eps + const,
-
-    is a floor by weak duality (f_j a free coordinate's terms from
-    `_cost_terms`). Each coordinate's minimizer is its clipped
-    stationary point, so sum x(lambda) is piecewise linear with kinks at
-    the coordinates' breakpoints. One product of the mode-bit matrix
-    with every coordinate's minimizer at every breakpoint gives each
-    mode's sums there, the bracket that holds the demand, and lambda by
-    linear interpolation inside it. There x(lambda) is the optimum of a
-    mode whose only active rows are its bounds and the balance, so the
-    floor falls short of such a mode's Q by the widening's price alone.
-    A mode whose box sums miss the demand by more than eps has no
-    certified dispatch, and its floor is inf.
-
-    eps is 2 KKT_TOL plus 4(N + 4) u (demand + sum of the caps), u the
-    unit roundoff 2^-53: the certificate bounds its own rounded sum of
-    x, within (N + 1) u sum |x| of the real one, and the box sums here
-    round too. Rounding in the floor
-    itself is left to the caller's margin (`clho._Priced`), scaled by
-    `size`; rounding the clipped minimizers raises a term by a
-    second-order amount only, far below that margin."""
-    n = s.n_units
-    h, g, const, g_size, c_size = _store(s).terms
-    demand = float(s.period(t).demand)
-    eps = _WIDEN + (n + 4) * 2.0 ** -51 * (demand + hi.sum())
-    # every coordinate's minimizer (rows) at every breakpoint (columns);
-    # Python sorts the few breakpoints, as numpy's sort would page in
-    # half a megabyte of sort kernels that nothing else here uses
-    kinks = np.array(sorted((g + h * lo).tolist() + (g + h * hi).tolist()))
-    at = np.minimum(np.maximum((kinks - g[:, None]) / h[:, None], lo[:, None]), hi[:, None])
-    sums = on @ at
-    k = np.minimum(np.maximum((sums < demand).sum(1), 1), len(kinks) - 1)
-    rows = np.arange(len(on))
-    s0, s1, l0, l1 = sums[rows, k - 1], sums[rows, k], kinks[k - 1], kinks[k]
-    rise = s1 > s0
-    inside = l0 + (demand - s0) / np.where(rise, s1 - s0, 1.0) * (l1 - l0)
-    lam = np.minimum(np.maximum(np.where(rise, inside, l1), l0), l1)
-    x = np.minimum(np.maximum((lam[:, None] - g) / h, on * lo), on * hi)
-    box_lo, box_hi = (on @ np.stack([lo, hi], 1)).T
-    floor = (on[:, :n] @ const + (s.dg.c + s.dr.c) + ((0.5 * h * x + g) * x).sum(1)
-             + lam * (demand - x.sum(1)) - np.abs(lam) * eps)
-    floor[(demand - eps > box_hi) | (box_lo - eps > demand)] = np.inf
-    # running_cost's terms at x, |x| <= hi (lo >= -_WIDEN, p_min <= p_max)
-    size = (on @ ((0.5 * h * hi + g_size) * hi) + on[:, :n] @ c_size
-            + abs(s.dg.c) + abs(s.dr.c) + np.abs(lam) * (box_hi + demand + eps))
-    return floor, size
+    demand = float(per.demand)
+    ends = [u.p_min - _WIDEN for u in s.units], [u.p_max + _WIDEN for u in s.units]
+    for j, up, down in limits or ():
+        ends[1][j] = ends[1][j] if up is None else min(ends[1][j], up + _WIDEN)
+        ends[0][j] = ends[0][j] if down is None else max(ends[0][j], -down - _WIDEN)
+    for cap in (per.dg_max, per.dr_max):
+        ends[0].append(-_WIDEN if cap > 0.0 else 0.0)
+        ends[1].append(cap + _WIDEN if cap > 0.0 else 0.0)
+    total = demand + sum(ends[1])
+    eps = _WIDEN + (s.n_units + 4) * 2.0 ** -51 * total
+    bounds = np.array(ends)
+    on = _free_columns(s.n_units).take(ints, 0)
+    # sorted in Python: numpy's sort pages in half a megabyte of kernels
+    points = sorted([gj + hj * v for (hj, gj, _, _), a, b in zip(coords, *ends) for v in (a, b)])
+    first, last = points[0], points[-1]
+    kinks = np.array([-np.inf, *points, np.inf])
+    at = np.minimum(np.maximum((kinks[:, None] - g) / h, bounds[0]), bounds[1])
+    sums = np.dot(on, at.T)         # every mode's sum x at every breakpoint
+    ahead = sums[:, 1:-2]           # each gap's first sum
+    below = demand - ahead
+    # a flat gap's rise is raised to this, which only moves lambda
+    rise = np.maximum(sums[:, 2:-1] - ahead, 2.0 ** -960 * total)
+    part = np.minimum(np.maximum(below, 0.0), rise)
+    start = [(0.5 * hj * a + gj - first) * a + cj for (hj, gj, _, cj), a in zip(coords, ends[0])]
+    start[-1] += first * demand - max(-first, last) * eps     # DR's column is all 1
+    gaps = [b - a for a, b in zip(points, points[1:])]
+    floor = np.dot(on, start) + np.dot((below - 0.5 * part) * part / rise, gaps)
+    floor[(sums[:, -1] < demand - eps) | (sums[:, 0] > demand + eps)] = np.inf
+    empty = [j for j, _, _ in limits or () if ends[0][j] > ends[1][j]]
+    if empty:
+        floor[on[:, empty].any(1)] = -np.inf
+    # |x| <= bounds[1], |lambda| <= max(-first, last), the gaps' terms <= 4 total
+    size = (sum((0.5 * hj * b + gj) * b for (hj, _, gj, _), b in zip(coords, ends[1]))
+            + const_size + max(-first, last) * (5.0 * total + eps))
+    return on, bounds, floor, size

@@ -586,16 +586,21 @@ def test_ramped_decisions_with_a_previous_dispatch_solve_every_time(e1c1, monkey
     assert want[1][0] == 400.0
 
 
-def _count_solves(monkeypatch):
+def _count_solves(monkeypatch, ramped_only=False):
     """Dispatch QPs solved for the stage table, one per mode handed to the
     stage-row solver: ramp-relaxed rows go on through `qp.solve`, ramped
-    candidates through the lean path, and both pass here."""
+    candidates through the lean path, and both pass here. Each is
+    recorded by its period or, if ramped_only, only ramped ones, by
+    their mode ints."""
     calls = []
     solved = ucdkit.oracle._solved
 
     def counting(s, t, prev, modes):
         modes = list(modes)
-        calls.extend([t] * len(modes))
+        if not ramped_only:
+            calls.extend([t] * len(modes))
+        elif prev is not None:
+            calls.extend(modes)
         return solved(s, t, prev, modes)
 
     monkeypatch.setattr(ucdkit.oracle, "_solved", counting)
@@ -766,6 +771,41 @@ def test_loaded_model_solves_only_its_trained_modes(name, ramps, samples, drawn_
                     == _outcome(decide, m, Stages(sc), t, i_prev, p_prev)), (t, i_prev)
         full = list(range(1 << s.n_units))
         assert {t: r[0] for t, r in rows.items()} == dict.fromkeys(range(1, s.horizon + 1), full)
+
+
+# (t, the ramped modes solved, in solve order) per state with misses in
+# `test_bounded_ramped_decisions_solve_only_what_floors_admit`: 5 solves
+# for 38 misses, each of which a full row solves
+_BOUNDED_RAMPED_SOLVES = [
+    (2, []), (3, []), (4, [25, 29]), (2, [24]), (3, [25, 24]), (2, []), (3, []), (4, []),
+]
+
+
+def test_bounded_ramped_decisions_solve_only_what_floors_admit(monkeypatch):
+    # with ramps enforced, a relaxed twin that breaks a ramp row from
+    # p_prev (a miss) is solved under ramps only while its floor can
+    # reach the tie band; from the rollout's states, each entry moved by
+    # up to 30%, the decisions solve the modes pinned above, a subset of
+    # each state's misses, and decide as the full rows do
+    s = _with_ramps(load_bundled_scenario("example2_case1"), 0.5)
+    model = train(s, TrainConfig(samples=2))
+    rows = simulate(s, model).rows
+    stages = model.stages_for(s)
+    rng = np.random.default_rng(7)
+    solves = _count_solves(monkeypatch, ramped_only=True)
+    got = []
+    for t in list(range(2, s.horizon + 1)) * 3:
+        i_prev, p_prev = rows[t - 2]["mode"], rows[t - 2]["realized"]
+        p_prev = p_prev * (1.0 + rng.uniform(-0.3, 0.3, s.n_units + 2))
+        ints, _, _ = stages.row(t)
+        _, _, met = stages.twins(t, p_prev)
+        solves.clear()
+        decision = schedule_step(model, s, t, i_prev, p_prev)
+        if met is not None:
+            got.append((t, solves[:]))
+            assert set(solves) <= {v for v, m in zip(ints.tolist(), met) if not m}
+        assert _same_decision(decision, decide(model, Stages(s), t, i_prev, p_prev))
+    assert got == _BOUNDED_RAMPED_SOLVES
 
 
 @pytest.mark.parametrize("name", ["example2_case1", "example1_case4"])

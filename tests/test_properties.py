@@ -43,12 +43,14 @@ from ucdkit import (
     solve,
     train,
 )
+import ucdkit.oracle
 from ucdkit import _kernels
 from ucdkit.cli import main
 from ucdkit.clho import _margin, _tail_floors, _tail_values, basis_matrix, decide
 from ucdkit.costs import running_cost, switching_cost
 from ucdkit.oracle import Stages, tie_band
-from ucdkit.qp import KKT_TOL, _boxes, _q_floors, _solved, mode_candidates, mode_to_int
+from ucdkit.qp import (KKT_TOL, _q_floors, _ramp_limits, _solved, mode_candidates,
+                       mode_to_int)
 
 from test_clho import _outcome
 from test_costs import startup_cost_reference
@@ -847,52 +849,207 @@ def test_bounded_decisions_are_the_full_rows_decisions(saved_decision_models, da
                 (a.dtype, a.shape, a.tobytes()) for a in want], t
 
 
+def _ramped_fleet(seed):
+    """A seeded fleet of 2-4 units over 4 periods, each unit with ramp
+    limits of 3-60% of p_max or none, DG and DR each on or off by
+    period, and switching charges."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    units = []
+    for _ in range(n):
+        p_min = rng.uniform(5.0, 150.0)
+        p_max = p_min + rng.uniform(20.0, 400.0)
+        ramp = None if rng.random() < 0.2 else rng.uniform(0.03, 0.6) * p_max
+        units.append(ThermalUnitParams(
+            a=rng.uniform(1e-4, 0.01), b=rng.uniform(1.0, 20.0), c=rng.uniform(0.0, 500.0),
+            p_min=p_min, p_max=p_max, c_bank=rng.uniform(0.0, 50.0),
+            c_fix=rng.uniform(0.0, 300.0), c_shut=rng.uniform(0.0, 100.0),
+            ramp_up=ramp, ramp_down=ramp))
+    top = sum(u.p_max for u in units)
+    periods = tuple(PeriodExogenous(
+        demand=rng.uniform(0.2, 0.8) * top, dg_max=40.0 * (rng.random() < 0.5),
+        dr_max=25.0 * (rng.random() < 0.5)) for _ in range(4))
+    return Scenario(
+        units=tuple(units), dg=VirtualResourceParams(0.01, 0.5, 0.0),
+        dr=VirtualResourceParams(0.02, 2.0, 0.0), cet=CetParams(0.0), eta_max=0.3,
+        periods=periods, initial_dispatch=(0.0,) * (n + 2), initial_commitment=(0,) * n,
+        ramp_enforced=True)
+
+
+@pytest.fixture(scope="module")
+def ramped_decision_models():
+    """(scenario, model, reference table): four seeded `_ramped_fleet`s
+    of 2, 3, 4 and 2 units and example1_case1 with ramps at 0.1 p_max,
+    where many states are dead ends, each trained (3 samples); and for
+    the last two a hand-built copy of no fingerprint, so its own table
+    solves every mode, that lacks the weight row of each period's first
+    trained mode or, for example1_case1, every period's after t = 2. A
+    reference is a table of the scenario other than the model's, on
+    which decisions read full rows (`Stages.row`)."""
+    out = []
+    seed = 0
+    while len(out) < 4:
+        s = _ramped_fleet(seed)
+        seed += 1
+        try:
+            model = train(s, TrainConfig(samples=3, seed=seed))
+        except UcdError:
+            continue
+        out.append((s, model, Stages(s)))
+    s = _with_ramps(load_bundled_scenario("example1_case1"), 0.1)
+    out.append((s, train(s, TrainConfig(samples=3)), Stages(s)))
+    for k, (s, model, reference) in enumerate(out[3:]):
+        weights = {t: (ints[1:], W[1:]) for t, (ints, W) in model.weights.items()}
+        if k:
+            weights = {t: pair for t, pair in model.weights.items() if t < 3}
+        out.append((s, ValueModel(basis=model.basis, horizon=model.horizon,
+                                  n_units=model.n_units, weights=weights, fingerprint="",
+                                  seed=0, samples=1, regularization=0.0), reference))
+    return out
+
+
+def test_bounded_ramped_decisions_are_the_full_rows_decisions(ramped_decision_models,
+                                                              monkeypatch):
+    # with ramps enforced, a decision on the model's own table prices the
+    # relaxed twins that break a ramp row from p_prev (misses) by floors
+    # and solves them one at a time (`clho._ramped`); from states near a
+    # twin's dispatch and far from every one, some entries 0, each
+    # decision, dead end and ModelMismatchError must be the full row's
+    solved = ucdkit.oracle._solved
+    calls = []
+
+    def counting(s, t, limits, modes):
+        modes = list(modes)
+        if limits is not None:
+            calls.extend(modes)
+        return solved(s, t, limits, modes)
+
+    monkeypatch.setattr(ucdkit.oracle, "_solved", counting)
+    seen = dict.fromkeys(["solved", "priced out", "dead end", "no weights"], 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        s, model, reference = data.draw(st.sampled_from(ramped_decision_models))
+        n = s.n_units
+        t = data.draw(st.integers(2, s.horizon))
+        ints, _, dispatches = reference.row(t - 1)
+        if len(ints) and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(ints) - 1))
+            i_prev = int_to_mode(ints.item(k), n)
+            spread = data.draw(st.sampled_from([0.01, 0.05, 0.3]))
+            p_prev = dispatches[k] * (1.0 + spread * np.array(data.draw(
+                st.lists(st.floats(-1.0, 1.0), min_size=n + 2, max_size=n + 2))))
+        else:
+            i_prev = data.draw(st.tuples(*[st.integers(0, 1)] * n))
+            p_prev = np.array([data.draw(st.floats(0.0, u.p_max)) * on
+                               for u, on in zip(s.units, i_prev)] + [0.0, 0.0])
+        p_prev[:n] *= data.draw(st.lists(st.sampled_from([0.0, 1.0, 1.0]),
+                                         min_size=n, max_size=n))
+        _, _, met = model.stages_for(s).twins(t, p_prev)
+        calls.clear()
+        got = _outcome(schedule_step, model, s, t, i_prev, p_prev)
+        mine = len(calls)
+        assert got == _outcome(decide, model, reference, t, i_prev, p_prev)
+        if got[0] == "ModelMismatchError":
+            seen["no weights"] += 1
+        elif got[0] == "UcdError":
+            seen["dead end"] += 1
+        elif met is not None:
+            seen["solved"] += mine
+            seen["priced out"] += met.count(False) - mine
+
+    check()
+    assert all(seen.values()), seen
+
+
 _BUNDLED_TABLES = {}
 
 
 @st.composite
+def ramp_windows(draw):
+    """(scenario, t, p_prev): a `ramped_states` fleet in which each unit
+    draws one kind of ramp window from p_prev: no previous output (so no
+    ramp rows), limits of None, a window of width 0, an empty one, or
+    any limits and any previous output."""
+    s, t, _ = draw(ramped_states())
+    units, prev = [], []
+    for u in s.units:
+        kind = draw(st.sampled_from(["off", "none", "zero", "empty", "any"]))
+        limit = st.one_of(st.none(), st.floats(0.0, 100.0))
+        up, down, p = draw(limit), draw(limit), draw(st.floats(0.0, u.p_max))
+        if kind == "off":
+            p = 0.0
+        elif kind == "none":
+            up = down = None
+        elif kind == "zero":
+            up, down, p = 0.0, 0.0, draw(st.floats(u.p_min, u.p_max))
+        elif kind == "empty":       # p_prev + ramp_up below p_min, widened or not
+            up, p = draw(st.floats(0.0, u.p_min / 4)), draw(st.floats(0.5, u.p_min / 4))
+        units.append(dataclasses.replace(u, ramp_up=up, ramp_down=down))
+        prev.append(p)
+    prev += [draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 25.0))]
+    return dataclasses.replace(s, units=tuple(units)), t, np.array(prev)
+
+
+@st.composite
 def bound_cases(draw):
-    """(scenario, table, t): a bundled fleet with its shared table, or a
-    `relaxed_states` fleet of 2-4 units with DG and DR each on or off and
-    a table of its own, at one of its periods."""
-    if draw(st.booleans()):
+    """(scenario, table, t, limits): a bundled fleet with its shared
+    table, or a `relaxed_states` fleet of 2-4 units with DG and DR each
+    on or off and a table of its own, ramps relaxed (limits None); or a
+    `ramp_windows` fleet and the ramp limits its p_prev sets."""
+    kind = draw(st.sampled_from(["bundled", "relaxed", "ramped"]))
+    if kind == "bundled":
         name = draw(st.sampled_from(BUNDLED_SCENARIOS))
         if name not in _BUNDLED_TABLES:
             _BUNDLED_TABLES[name] = Stages(load_bundled_scenario(name))
         stages = _BUNDLED_TABLES[name]
-        return stages.s, stages, draw(st.integers(1, stages.s.horizon))
-    s, t = draw(relaxed_states())
-    return s, Stages(s), t
+        return stages.s, stages, draw(st.integers(1, stages.s.horizon)), None
+    if kind == "relaxed":
+        s, t = draw(relaxed_states())
+        return s, Stages(s), t, None
+    s, t, p_prev = draw(ramp_windows())
+    return s, None, t, _ramp_limits(s, p_prev)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=450, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(bound_cases(), st.integers(0, 2**32 - 1))
 def test_floors_less_their_margins_bound_what_they_bound(case, seed):
     # a bounded decision rules a candidate out on its floor alone: less
-    # its margin, the Q floor must be at most the stage-row Q of every
-    # feasible mode, whose dispatch lies in the mode's box, and the tail
-    # floor at most Jhat at every dispatch in that box, for any weights
-    # (squares <= 0 and exact zeros included) and boxes of width 0
-    s, stages, t = case
+    # its margin, the Q floor must be at most the certified Q of every
+    # feasible mode, ramp-relaxed (the stage row) or under the ramp rows
+    # of a previous dispatch (`_solved` with limits), whose dispatch lies
+    # in the mode's box; and the tail floor at most Jhat at every
+    # dispatch in that box, for any weights (squares <= 0 and exact
+    # zeros included) and coordinates of width 0. A mode with an empty
+    # ramp window has no floor (-inf), and none is feasible
+    s, stages, t, limits = case
     n = s.n_units
     every = np.arange(1 << n)
-    on, lo, hi = _boxes(s, t, every)
-    floor, size = _q_floors(s, t, on, lo, hi)
-    ints, q, dispatches = stages.row(t)
-    assert np.all(floor[ints] - _margin(n, size[ints]) <= q)
-    lo, hi = on * lo, on * hi
-    assert np.all(lo[ints] <= dispatches) and np.all(dispatches <= hi[ints])
+    on, bounds, floor, size = _q_floors(s, t, every, limits)
+    if limits is None:
+        ints, q, dispatches = stages.row(t)
+    else:
+        ints, q, dispatches = _solved(s, t, limits, every.tolist())
+    assert np.all(floor[ints] - _margin(n, size) <= q)
+    box = on * bounds[:, None]
+    assert np.all(box[0, ints] <= dispatches) and np.all(dispatches <= box[1, ints])
+    sound = floor > -np.inf
+    assert sound[ints].all() and (limits is not None or sound.all())
     rng = np.random.default_rng(seed)
     basis = BasisSpec(coords=tuple(range(n + 2)))
     shape = (len(every), basis.n_features)
     W = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
     W[:, :n + 2] *= rng.random((len(every), n + 2)) < 0.8
-    hi = np.where(rng.random(lo.shape) < 0.3, lo, hi)
-    tail, tail_size = _tail_floors(basis, W, lo, hi)
+    bounds[0] = np.where(rng.random(n + 2) < 0.3, bounds[1], bounds[0])
+    box = on * bounds[:, None]
+    tail, tail_size = _tail_floors(basis, W, on, bounds)
+    lo, hi = box[:, sound]
     for _ in range(3):
         frac = np.where(rng.random(lo.shape) < 0.3, rng.integers(0, 2, lo.shape),
                         rng.random(lo.shape))
         x = np.where(frac == 1.0, hi, np.minimum(lo + frac * (hi - lo), hi))
-        jhat = [float(np.dot(w, phi)) for w, phi in zip(W, basis_matrix(basis, x))]
-        assert np.all(tail - _margin(n, tail_size) <= jhat)
+        jhat = [float(np.dot(w, phi)) for w, phi in zip(W[sound], basis_matrix(basis, x))]
+        assert np.all(tail[sound] - _margin(n, tail_size[sound]) <= jhat)

@@ -339,15 +339,15 @@ def _tail_values(model, t, ints, dispatches):
 def _tail_floors(basis, W, on, bounds):
     """(floor, size) per row i: a floor on W[i] . phi(x) over the box
     on[i] * bounds (`qp._q_floors`), |bounds[0]| <= bounds[1], and a bound
-    on its terms' magnitudes there. A coordinate adds w2 x^2 + w1 x, least
-    at the clipped stationary point if w2 > 0, else at an end (no higher
-    than a point inside); rounding that point costs second order only."""
+    on its terms' magnitudes there. A basis coordinate (in any order, any
+    repeated) adds w2 x^2 + w1 x, least at the clipped stationary point if
+    w2 > 0, else at an end (concave); rounding it costs second order only."""
     c = list(basis.coords)
     k = len(c)
     w2, w1 = W[:, :k], W[:, k:2 * k]
     at = np.zeros((3, len(W), k))
     lo, hi, x = at                      # the ends and the clipped point
-    if k < bounds.shape[1]:
+    if c != list(range(bounds.shape[1])):
         on, bounds = on[:, c], bounds[:, c]
     np.multiply(on, bounds[:, None], out=at[:2])
     np.divide(w1, -2.0 * w2, out=x, where=w2 > 0.0)
@@ -510,7 +510,7 @@ def decide(model: ValueModel, stages: Stages, t: int, i_prev, p_prev):
         if own and met is not None:
             ints, values, dispatches = _ramped(model, stages, t, kappa, row, limits, met)
         else:
-            row = ints, _, dispatches = row if met is None else stages.row(t, p_prev)
+            row = ints, _, dispatches = stages.merge(t, row, limits, met)
             values = _step(model, t, kappa, row)
     if not len(ints):
         raise UcdError(f"no mode is feasible at t={t} from the state entering it "

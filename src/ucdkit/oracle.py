@@ -105,11 +105,8 @@ class Stages:
     shared by every table of the scenario object.
 
     With ramps enforced and p_prev given, only the relaxed row's modes
-    can be feasible (`twins`): the ramped optimum of a mode whose relaxed
-    dispatch meets its ramp rows from p_prev is that dispatch
-    (`qp._meets_ramps`), and the others, solved under ramps on the lean
-    path, take their places in a copy of the row without those found
-    infeasible.
+    can be feasible, and one whose relaxed dispatch meets its ramp rows
+    from p_prev has it as its ramped optimum (`twins`, `merge`).
 
     `modes` maps a period to the ascending mode ints (an intp array) its
     relaxed row is solved over, all 2^N where it has none: a model's own
@@ -128,15 +125,18 @@ class Stages:
         self._kappa = _per_object(_KAPPA_ROWS, s, dict)
 
     def row(self, t: int, p_prev=None):
-        """The stage row at t entered from dispatch p_prev (None for the
-        ramp-relaxed row): the table's own read-only arrays, or a new
-        merged row where a ramp row binds a relaxed twin."""
+        """The stage row at t entered from dispatch p_prev (None: ramps relaxed),
+        the table's own read-only arrays or a new one where a twin misses (`merge`)."""
         row = self._rows.get(t)
         if row is None:
             row = self._rows[t] = self._relaxed(t)
             for a in row:
                 a.flags.writeable = False
-        _, limits, met = (row, None, None) if p_prev is None else self.twins(t, p_prev)
+        return row if p_prev is None else self.merge(t, *self.twins(t, p_prev))
+
+    def merge(self, t: int, row, limits, met):
+        """Row t from `twins`' (row, limits, met): row itself if met is None,
+        else a copy with each miss solved under ramps, or dropped if infeasible."""
         if met is None:
             return row
         ints, q, dispatches = row

@@ -9,6 +9,7 @@ carbon-price monotonicity argument never looks at multipliers at all.
 import contextlib
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -849,6 +850,44 @@ def test_bounded_decisions_are_the_full_rows_decisions(saved_decision_models, da
                 (a.dtype, a.shape, a.tobytes()) for a in want], t
 
 
+@pytest.mark.parametrize("repeats", [0, 2])
+def test_bounded_decisions_read_a_files_basis_coordinates(saved_decision_models, tmp_path,
+                                                          repeats):
+    # a model file may list its basis coordinates in any order and with
+    # repeats, more than N + 2 of them; a bounded decision's tail floors
+    # must pair each weight with its own coordinate's bounds. A copy of
+    # each saved model over every dispatch coordinate in reverse, then
+    # `repeats` more of the first (weights 0 where the file had none),
+    # freshly loaded, must decide at every period from every previous
+    # mode trained there as a copy whose table reads full rows
+    for s, _, path in saved_decision_models:
+        n = s.n_units
+        doc = json.loads(path.read_text())
+        old = doc["basis"]["coords"]
+        new = list(range(n + 2))[::-1] + old[:1] * repeats
+        at = [old.index(c) if j < n + 2 and c in old else None for j, c in enumerate(new)]
+
+        def moved(w):
+            sq, lin = w[:len(old)], w[len(old):-1]
+            return ([0.0 if i is None else sq[i] for i in at]
+                    + [0.0 if i is None else lin[i] for i in at] + w[-1:])
+
+        doc["basis"]["coords"] = new
+        doc["weights"] = {key: moved(w) for key, w in doc["weights"].items()}
+        moved_path = tmp_path / path.name
+        moved_path.write_text(json.dumps(doc))
+        model, reference = load_model(moved_path, scenario=s), load_model(moved_path, scenario=s)
+        full = reference.stages_for(s)
+        for t in range(1, s.horizon + 1):
+            full.row(t)
+        p_prev = np.zeros(n + 2)
+        for t in range(1, s.horizon + 1):
+            for ip in model.weights[t][0].tolist() if t in model.weights else [0]:
+                i_prev = int_to_mode(ip, n)
+                assert (_outcome(schedule_step, model, s, t, i_prev, p_prev)
+                        == _outcome(decide, reference, full, t, i_prev, p_prev)), (path, t, ip)
+
+
 def _ramped_fleet(seed):
     """A seeded fleet of 2-4 units over 4 periods, each unit with ramp
     limits of 3-60% of p_max or none, DG and DR each on or off by
@@ -1023,7 +1062,9 @@ def test_floors_less_their_margins_bound_what_they_bound(case, seed):
     # of a previous dispatch (`_solved` with limits), whose dispatch lies
     # in the mode's box; and the tail floor at most Jhat at every
     # dispatch in that box, for any weights (squares <= 0 and exact
-    # zeros included) and coordinates of width 0. A mode with an empty
+    # zeros included), coordinates of width 0 and basis coordinates in
+    # order, permuted, or repeated, up to more than N + 2 of them (a
+    # model file may list them so). A mode with an empty
     # ramp window has no floor (-inf), and none is feasible
     s, stages, t, limits = case
     n = s.n_units
@@ -1039,10 +1080,13 @@ def test_floors_less_their_margins_bound_what_they_bound(case, seed):
     sound = floor > -np.inf
     assert sound[ints].all() and (limits is not None or sound.all())
     rng = np.random.default_rng(seed)
-    basis = BasisSpec(coords=tuple(range(n + 2)))
+    coords = [np.arange(n + 2), rng.permutation(n + 2),
+              rng.integers(0, n + 2, rng.integers(1, 2 * n + 5))][seed % 3]
+    basis = BasisSpec(coords=tuple(coords.tolist()))
+    k = len(coords)
     shape = (len(every), basis.n_features)
     W = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
-    W[:, :n + 2] *= rng.random((len(every), n + 2)) < 0.8
+    W[:, :k] *= rng.random((len(every), k)) < 0.8
     bounds[0] = np.where(rng.random(n + 2) < 0.3, bounds[1], bounds[0])
     box = on * bounds[:, None]
     tail, tail_size = _tail_floors(basis, W, on, bounds)
